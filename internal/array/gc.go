@@ -6,7 +6,6 @@ import (
 
 	"triplea/internal/cluster"
 	"triplea/internal/ftl"
-	"triplea/internal/nand"
 	"triplea/internal/topo"
 )
 
@@ -39,7 +38,7 @@ func (a *Array) gcStep(id topo.FIMMID) {
 	if a.cfg.OpportunisticGC && a.ftl.MinFreeBlocks(id) > 1 &&
 		a.clusterBusUtil(id.ClusterID) > 0.5 {
 		a.gcDeferrals++
-		a.eng.Schedule(utilWindow, func() { a.gcStep(id) })
+		a.eng.ScheduleEvent(utilWindow, a, uint64(flat))
 		return
 	}
 	plan, ok := a.ftl.PlanGC(id, a.gcVeto)
@@ -53,6 +52,12 @@ func (a *Array) gcStep(id topo.FIMMID) {
 			a.gcStep(id) // keep collecting while pressured
 		})
 	})
+}
+
+// OnEvent implements simx.Handler for the opportunistic-GC deferral
+// timer: arg is the flat index of the FIMM whose round was postponed.
+func (a *Array) OnEvent(arg uint64) { //simlint:cold garbage collection runs per reclaimed block, not per event
+	a.gcStep(topo.FIMMFromFlat(a.cfg.Geometry, int(arg)))
 }
 
 // execGCMoves relocates plan.Moves[i:] one at a time, then calls done.
@@ -121,22 +126,27 @@ func (a *Array) backgroundProgram(ppn topo.PPN, done func()) {
 
 // eraseVictim erases the plan's victim block and completes the plan.
 func (a *Array) eraseVictim(plan *ftl.GCPlan, done func()) {
-	ep := a.Endpoint(plan.Victim.ClusterID())
-	ep.Erase(plan.Victim.FIMMSlot(), plan.Victim.Pkg(),
-		[]nand.Addr{plan.Victim.NandAddr(a.cfg.Geometry)},
-		func(err error) {
-			if err != nil {
-				// A fault-caused erase failure abandons the round; the
-				// victim block stays reclaimable for a later pass.
-				a.gcFaultErr("GC erase", err)
-				done()
-				return
-			}
-			if err := a.ftl.CompleteGCErase(plan); err != nil {
-				panic(fmt.Sprintf("array: GC bookkeeping: %v", err))
-			}
+	cmd := a.cmdPool.Get()
+	cmd.Op = cluster.OpErase
+	cmd.FIMM, cmd.Pkg = plan.Victim.FIMMSlot(), plan.Victim.Pkg()
+	cmd.SetPageAddr(plan.Victim.NandAddr(a.cfg.Geometry))
+	cmd.Background = true
+	cmd.OnComplete = func(c *cluster.Command) {
+		err := c.Result.Err
+		a.cmdPool.Put(c) // erases retire at completion
+		if err != nil {
+			// A fault-caused erase failure abandons the round; the
+			// victim block stays reclaimable for a later pass.
+			a.gcFaultErr("GC erase", err)
 			done()
-		})
+			return
+		}
+		if err := a.ftl.CompleteGCErase(plan); err != nil {
+			panic(fmt.Sprintf("array: GC bookkeeping: %v", err))
+		}
+		done()
+	}
+	a.Endpoint(plan.Victim.ClusterID()).Submit(cmd)
 }
 
 // runGCNow is the emergency out-of-space path: it reclaims one block

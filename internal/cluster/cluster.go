@@ -111,6 +111,7 @@ type Op uint8
 const (
 	OpRead  Op = iota // read pages, return data upstream
 	OpWrite           // write pages (buffered, early ack)
+	OpErase           // erase blocks (background GC work, bypasses the queue)
 )
 
 func (o Op) String() string {
@@ -119,6 +120,8 @@ func (o Op) String() string {
 		return "read"
 	case OpWrite:
 		return "write"
+	case OpErase:
+		return "erase"
 	}
 	return "unknown"
 }
@@ -161,9 +164,10 @@ type Command struct {
 
 	// OnComplete fires when the endpoint finishes the command (data
 	// staged for reads, buffer accepted for writes, program completed
-	// for background writes). Completion packets to the host are
-	// separate and flow through the fabric. Cold paths only: the hot
-	// host path communicates through completion packets and Flushed.
+	// for background writes, block erased for erases). Completion
+	// packets to the host are separate and flow through the fabric.
+	// Cold paths only: the hot host path communicates through
+	// completion packets and Flushed.
 	OnComplete func(*Command)
 	// Flushed fires for host writes when the background flush has
 	// programmed the page (or failed); the array uses it to retire
@@ -190,6 +194,13 @@ type Command struct {
 	addrBuf [1]nand.Addr // inline storage for the single-page Addrs case
 	next    *Command     // free-list link while parked in a CommandPool
 	ck      simx.PoolCheck
+}
+
+// complete runs the command's OnComplete continuation, if any.
+func (cmd *Command) complete() {
+	if cmd.OnComplete != nil {
+		cmd.OnComplete(cmd) //simlint:coldalloc audited continuation dispatch; the indirect call itself does not allocate
+	}
 }
 
 // FlushedH receives write-flush retirements (the typed counterpart of a
@@ -298,6 +309,12 @@ func (cmd *Command) OnFIMMDone(r fimm.Result) {
 		ep.moveUpstream(cmd)
 	case OpWrite:
 		ep.finishFlush(cmd, r)
+	case OpErase:
+		if r.Err == nil {
+			ep.stats.Erases++
+		}
+		cmd.Result.StorageWait, cmd.Result.Texe, cmd.Result.Err = r.StorageWait, r.Texe, r.Err
+		cmd.complete()
 	}
 }
 
@@ -494,6 +511,12 @@ func (ep *Endpoint) Submit(cmd *Command) {
 		ep.fail(cmd, fmt.Errorf("cluster %v: %w", ep.id, ErrUnplugged)) //simlint:coldalloc error path: rejected submission
 		return
 	}
+	if cmd.Op == OpErase {
+		// Erases move no data and take no queue entry: the module
+		// runs them directly.
+		ep.fimms[cmd.FIMM].EraseOp(cmd.Pkg, cmd.Addrs, cmd)
+		return
+	}
 	cmd.arrived = ep.eng.Now()
 	if ep.QueueFull() {
 		ep.stats.QueueFullHits++
@@ -531,9 +554,7 @@ func (ep *Endpoint) fail(cmd *Command, err error) {
 		pkt.Kind, pkt.Addr, pkt.Meta = pcie.Completion, ep.routeAddr(), cmd
 		ep.up.Send(pkt, nil)
 	}
-	if cmd.OnComplete != nil {
-		cmd.OnComplete(cmd) //simlint:coldalloc audited continuation dispatch; the indirect call itself does not allocate
-	}
+	cmd.complete()
 	// A write rejected before buffering never reaches finishFlush; fire
 	// the flush retirement here so the submitter's per-block bookkeeping
 	// (and the pooled command's RetireMark handshake) still resolves.
@@ -645,9 +666,7 @@ func (ep *Endpoint) accountRead(cmd *Command) {
 func (ep *Endpoint) finishRead(cmd *Command) {
 	if cmd.Background || ep.up == nil {
 		ep.staging.Release()
-		if cmd.OnComplete != nil {
-			cmd.OnComplete(cmd) //simlint:coldalloc audited continuation dispatch; the indirect call itself does not allocate
-		}
+		cmd.complete()
 		return
 	}
 	pkt := ep.newPacket()
@@ -656,9 +675,7 @@ func (ep *Endpoint) finishRead(cmd *Command) {
 	pkt.Payload = units.PagesToBytes(cmd.Pages(), ep.params.FIMM.Nand.PageSizeBytes)
 	pkt.Meta = cmd
 	ep.up.Send(pkt, ep)
-	if cmd.OnComplete != nil {
-		cmd.OnComplete(cmd) //simlint:coldalloc audited continuation dispatch; the indirect call itself does not allocate
-	}
+	cmd.complete()
 }
 
 // admitWrite takes a write into the endpoint write buffer, acks it
@@ -681,10 +698,10 @@ func (ep *Endpoint) admitBufferedWrite(cmd *Command, bufWait simx.Time) {
 		ack.Kind, ack.Addr, ack.Meta = pcie.Completion, ep.routeAddr(), cmd
 		ep.up.Send(ack, nil)
 	}
-	if !cmd.Background && cmd.OnComplete != nil {
+	if !cmd.Background {
 		// Host writes complete at buffering time; the flush result
 		// no longer affects the request.
-		cmd.OnComplete(cmd) //simlint:coldalloc audited continuation dispatch; the indirect call itself does not allocate
+		cmd.complete()
 	}
 	ep.flushWrite(cmd)
 }
@@ -701,8 +718,8 @@ func (ep *Endpoint) finishFlush(cmd *Command, r fimm.Result) {
 	ep.writeBuf.Release()
 	if r.Err != nil {
 		cmd.Result.Err = r.Err
-		if cmd.Background && cmd.OnComplete != nil {
-			cmd.OnComplete(cmd) //simlint:coldalloc audited continuation dispatch; the indirect call itself does not allocate
+		if cmd.Background {
+			cmd.complete()
 		}
 		if cmd.Flushed != nil {
 			cmd.Flushed.OnCommandFlushed(cmd)
@@ -721,30 +738,12 @@ func (ep *Endpoint) finishFlush(cmd *Command, r fimm.Result) {
 	ep.stats.StorageWaitNS += cmd.Result.StorageWait
 	ep.stats.LinkWaitNS += cmd.Result.LinkWait
 	ep.stats.LinkXferNS += cmd.Result.LinkXfer
-	if cmd.Background && cmd.OnComplete != nil {
-		cmd.OnComplete(cmd) //simlint:coldalloc audited continuation dispatch; the indirect call itself does not allocate
+	if cmd.Background {
+		cmd.complete()
 	}
 	if cmd.Flushed != nil {
 		cmd.Flushed.OnCommandFlushed(cmd)
 	}
-}
-
-// Erase runs a block erase (GC traffic) on a FIMM.
-func (ep *Endpoint) Erase(fimmSlot, pkg int, addrs []nand.Addr, done func(error)) {
-	if fimmSlot < 0 || fimmSlot >= len(ep.fimms) {
-		done(fmt.Errorf("cluster %v: FIMM slot %d out of range", ep.id, fimmSlot))
-		return
-	}
-	if ep.unplugged {
-		done(fmt.Errorf("cluster %v: %w", ep.id, ErrUnplugged))
-		return
-	}
-	ep.fimms[fimmSlot].Erase(pkg, addrs, func(r fimm.Result) {
-		if r.Err == nil {
-			ep.stats.Erases++
-		}
-		done(r.Err)
-	})
 }
 
 // routeAddr reports the fabric address identifying this cluster, used

@@ -59,7 +59,7 @@ func TestParamsValidation(t *testing.T) {
 }
 
 func TestOpString(t *testing.T) {
-	if OpRead.String() != "read" || OpWrite.String() != "write" {
+	if OpRead.String() != "read" || OpWrite.String() != "write" || OpErase.String() != "erase" {
 		t.Error("Op.String mismatch")
 	}
 }
@@ -251,18 +251,27 @@ func TestQueueFullDetection(t *testing.T) {
 func TestErase(t *testing.T) {
 	eng := simx.NewEngine()
 	ep := New(eng, id0(), testParams())
-	var gotErr error
-	called := false
-	ep.Erase(0, 0, []nand.Addr{{}}, func(err error) { called = true; gotErr = err })
+	var done *Command
+	ep.Submit(&Command{Op: OpErase, Addrs: []nand.Addr{{}}, Background: true,
+		OnComplete: func(c *Command) { done = c }})
 	eng.Run()
-	if !called || gotErr != nil {
-		t.Fatalf("erase: called=%v err=%v", called, gotErr)
+	if done == nil || done.Result.Err != nil {
+		t.Fatalf("erase: done=%v", done)
+	}
+	if want := testParams().FIMM.Nand.TCmdOverhead + testParams().FIMM.Nand.TErase; done.Result.Texe != want {
+		t.Errorf("erase Texe = %v, want %v", done.Result.Texe, want)
 	}
 	if ep.Stats().Erases != 1 {
 		t.Errorf("stats.Erases = %d", ep.Stats().Erases)
 	}
-	ep.Erase(9, 0, []nand.Addr{{}}, func(err error) { gotErr = err })
-	if gotErr == nil {
+	// Erases bypass the endpoint queue and its accounting.
+	if st := ep.Stats(); st.EPWaitNS != 0 || st.QueueFullHits != 0 || ep.QueueLen() != 0 {
+		t.Errorf("erase touched the queue: %+v, queue %d", st, ep.QueueLen())
+	}
+	done = nil
+	ep.Submit(&Command{Op: OpErase, FIMM: 9, Addrs: []nand.Addr{{}}, Background: true,
+		OnComplete: func(c *Command) { done = c }})
+	if done == nil || done.Result.Err == nil {
 		t.Error("out-of-range erase accepted")
 	}
 }

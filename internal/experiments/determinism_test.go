@@ -11,6 +11,8 @@ import (
 	"triplea/internal/core"
 	"triplea/internal/fault"
 	"triplea/internal/simx"
+	"triplea/internal/topo"
+	"triplea/internal/trace"
 	"triplea/internal/workload"
 )
 
@@ -184,5 +186,118 @@ func TestFaultedGoldenReplay(t *testing.T) {
 	if len(first) != faultedGoldenOutputLen || got != faultedGoldenSHA256 {
 		t.Fatalf("faulted run diverged from golden bytes:\n  got  sha256=%s len=%d\n  want sha256=%s len=%d",
 			got, len(first), faultedGoldenSHA256, faultedGoldenOutputLen)
+	}
+}
+
+// serializeRetrainDeferralRun covers the two event paths the goldens
+// above never reach: opportunistic GC deferring its rounds while the
+// cluster's shared bus is busy, and a scripted PCI-E link degrade plus
+// link retrain on that same cluster. A small one-switch array with tiny
+// blocks takes a seeded mix of hot-set overwrites and dense reads, all
+// on cluster 0, so collection comes under pressure while the bus is
+// saturated and the retrain window stalls live traffic. It renders
+// every completion, every failure and the GC/fault counters to text,
+// and also returns the deferral count and the delivered fault kinds so
+// the caller can prove both paths ran.
+func serializeRetrainDeferralRun(t *testing.T, seed uint64) (string, uint64, []fault.Kind) {
+	t.Helper()
+	cfg := array.DefaultConfig()
+	g := &cfg.Geometry
+	g.Switches, g.ClustersPerSwitch, g.FIMMsPerCluster, g.PackagesPerFIMM = 1, 2, 2, 2
+	g.Nand.DiesPerPackage = 1
+	g.Nand.BlocksPerPlane = 8
+	g.Nand.PagesPerBlock = 4
+	cfg.GCThreshold = 4
+	cfg.OpportunisticGC = true
+
+	rng := simx.NewRNG(seed)
+	perFIMM := g.PagesPerFIMM().Int64()
+	var reqs []trace.Request
+	var now simx.Time
+	for w := 0; w < 80; w++ {
+		reqs = append(reqs, trace.Request{Arrival: now, Op: trace.Write, LPN: int64(rng.Intn(4)), Pages: 1})
+		for j := 0; j < 48; j++ {
+			// Alternate the cluster's two FIMMs: die time overlaps,
+			// bus transfers serialise.
+			lpn := 10 + int64(rng.Intn(20)) + int64(j%2)*perFIMM
+			reqs = append(reqs, trace.Request{
+				Arrival: now + simx.Time(j+1)*10*simx.Microsecond,
+				Op:      trace.Read, LPN: lpn, Pages: 1,
+			})
+		}
+		now += simx.Millisecond / 2
+	}
+
+	target := topo.ClusterID{}
+	plan := fault.Plan{Events: []fault.Event{
+		{At: now / 4, Kind: fault.KindLinkDegrade, Cluster: target, Factor: 2},
+		{At: now / 2, Kind: fault.KindLinkRetrain, Cluster: target, Duration: 80 * simx.Microsecond},
+		{At: 3 * now / 4, Kind: fault.KindLinkRetrain, Cluster: target, Duration: 40 * simx.Microsecond},
+	}}
+
+	a, err := array.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := fault.Attach(a, plan, fault.Options{})
+	rec, err := a.Run(reqs)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	if a.InFlight() != 0 {
+		t.Fatalf("seed %d: %d requests stuck", seed, a.InFlight())
+	}
+	var b strings.Builder
+	for _, r := range rec.Records() {
+		fmt.Fprintf(&b, "done %+v\n", r)
+	}
+	for _, f := range rec.Failures() {
+		fmt.Fprintf(&b, "fail %+v\n", f)
+	}
+	fmt.Fprintf(&b, "gc rounds=%d deferrals=%d inj=%+v ftl=%+v\n",
+		a.GCRounds(), a.GCDeferrals(), inj.Stats(), a.FTL().Stats())
+	var kinds []fault.Kind
+	for _, ev := range inj.Events()[:inj.Stats().Injected] {
+		kinds = append(kinds, ev.Kind)
+	}
+	return b.String(), a.GCDeferrals(), kinds
+}
+
+// Golden digest of serializeRetrainDeferralRun(seed=42), captured on the
+// closure-based scheduling path (Link.Retrain holding the wire through a
+// closure grant, the GC deferral timer and the fault injector's
+// deliveries as closure events, the GC erase through the endpoint's
+// closure Erase) immediately before those callers moved to typed
+// receivers. The typed versions must emit these exact bytes.
+const (
+	retrainDeferralGoldenSHA256    = "36f257c533d05863364b2076c7d3a9931cf921b1d24b2c2989e91a18f6f139b4"
+	retrainDeferralGoldenOutputLen = 973478
+)
+
+// TestRetrainDeferralGoldenReplay pins the GC-deferral and link-retrain
+// paths byte for byte, with every pool drained, and proves the scenario
+// still exercises both: at least one deferral, and the retrain (and
+// degrade) delivered.
+func TestRetrainDeferralGoldenReplay(t *testing.T) {
+	drainSnap := simx.SnapshotLedger()
+	out, deferrals, kinds := serializeRetrainDeferralRun(t, goldenSeed)
+	if err := simx.AssertDrained(drainSnap); err != nil {
+		t.Fatalf("retrain/deferral golden run leaked pooled objects: %v", err)
+	}
+	if deferrals == 0 {
+		t.Error("opportunistic GC never deferred; the scenario no longer covers the deferral timer")
+	}
+	delivered := map[fault.Kind]int{}
+	for _, k := range kinds {
+		delivered[k]++
+	}
+	if delivered[fault.KindLinkRetrain] != 2 || delivered[fault.KindLinkDegrade] != 1 {
+		t.Errorf("delivered fault kinds %v, want two link retrains and one link degrade", kinds)
+	}
+	sum := sha256.Sum256([]byte(out))
+	got := hex.EncodeToString(sum[:])
+	if len(out) != retrainDeferralGoldenOutputLen || got != retrainDeferralGoldenSHA256 {
+		t.Fatalf("retrain/deferral run diverged from golden bytes:\n  got  sha256=%s len=%d\n  want sha256=%s len=%d",
+			got, len(out), retrainDeferralGoldenSHA256, retrainDeferralGoldenOutputLen)
 	}
 }

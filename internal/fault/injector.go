@@ -74,11 +74,16 @@ func Attach(a *array.Array, p Plan, opt Options) *Injector {
 	a.ArmFaults()
 	a.SetFaultRecovery(opt.Recover)
 	eng := a.Engine()
-	for _, ev := range inj.events {
-		ev := ev
-		eng.At(ev.At, func() { inj.apply(ev) })
+	for i, ev := range inj.events {
+		eng.AtEvent(ev.At, inj, uint64(i))
 	}
 	return inj
+}
+
+// OnEvent implements simx.Handler: the materialized fault event at
+// index arg is due.
+func (inj *Injector) OnEvent(arg uint64) { //simlint:cold fault delivery runs once per scripted fault, not per event
+	inj.apply(inj.events[arg])
 }
 
 // Stats reports what has been injected and recovered so far.

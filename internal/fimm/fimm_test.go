@@ -1,6 +1,7 @@
 package fimm
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,16 @@ import (
 	"triplea/internal/simx"
 	"triplea/internal/units"
 )
+
+// doneFunc adapts a closure to Done for these tests; read, program and
+// erase issue an operation completing into one.
+type doneFunc func(r Result)
+
+func (f doneFunc) OnFIMMDone(r Result) { f(r) }
+
+func read(f *FIMM, pkg int, addrs []nand.Addr, done doneFunc)    { f.ReadOp(pkg, addrs, done) }
+func program(f *FIMM, pkg int, addrs []nand.Addr, done doneFunc) { f.ProgramOp(pkg, addrs, done) }
+func erase(f *FIMM, pkg int, addrs []nand.Addr, done doneFunc)   { f.EraseOp(pkg, addrs, done) }
 
 func testParams() Params {
 	p := DefaultParams()
@@ -53,7 +64,7 @@ func TestParamsValidation(t *testing.T) {
 
 func programOne(t *testing.T, eng *simx.Engine, f *FIMM, pkg int, a nand.Addr) {
 	t.Helper()
-	f.Program(pkg, []nand.Addr{a}, func(r Result) {
+	program(f, pkg, []nand.Addr{a}, func(r Result) {
 		if r.Err != nil {
 			t.Fatalf("program %v: %v", a, r.Err)
 		}
@@ -70,7 +81,7 @@ func TestReadTimingDecomposition(t *testing.T) {
 
 	var r Result
 	start := eng.Now()
-	f.Read(0, []nand.Addr{a}, func(res Result) { r = res })
+	read(f, 0, []nand.Addr{a}, func(res Result) { r = res })
 	eng.Run()
 
 	n := p.Nand
@@ -103,8 +114,8 @@ func TestChannelSerializesAcrossPackages(t *testing.T) {
 	// Two reads on different packages: cell reads overlap (independent
 	// dies), channel transfers serialize.
 	var r0, r1 Result
-	f.Read(0, []nand.Addr{a}, func(r Result) { r0 = r })
-	f.Read(1, []nand.Addr{a}, func(r Result) { r1 = r })
+	read(f, 0, []nand.Addr{a}, func(r Result) { r0 = r })
+	read(f, 1, []nand.Addr{a}, func(r Result) { r1 = r })
 	eng.Run()
 
 	if r0.Err != nil || r1.Err != nil {
@@ -132,8 +143,8 @@ func TestStorageContentionVisible(t *testing.T) {
 	programOne(t, eng, f, 0, a1)
 
 	var r0, r1 Result
-	f.Read(0, []nand.Addr{a0}, func(r Result) { r0 = r })
-	f.Read(0, []nand.Addr{a1}, func(r Result) { r1 = r })
+	read(f, 0, []nand.Addr{a0}, func(r Result) { r0 = r })
+	read(f, 0, []nand.Addr{a1}, func(r Result) { r1 = r })
 	eng.Run()
 
 	if r0.StorageWait != 0 {
@@ -151,7 +162,7 @@ func TestProgramChannelFirst(t *testing.T) {
 	f := New(eng, p)
 	var r Result
 	start := eng.Now()
-	f.Program(0, []nand.Addr{{}}, func(res Result) { r = res })
+	program(f, 0, []nand.Addr{{}}, func(res Result) { r = res })
 	eng.Run()
 	if r.Err != nil {
 		t.Fatalf("program: %v", r.Err)
@@ -168,7 +179,7 @@ func TestEraseNoChannel(t *testing.T) {
 	p := testParams()
 	f := New(eng, p)
 	var r Result
-	f.Erase(0, []nand.Addr{{}}, func(res Result) { r = res })
+	erase(f, 0, []nand.Addr{{}}, func(res Result) { r = res })
 	eng.Run()
 	if r.Err != nil {
 		t.Fatalf("erase: %v", r.Err)
@@ -185,25 +196,48 @@ func TestErrorsPropagate(t *testing.T) {
 	eng := simx.NewEngine()
 	f := New(eng, testParams())
 	var r Result
-	f.Read(0, []nand.Addr{{}}, func(res Result) { r = res }) // erased page
+	read(f, 0, []nand.Addr{{}}, func(res Result) { r = res }) // erased page
 	eng.Run()
 	if r.Err == nil {
 		t.Error("read of erased page did not error")
 	}
-	f.Read(99, []nand.Addr{{}}, func(res Result) { r = res })
+	read(f, 99, []nand.Addr{{}}, func(res Result) { r = res })
 	eng.Run()
 	if r.Err == nil {
 		t.Error("out-of-range package did not error")
 	}
-	f.Program(-1, []nand.Addr{{}}, func(res Result) { r = res })
+	program(f, -1, []nand.Addr{{}}, func(res Result) { r = res })
 	eng.Run()
 	if r.Err == nil {
 		t.Error("negative package did not error")
 	}
-	f.Erase(2, []nand.Addr{{}}, func(res Result) { r = res })
+	erase(f, 2, []nand.Addr{{}}, func(res Result) { r = res })
 	eng.Run()
 	if r.Err == nil {
 		t.Error("erase out-of-range package did not error")
+	}
+}
+
+func TestKilledModuleRejectsEveryOp(t *testing.T) {
+	eng := simx.NewEngine()
+	f := New(eng, testParams())
+	f.Kill()
+	var errs []error
+	collect := func(r Result) { errs = append(errs, r.Err) }
+	read(f, 0, []nand.Addr{{}}, collect)
+	program(f, 0, []nand.Addr{{}}, collect)
+	erase(f, 0, []nand.Addr{{}}, collect)
+	want := []string{"fimm: read: fimm: module dead", "fimm: program: fimm: module dead", "fimm: erase: fimm: module dead"}
+	if len(errs) != len(want) {
+		t.Fatalf("%d synchronous completions, want %d", len(errs), len(want))
+	}
+	for i, err := range errs {
+		if !errors.Is(err, ErrDead) || err.Error() != want[i] {
+			t.Errorf("op %d: err %v, want %q wrapping ErrDead", i, err, want[i])
+		}
+	}
+	if f.freeOp != nil || eng.Pending() != 0 {
+		t.Error("a rejected op minted pooled state or scheduled work")
 	}
 }
 
@@ -213,7 +247,7 @@ func TestBusyLine(t *testing.T) {
 	if f.Busy() {
 		t.Error("fresh FIMM busy")
 	}
-	f.Program(0, []nand.Addr{{}}, func(Result) {})
+	program(f, 0, []nand.Addr{{}}, func(Result) {})
 	if !f.Busy() {
 		t.Error("FIMM idle during program")
 	}
@@ -230,7 +264,7 @@ func TestChannelUtilization(t *testing.T) {
 	programOne(t, eng, f, 0, nand.Addr{})
 	base := eng.Now()
 	busy0 := f.ChannelBusyNS()
-	f.Read(0, []nand.Addr{{}}, func(Result) {})
+	read(f, 0, []nand.Addr{{}}, func(Result) {})
 	eng.Run()
 	u := f.ChannelUtilizationSince(base, busy0)
 	elapsed := eng.Now() - base
@@ -246,7 +280,7 @@ func TestBytesMovedAccounting(t *testing.T) {
 	f := New(eng, p)
 	a := nand.Addr{}
 	programOne(t, eng, f, 0, a)
-	f.Read(0, []nand.Addr{a}, func(Result) {})
+	read(f, 0, []nand.Addr{a}, func(Result) {})
 	eng.Run()
 	want := 2 * p.Nand.PageSizeBytes // one program + one read
 	if got := f.Stats().BytesMoved; got != want {
@@ -271,7 +305,7 @@ func TestPropertyResultTotalsAccountElapsed(t *testing.T) {
 		eng := simx.NewEngine()
 		p := testParams()
 		fm := New(eng, p)
-		fm.Program(0, []nand.Addr{{}}, func(Result) {})
+		program(fm, 0, []nand.Addr{{}}, func(Result) {})
 		eng.Run()
 		start := eng.Now()
 		var sum simx.Time
@@ -280,7 +314,7 @@ func TestPropertyResultTotalsAccountElapsed(t *testing.T) {
 			if i == n {
 				return
 			}
-			fm.Read(0, []nand.Addr{{}}, func(r Result) {
+			read(fm, 0, []nand.Addr{{}}, func(r Result) {
 				if r.Err != nil {
 					t.Fatal(r.Err)
 				}

@@ -104,19 +104,14 @@ var hotDispatchMethods = map[string]bool{
 // belong in code review.
 var hotCertified = []funcRef{
 	// simx engine surface invoked per event
-	// Engine.Schedule/At is deliberately NOT here: the closure-event
-	// API allocates an Event per call and is the cold scheduling path
-	// (hot code pre-binds Grantees and pooled events instead).
 	{"internal/simx", "Engine", "Now"},
 	{"internal/simx", "Engine", "Step"},
-	{"internal/simx", "Engine", "pop"},
 	{"internal/simx", "eventHeap", "Len"},
 	{"internal/simx", "eventHeap", "Less"},
 	{"internal/simx", "eventHeap", "Swap"},
 	{"internal/simx", "eventHeap", "Push"},
 	{"internal/simx", "eventHeap", "Pop"},
 	{"internal/simx", "Resource", "Release"},
-	{"internal/simx", "Resource", "TryAcquire"},
 	{"internal/simx", "Resource", "InUse"},
 	{"internal/simx", "Resource", "QueueLen"},
 	{"internal/simx", "Resource", "BusyNS"},
@@ -221,13 +216,11 @@ var hotCertified = []funcRef{
 	{"container/list", "List", "Len"},
 	{"container/list", "List", "Back"},
 	// container/heap is the one stdlib dependency of the event loop;
-	// Fix/Pop/Push call back into the certified eventHeap methods and
+	// Pop/Push call back into the certified eventHeap methods and
 	// perform no allocation themselves (Push's amortized growth lives
 	// in eventHeap.Push, audited there).
-	{"container/heap", "", "Init"},
 	{"container/heap", "", "Push"},
 	{"container/heap", "", "Pop"},
-	{"container/heap", "", "Fix"},
 }
 
 // hotPureStdlib lists stdlib packages whose exported functions neither

@@ -144,6 +144,7 @@ var handoffSinks = []funcRef{
 	{"internal/nand", "Package", "EraseOp"},
 	{"internal/fimm", "FIMM", "ReadOp"},
 	{"internal/fimm", "FIMM", "ProgramOp"},
+	{"internal/fimm", "FIMM", "EraseOp"},
 }
 
 // fieldKey names one struct field for the continuation allowlist.

@@ -10,9 +10,9 @@ import (
 
 var mu sync.Mutex
 
-func spawn(eng *simx.Engine, fn func()) {
+func spawn(eng *simx.Engine, fn func(), h simx.Handler) {
 	go fn() // want `go statement outside the orchestration scope`
-	eng.Schedule(simx.Microsecond, fn)
+	eng.ScheduleEvent(simx.Microsecond, h, 0)
 }
 
 func channels(done chan int) {

@@ -84,18 +84,12 @@ type Stats struct {
 	MaxEraseWear int
 }
 
-// Done is the typed completion receiver for array operations — the
-// zero-allocation alternative to the func callbacks. texe is the
-// device-observed execution time including die queueing.
+// Done receives the completion of an array operation. Pooled
+// per-operation states implement it, so completing allocates nothing.
+// texe is the device-observed execution time including die queueing.
 type Done interface {
 	OnNandDone(texe simx.Time, err error)
 }
-
-// doneFunc adapts the closure API onto the typed path (cold paths only:
-// the conversion allocates).
-type doneFunc func(texe simx.Time, err error)
-
-func (f doneFunc) OnNandDone(texe simx.Time, err error) { f(texe, err) } //simlint:cold closure-completion adapter; hot completions pre-bind Done receivers
 
 // Package is one bare NAND flash package. All methods must be called
 // from simulation context (inside engine events or before Run).
@@ -301,51 +295,27 @@ func (pk *Package) EraseCount(a Addr) int {
 	return bs.eraseCount
 }
 
-// Read latches the addressed pages (all on one die) into the data
-// register and calls done with the array-access time charged. Multiple
-// addresses exercise the multi-plane command: they must lie on distinct
-// planes of the same die and share the block/page offsets' parity rule
-// (even/odd block addressing selects the plane).
+// ReadOp latches the addressed pages (all on one die) into the data
+// register and calls d.OnNandDone with the array-access time charged.
+// Multiple addresses exercise the multi-plane command: they must lie on
+// distinct planes of the same die and share the block/page offsets'
+// parity rule (even/odd block addressing selects the plane).
 //
-// done(texe) fires when the data is in the register; moving it off-chip
-// is the channel's job (the FIMM model charges tDMA separately).
-func (pk *Package) Read(addrs []Addr, done func(texe simx.Time, err error)) {
-	if done == nil {
-		panic("nand: nil done callback")
-	}
-	pk.ReadOp(addrs, doneFunc(done))
-}
-
-// ReadOp is the typed, allocation-free Read: d.OnNandDone runs with the
-// array-access time charged.
+// The completion fires when the data is in the register; moving it
+// off-chip is the channel's job (the FIMM model charges tDMA
+// separately).
 func (pk *Package) ReadOp(addrs []Addr, d Done) {
 	pk.startArrayOp(OpRead, addrs, d)
 }
 
-// Program writes the addressed pages. NAND constraints are enforced:
+// ProgramOp writes the addressed pages. NAND constraints are enforced:
 // the target pages must be erased and must be the block's next
 // sequential page.
-func (pk *Package) Program(addrs []Addr, done func(texe simx.Time, err error)) {
-	if done == nil {
-		panic("nand: nil done callback")
-	}
-	pk.ProgramOp(addrs, doneFunc(done))
-}
-
-// ProgramOp is the typed, allocation-free Program.
 func (pk *Package) ProgramOp(addrs []Addr, d Done) {
 	pk.startArrayOp(OpProgram, addrs, d)
 }
 
-// Erase erases the addressed blocks (Page field ignored).
-func (pk *Package) Erase(addrs []Addr, done func(texe simx.Time, err error)) {
-	if done == nil {
-		panic("nand: nil done callback")
-	}
-	pk.EraseOp(addrs, doneFunc(done))
-}
-
-// EraseOp is the typed, allocation-free Erase.
+// EraseOp erases the addressed blocks (Page field ignored).
 func (pk *Package) EraseOp(addrs []Addr, d Done) {
 	pk.startArrayOp(OpErase, addrs, d)
 }

@@ -9,6 +9,16 @@ import (
 	"triplea/internal/units"
 )
 
+// doneFunc adapts a closure to Done for these tests; read, program and
+// erase issue an operation completing into one.
+type doneFunc func(texe simx.Time, err error)
+
+func (f doneFunc) OnNandDone(texe simx.Time, err error) { f(texe, err) }
+
+func read(pk *Package, addrs []Addr, done doneFunc)    { pk.ReadOp(addrs, done) }
+func program(pk *Package, addrs []Addr, done doneFunc) { pk.ProgramOp(addrs, done) }
+func erase(pk *Package, addrs []Addr, done doneFunc)   { pk.EraseOp(addrs, done) }
+
 func testParams() Params {
 	p := DefaultParams()
 	p.BlocksPerPlane = 8
@@ -77,7 +87,7 @@ func TestReadErasedPageFails(t *testing.T) {
 	eng := simx.NewEngine()
 	pk := NewPackage(eng, testParams())
 	var gotErr error
-	pk.Read([]Addr{{}}, func(_ simx.Time, err error) { gotErr = err })
+	read(pk, []Addr{{}}, func(_ simx.Time, err error) { gotErr = err })
 	eng.Run()
 	if gotErr == nil || !strings.Contains(gotErr.Error(), "erased") {
 		t.Fatalf("read of erased page: err = %v, want erased-page error", gotErr)
@@ -91,12 +101,12 @@ func TestProgramThenRead(t *testing.T) {
 	a := Addr{Die: 0, Plane: 0, Block: 0, Page: 0}
 
 	var progTime, readTime simx.Time
-	pk.Program([]Addr{a}, func(texe simx.Time, err error) {
+	program(pk, []Addr{a}, func(texe simx.Time, err error) {
 		if err != nil {
 			t.Errorf("program: %v", err)
 		}
 		progTime = texe
-		pk.Read([]Addr{a}, func(texe simx.Time, err error) {
+		read(pk, []Addr{a}, func(texe simx.Time, err error) {
 			if err != nil {
 				t.Errorf("read: %v", err)
 			}
@@ -127,9 +137,9 @@ func TestCacheModeRead(t *testing.T) {
 	pk := NewPackage(eng, p)
 	a := Addr{}
 	var second simx.Time
-	pk.Program([]Addr{a}, func(_ simx.Time, err error) {
-		pk.Read([]Addr{a}, func(_ simx.Time, err error) {
-			pk.Read([]Addr{a}, func(texe simx.Time, err error) { second = texe })
+	program(pk, []Addr{a}, func(_ simx.Time, err error) {
+		read(pk, []Addr{a}, func(_ simx.Time, err error) {
+			read(pk, []Addr{a}, func(texe simx.Time, err error) { second = texe })
 		})
 	})
 	eng.Run()
@@ -146,8 +156,8 @@ func TestEraseBeforeWriteEnforced(t *testing.T) {
 	pk := NewPackage(eng, testParams())
 	a := Addr{}
 	var rewriteErr error
-	pk.Program([]Addr{a}, func(_ simx.Time, err error) {
-		pk.Program([]Addr{a}, func(_ simx.Time, err error) { rewriteErr = err })
+	program(pk, []Addr{a}, func(_ simx.Time, err error) {
+		program(pk, []Addr{a}, func(_ simx.Time, err error) { rewriteErr = err })
 	})
 	eng.Run()
 	if rewriteErr == nil {
@@ -160,7 +170,7 @@ func TestSequentialProgramEnforced(t *testing.T) {
 	pk := NewPackage(eng, testParams())
 	var err2 error
 	// Page 2 before pages 0,1 violates sequential programming.
-	pk.Program([]Addr{{Page: 2}}, func(_ simx.Time, err error) { err2 = err })
+	program(pk, []Addr{{Page: 2}}, func(_ simx.Time, err error) { err2 = err })
 	eng.Run()
 	if err2 == nil || !strings.Contains(err2.Error(), "out-of-order") {
 		t.Fatalf("out-of-order program err = %v", err2)
@@ -171,13 +181,13 @@ func TestEraseResetsBlock(t *testing.T) {
 	eng := simx.NewEngine()
 	pk := NewPackage(eng, testParams())
 	a := Addr{}
-	pk.Program([]Addr{a}, func(_ simx.Time, err error) {
-		pk.Erase([]Addr{a}, func(_ simx.Time, err error) {
+	program(pk, []Addr{a}, func(_ simx.Time, err error) {
+		erase(pk, []Addr{a}, func(_ simx.Time, err error) {
 			if err != nil {
 				t.Errorf("erase: %v", err)
 			}
 			// Reprogramming page 0 must now succeed.
-			pk.Program([]Addr{a}, func(_ simx.Time, err error) {
+			program(pk, []Addr{a}, func(_ simx.Time, err error) {
 				if err != nil {
 					t.Errorf("program after erase: %v", err)
 				}
@@ -198,8 +208,8 @@ func TestDieInterleavingParallelism(t *testing.T) {
 	p := testParams()
 	pk := NewPackage(eng, p)
 	var done0, done1 simx.Time
-	pk.Program([]Addr{{Die: 0}}, func(_ simx.Time, err error) { done0 = eng.Now() })
-	pk.Program([]Addr{{Die: 1}}, func(_ simx.Time, err error) { done1 = eng.Now() })
+	program(pk, []Addr{{Die: 0}}, func(_ simx.Time, err error) { done0 = eng.Now() })
+	program(pk, []Addr{{Die: 1}}, func(_ simx.Time, err error) { done1 = eng.Now() })
 	eng.Run()
 	if done0 != done1 {
 		t.Errorf("independent dies finished at %v and %v, want concurrent", done0, done1)
@@ -211,8 +221,8 @@ func TestSameDieSerializes(t *testing.T) {
 	p := testParams()
 	pk := NewPackage(eng, p)
 	var done0, done1 simx.Time
-	pk.Program([]Addr{{Page: 0}}, func(_ simx.Time, err error) { done0 = eng.Now() })
-	pk.Program([]Addr{{Page: 1}}, func(_ simx.Time, err error) { done1 = eng.Now() })
+	program(pk, []Addr{{Page: 0}}, func(_ simx.Time, err error) { done0 = eng.Now() })
+	program(pk, []Addr{{Page: 1}}, func(_ simx.Time, err error) { done1 = eng.Now() })
 	eng.Run()
 	unit := p.TCmdOverhead + p.TProg + p.TECCPerPage
 	if done0 != unit || done1 != 2*unit {
@@ -227,7 +237,7 @@ func TestMultiPlaneProgram(t *testing.T) {
 	// Plane 0 must use even blocks, plane 1 odd blocks.
 	addrs := []Addr{{Plane: 0, Block: 0}, {Plane: 1, Block: 1}}
 	var end simx.Time
-	pk.Program(addrs, func(_ simx.Time, err error) {
+	program(pk, addrs, func(_ simx.Time, err error) {
 		if err != nil {
 			t.Errorf("multi-plane program: %v", err)
 		}
@@ -257,7 +267,7 @@ func TestMultiPlaneValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		var got error
-		pk.Program(c.addrs, func(_ simx.Time, err error) { got = err })
+		program(pk, c.addrs, func(_ simx.Time, err error) { got = err })
 		eng.Run()
 		if got == nil {
 			t.Errorf("%s: multi-plane accepted", c.name)
@@ -269,7 +279,7 @@ func TestMarkStale(t *testing.T) {
 	eng := simx.NewEngine()
 	pk := NewPackage(eng, testParams())
 	a := Addr{}
-	pk.Program([]Addr{a}, func(_ simx.Time, err error) {})
+	program(pk, []Addr{a}, func(_ simx.Time, err error) {})
 	eng.Run()
 	if err := pk.MarkStale(a); err != nil {
 		t.Fatalf("MarkStale: %v", err)
@@ -293,7 +303,7 @@ func TestAddrValidation(t *testing.T) {
 	}
 	for _, a := range bad {
 		var got error
-		pk.Read([]Addr{a}, func(_ simx.Time, err error) { got = err })
+		read(pk, []Addr{a}, func(_ simx.Time, err error) { got = err })
 		eng.Run()
 		if got == nil {
 			t.Errorf("addr %v accepted", a)
@@ -304,7 +314,7 @@ func TestAddrValidation(t *testing.T) {
 func TestBusyReflectsDieOccupancy(t *testing.T) {
 	eng := simx.NewEngine()
 	pk := NewPackage(eng, testParams())
-	pk.Program([]Addr{{}}, func(_ simx.Time, err error) {})
+	program(pk, []Addr{{}}, func(_ simx.Time, err error) {})
 	if !pk.Busy() || !pk.DieBusy(0) || pk.DieBusy(1) {
 		t.Error("busy flags wrong during program")
 	}
@@ -335,7 +345,7 @@ func TestPropertyProgramEraseCycles(t *testing.T) {
 		next := 0
 		for _, doErase := range ops {
 			if doErase || next >= p.PagesPerBlock.Int() {
-				pk.Erase([]Addr{{}}, func(_ simx.Time, err error) {
+				erase(pk, []Addr{{}}, func(_ simx.Time, err error) {
 					if err != nil {
 						t.Fatalf("erase: %v", err)
 					}
@@ -343,7 +353,7 @@ func TestPropertyProgramEraseCycles(t *testing.T) {
 				next = 0
 			} else {
 				a := Addr{Page: next}
-				pk.Program([]Addr{a}, func(_ simx.Time, err error) {
+				program(pk, []Addr{a}, func(_ simx.Time, err error) {
 					if err != nil {
 						t.Fatalf("program: %v", err)
 					}
@@ -387,7 +397,7 @@ func TestForcePopulateAndErase(t *testing.T) {
 	}
 	// Sequential pointer advanced past page 2: programming page 0 must fail.
 	var progErr error
-	pk.Program([]Addr{{Page: 0}}, func(_ simx.Time, err error) { progErr = err })
+	program(pk, []Addr{{Page: 0}}, func(_ simx.Time, err error) { progErr = err })
 	eng.Run()
 	if progErr == nil {
 		t.Error("out-of-order program after ForcePopulate accepted")

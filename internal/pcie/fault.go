@@ -16,7 +16,14 @@ func (l *Link) SetRateScale(s float64) { l.rateScale = s }
 // the sender exactly like a real LTSSM Recovery excursion. Flow-control
 // credits are unaffected, so nothing is dropped.
 func (l *Link) Retrain(d simx.Time) {
-	l.wire.Acquire(func(waited simx.Time) {
-		l.eng.Schedule(d, l.wire.Release)
-	})
+	l.wire.AcquireG(l, uint64(d))
 }
+
+// OnGrant implements simx.Grantee for Retrain: the wire is held from
+// here; arg carries the retraining window.
+func (l *Link) OnGrant(arg uint64, _ simx.Time) {
+	l.eng.ScheduleEvent(simx.Time(arg), l, 0)
+}
+
+// OnEvent implements simx.Handler: the retraining window closed.
+func (l *Link) OnEvent(uint64) { l.wire.Release() }

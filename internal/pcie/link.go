@@ -38,14 +38,6 @@ type Accepted interface {
 	OnLinkAccepted(pkt *Packet)
 }
 
-// AcceptedFunc adapts a plain function to Accepted for cold paths and
-// tests. The conversion allocates; do not use it on the per-request
-// hot path.
-type AcceptedFunc func(pkt *Packet)
-
-// OnLinkAccepted implements Accepted.
-func (f AcceptedFunc) OnLinkAccepted(pkt *Packet) { f(pkt) } //simlint:cold closure adapter; hot credit returns pre-bind Accepted receivers
-
 // Link is one direction of a dual-simplex PCI-E connection. The sender
 // serialises packets onto the wire; the receiver advertises a fixed
 // number of virtual-channel buffer credits. With no credit available,

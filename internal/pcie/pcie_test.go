@@ -8,6 +8,11 @@ import (
 	"triplea/internal/units"
 )
 
+// acceptedFunc adapts a closure to Accepted for these tests.
+type acceptedFunc func(pkt *Packet)
+
+func (f acceptedFunc) OnLinkAccepted(pkt *Packet) { f(pkt) }
+
 // sink collects delivered packets and returns credits either
 // immediately or on demand.
 type sink struct {
@@ -85,7 +90,7 @@ func TestLinkDelivery(t *testing.T) {
 	l := NewLink(eng, "l", 4_000_000_000, 100, 4, dst) // 4 GB/s, 100ns prop
 	pkt := &Packet{ID: 1, Kind: Completion, Payload: 4096}
 	accepted := false
-	l.Send(pkt, AcceptedFunc(func(*Packet) { accepted = true }))
+	l.Send(pkt, acceptedFunc(func(*Packet) { accepted = true }))
 	eng.Run()
 
 	if !accepted {
@@ -103,6 +108,27 @@ func TestLinkDelivery(t *testing.T) {
 	}
 	if l.Packets() != 1 || l.Bytes() != 4120 {
 		t.Errorf("link stats: %d pkts, %d bytes", l.Packets(), l.Bytes())
+	}
+}
+
+func TestRetrainHoldsWire(t *testing.T) {
+	eng := simx.NewEngine()
+	dst := &sink{autoACK: true}
+	l := NewLink(eng, "l", 4_000_000_000, 100, 4, dst) // 4 GB/s, 100ns prop
+	l.Retrain(500)
+	pkt := &Packet{ID: 1, Kind: Completion, Payload: 4096}
+	l.Send(pkt, nil)
+	eng.Run()
+	// The packet waits out the 500 ns window, then 1030 ns wire + 100 ns
+	// propagation; its credit was never the problem.
+	if eng.Now() != 1630 {
+		t.Errorf("delivery at %v, want 1630ns", eng.Now())
+	}
+	if pkt.WireWait != 500 || pkt.CreditWait != 0 {
+		t.Errorf("WireWait/CreditWait = %v/%v, want 500ns/0", pkt.WireWait, pkt.CreditWait)
+	}
+	if l.BusyNS() != 1530 {
+		t.Errorf("wire busy %v, want 1530ns (window + serialisation)", l.BusyNS())
 	}
 }
 

@@ -44,9 +44,8 @@ func (t Time) String() string {
 // Micros reports t as a floating-point number of microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Handler is a typed event receiver — the zero-allocation alternative
-// to a closure. The engine pre-binds a Handler plus one integer
-// argument into a pooled Event node; when the event fires, OnEvent runs
+// Handler is an event receiver. The engine pre-binds a Handler plus
+// one integer argument into a pooled Event node; when the event fires, OnEvent runs
 // with that argument. Hot-path models store their per-operation state
 // in pooled structs that implement Handler (the interface holds only a
 // pointer, so the conversion never allocates) and use arg as a phase
@@ -55,26 +54,17 @@ type Handler interface {
 	OnEvent(arg uint64)
 }
 
-// Event is a scheduled callback. Closure events (Schedule/At) are
-// returned to the caller so they can be cancelled before firing; typed
-// events (ScheduleEvent/AtEvent) are engine-owned pooled nodes that are
-// recycled onto an intrusive free-list the moment they fire, so the
-// steady-state hot path schedules without allocating.
+// Event is a scheduled handler invocation on an engine-owned pooled
+// node: it is recycled onto an intrusive free-list the moment it
+// fires, so the steady-state hot path schedules without allocating.
 type Event struct {
-	when   Time
-	seq    uint64
-	fn     func()  // closure path; nil for typed events
-	h      Handler // typed path; nil for closure events
-	arg    uint64
-	index  int // heap index; -1 once popped or cancelled
-	cancel bool
-	pooled bool   // recycled after firing; never handed to callers
-	next   *Event // free-list link while recycled
-	ck     ckLife // pooled-lifecycle guard; empty unless -tags simcheck
+	when Time
+	seq  uint64
+	h    Handler
+	arg  uint64
+	next *Event // free-list link while recycled
+	ck   ckLife // pooled-lifecycle guard; empty unless -tags simcheck
 }
-
-// When reports the instant the event will fire.
-func (e *Event) When() Time { return e.when }
 
 type eventHeap []*Event
 
@@ -85,22 +75,15 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev) //simlint:coldalloc amortized: event-heap growth
+	*h = append(*h, x.(*Event)) //simlint:coldalloc amortized: event-heap growth
 }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.index = -1
 	*h = old[:n-1]
 	return ev
 }
@@ -111,9 +94,8 @@ type Engine struct {
 	now     Time
 	events  eventHeap
 	seq     uint64
-	running bool
 	fired   uint64
-	free    *Event // recycled typed-event nodes (intrusive free-list)
+	free    *Event // recycled event nodes (intrusive free-list)
 	freeLen int
 	ck      ckState // empty unless built with -tags simcheck
 }
@@ -132,35 +114,9 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports how many events are scheduled and not yet fired.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// Schedule arranges for fn to run delay nanoseconds from now.
-// A negative delay panics: the simulation cannot travel backwards.
-func (e *Engine) Schedule(delay Time, fn func()) *Event {
-	if delay < 0 {
-		panic(fmt.Sprintf("simx: negative delay %v", delay))
-	}
-	return e.At(e.now+delay, fn)
-}
-
-// At arranges for fn to run at absolute time t (>= Now).
-func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("simx: scheduling at %v before now %v", t, e.now))
-	}
-	if fn == nil {
-		panic("simx: nil event func")
-	}
-	e.seq++
-	ev := &Event{when: t, seq: e.seq, fn: fn}
-	heap.Push(&e.events, ev)
-	if simcheckEnabled {
-		e.ckSchedule(ev)
-	}
-	return ev
-}
-
 // ScheduleEvent arranges for h.OnEvent(arg) to run delay nanoseconds
-// from now on a pooled event node. Typed events cannot be cancelled:
-// the node is engine-owned and recycled the instant it fires.
+// from now on a pooled event node. A negative delay panics: the
+// simulation cannot travel backwards.
 func (e *Engine) ScheduleEvent(delay Time, h Handler, arg uint64) {
 	if delay < 0 {
 		panic(fmt.Sprintf("simx: negative delay %v", delay))
@@ -185,7 +141,7 @@ func (e *Engine) AtEvent(t Time, h Handler, arg uint64) {
 	}
 }
 
-// newEvent pops a recycled typed-event node or allocates a fresh one —
+// newEvent pops a recycled event node or allocates a fresh one —
 // the registered acquire point of the simx.Event pool (its release is
 // recycle).
 func (e *Engine) newEvent() *Event {
@@ -197,9 +153,8 @@ func (e *Engine) newEvent() *Event {
 			ev.ck.Checkout("simx.Event")
 		}
 		ev.next = nil
-		ev.cancel = false
 	} else {
-		ev = &Event{pooled: true} //simlint:coldalloc pool miss: event free-list refill
+		ev = &Event{} //simlint:coldalloc pool miss: event free-list refill
 		if simcheckEnabled {
 			ev.ck.Fresh("simx.Event")
 		}
@@ -207,7 +162,7 @@ func (e *Engine) newEvent() *Event {
 	return ev
 }
 
-// recycle pushes a fired typed-event node back onto the free-list.
+// recycle pushes a fired event node back onto the free-list.
 func (e *Engine) recycle(ev *Event) {
 	if simcheckEnabled {
 		ev.ck.Release("simx.Event")
@@ -219,50 +174,27 @@ func (e *Engine) recycle(ev *Event) {
 }
 
 // EventPoolFree reports how many recycled event nodes are idle — the
-// steady-state footprint of the typed-event path (tests and diagnostics).
+// steady-state footprint of the event queue (tests and diagnostics).
 func (e *Engine) EventPoolFree() int { return e.freeLen }
-
-// Cancel prevents a scheduled event from firing. Cancelling an event
-// that already fired or was already cancelled is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.cancel || ev.index < 0 {
-		if ev != nil {
-			ev.cancel = true
-		}
-		return
-	}
-	ev.cancel = true
-	if simcheckEnabled {
-		e.ckCancel(ev)
-	}
-	heap.Remove(&e.events, ev.index)
-}
 
 // Step fires the next event, if any, advancing the clock to its time.
 // It reports whether an event fired.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
-		if ev.cancel {
-			continue
-		}
-		if simcheckEnabled {
-			e.ckStep(ev)
-		}
-		e.now = ev.when
-		e.fired++
-		if ev.pooled {
-			// Recycle before invoking: the handler usually schedules its
-			// next hop immediately, reusing this hot node.
-			h, arg := ev.h, ev.arg
-			e.recycle(ev)
-			h.OnEvent(arg)
-			return true
-		}
-		ev.fn() //simlint:coldalloc closure events are the audited cold scheduling API
-		return true
+	if len(e.events) == 0 {
+		return false
 	}
-	return false
+	ev := heap.Pop(&e.events).(*Event)
+	if simcheckEnabled {
+		e.ckStep(ev)
+	}
+	e.now = ev.when
+	e.fired++
+	// Recycle before invoking: the handler usually schedules its next
+	// hop immediately, reusing this hot node.
+	h, arg := ev.h, ev.arg
+	e.recycle(ev)
+	h.OnEvent(arg)
+	return true
 }
 
 // Run fires events until none remain.
@@ -273,15 +205,7 @@ func (e *Engine) Run() {
 
 // RunUntil fires events with time <= t, then advances the clock to t.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.events) > 0 {
-		next := e.events[0]
-		if next.cancel {
-			heap.Pop(&e.events)
-			continue
-		}
-		if next.when > t {
-			break
-		}
+	for len(e.events) > 0 && e.events[0].when <= t {
 		e.Step()
 	}
 	if e.now < t {

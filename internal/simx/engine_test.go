@@ -31,12 +31,26 @@ func TestTimeMicros(t *testing.T) {
 	}
 }
 
+// handlerFunc adapts a closure to Handler for these tests.
+type handlerFunc func(arg uint64)
+
+func (f handlerFunc) OnEvent(arg uint64) { f(arg) }
+
+// nopHandler ignores its events.
+var nopHandler = handlerFunc(func(uint64) {})
+
+// after runs fn d nanoseconds from now.
+func after(eng *Engine, d Time, fn func()) {
+	eng.ScheduleEvent(d, handlerFunc(func(uint64) { fn() }), 0)
+}
+
 func TestScheduleOrdering(t *testing.T) {
 	eng := NewEngine()
-	var order []int
-	eng.Schedule(30, func() { order = append(order, 3) })
-	eng.Schedule(10, func() { order = append(order, 1) })
-	eng.Schedule(20, func() { order = append(order, 2) })
+	var order []uint64
+	h := handlerFunc(func(arg uint64) { order = append(order, arg) })
+	eng.ScheduleEvent(30, h, 3)
+	eng.ScheduleEvent(10, h, 1)
+	eng.ScheduleEvent(20, h, 2)
 	eng.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events fired in order %v, want [1 2 3]", order)
@@ -48,14 +62,14 @@ func TestScheduleOrdering(t *testing.T) {
 
 func TestSameInstantFIFO(t *testing.T) {
 	eng := NewEngine()
-	var order []int
+	var order []uint64
+	h := handlerFunc(func(arg uint64) { order = append(order, arg) })
 	for i := 0; i < 10; i++ {
-		i := i
-		eng.Schedule(5, func() { order = append(order, i) })
+		eng.ScheduleEvent(5, h, uint64(i))
 	}
 	eng.Run()
 	for i, v := range order {
-		if v != i {
+		if v != uint64(i) {
 			t.Fatalf("same-instant events fired out of order: %v", order)
 		}
 	}
@@ -64,58 +78,26 @@ func TestSameInstantFIFO(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	eng := NewEngine()
 	var hits []Time
-	eng.Schedule(10, func() {
+	var h handlerFunc
+	h = func(arg uint64) {
 		hits = append(hits, eng.Now())
-		eng.Schedule(5, func() { hits = append(hits, eng.Now()) })
-	})
+		if arg == 0 {
+			eng.ScheduleEvent(5, h, 1)
+		}
+	}
+	eng.ScheduleEvent(10, h, 0)
 	eng.Run()
 	if len(hits) != 2 || hits[0] != 10 || hits[1] != 15 {
 		t.Fatalf("hits = %v, want [10 15]", hits)
 	}
 }
 
-func TestCancel(t *testing.T) {
-	eng := NewEngine()
-	fired := false
-	ev := eng.Schedule(10, func() { fired = true })
-	eng.Cancel(ev)
-	eng.Cancel(ev) // double-cancel is a no-op
-	eng.Run()
-	if fired {
-		t.Error("cancelled event fired")
-	}
-	if eng.Fired() != 0 {
-		t.Errorf("Fired() = %d, want 0", eng.Fired())
-	}
-}
-
-func TestCancelOneOfMany(t *testing.T) {
-	eng := NewEngine()
-	var got []int
-	evs := make([]*Event, 5)
-	for i := 0; i < 5; i++ {
-		i := i
-		evs[i] = eng.Schedule(Time(i+1), func() { got = append(got, i) })
-	}
-	eng.Cancel(evs[2])
-	eng.Run()
-	want := []int{0, 1, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("fired %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
-		}
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	eng := NewEngine()
 	var fired []Time
+	h := handlerFunc(func(arg uint64) { fired = append(fired, Time(arg)) })
 	for _, d := range []Time{10, 20, 30, 40} {
-		d := d
-		eng.Schedule(d, func() { fired = append(fired, d) })
+		eng.ScheduleEvent(d, h, uint64(d))
 	}
 	eng.RunUntil(25)
 	if len(fired) != 2 {
@@ -141,22 +123,22 @@ func TestRunForAdvancesClock(t *testing.T) {
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Schedule(-1) did not panic")
+			t.Error("ScheduleEvent(-1) did not panic")
 		}
 	}()
-	NewEngine().Schedule(-1, func() {})
+	NewEngine().ScheduleEvent(-1, nopHandler, 0)
 }
 
 func TestAtBeforeNowPanics(t *testing.T) {
 	eng := NewEngine()
-	eng.Schedule(10, func() {})
+	eng.ScheduleEvent(10, nopHandler, 0)
 	eng.Run()
 	defer func() {
 		if recover() == nil {
-			t.Error("At(past) did not panic")
+			t.Error("AtEvent(past) did not panic")
 		}
 	}()
-	eng.At(5, func() {})
+	eng.AtEvent(5, nopHandler, 0)
 }
 
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
@@ -173,12 +155,13 @@ func TestPropertyEventOrdering(t *testing.T) {
 		eng := NewEngine()
 		var fired []Time
 		var max Time
+		h := handlerFunc(func(uint64) { fired = append(fired, eng.Now()) })
 		for _, d := range delays {
 			d := Time(d)
 			if d > max {
 				max = d
 			}
-			eng.Schedule(d, func() { fired = append(fired, eng.Now()) })
+			eng.ScheduleEvent(d, h, 0)
 		}
 		eng.Run()
 		if len(fired) != len(delays) {
@@ -198,15 +181,15 @@ func TestPropertyEventOrdering(t *testing.T) {
 
 func TestEngineIntrospection(t *testing.T) {
 	eng := NewEngine()
-	ev := eng.Schedule(25, func() {})
-	if ev.When() != 25 {
-		t.Errorf("When = %v", ev.When())
-	}
+	eng.ScheduleEvent(25, nopHandler, 0)
 	if eng.Pending() != 1 {
 		t.Errorf("Pending = %d", eng.Pending())
 	}
 	eng.Run()
 	if eng.Pending() != 0 {
 		t.Errorf("Pending after run = %d", eng.Pending())
+	}
+	if eng.EventPoolFree() != 1 {
+		t.Errorf("EventPoolFree after run = %d, want the one recycled node", eng.EventPoolFree())
 	}
 }

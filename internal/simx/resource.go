@@ -2,10 +2,9 @@ package simx
 
 // Resource models a server with a fixed number of slots and a FIFO wait
 // queue: a shared bus (capacity 1), a flash die (capacity 1), or a
-// multi-entry buffer drain. Acquire either grants a slot immediately or
-// enqueues the caller; the grant callback receives the time spent
-// waiting, which the storage models attribute to link- or
-// storage-contention.
+// multi-entry buffer drain. AcquireG either grants a slot immediately
+// or enqueues the caller; the grant receives the time spent waiting,
+// which the storage models attribute to link- or storage-contention.
 //
 // Resource also integrates busy time so utilisation can be sampled over
 // an interval — the quantity uBus in Equation 2 of the paper.
@@ -21,26 +20,21 @@ type Resource struct {
 	freeW    *waiter // recycled waiter nodes
 
 	// busy-time integral bookkeeping
-	busyNS     Time // accumulated (inUse>0) busy nanoseconds for capacity-1 semantics
-	weightedNS Time // accumulated inUse-weighted nanoseconds (for capacity>1)
+	busyNS     Time // accumulated nanoseconds with at least one slot held
 	lastChange Time
 
-	// statistics
-	grants    uint64
-	totalWait Time
-	maxQueue  int
+	maxQueue int // deepest wait queue observed
 }
 
-// Grantee is the typed counterpart of Acquire's callback — pooled
-// per-operation states implement it so queueing for a slot allocates
-// nothing. arg is echoed back as a phase discriminator.
+// Grantee receives a resource slot. Pooled per-operation states
+// implement it so queueing for a slot allocates nothing. arg is echoed
+// back as a phase discriminator.
 type Grantee interface {
 	OnGrant(arg uint64, waited Time)
 }
 
 type waiter struct {
-	fn      func(waited Time) // closure path; nil for typed waiters
-	g       Grantee           // typed path
+	g       Grantee
 	arg     uint64
 	arrived Time
 	next    *waiter
@@ -58,9 +52,6 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 // Name reports the resource's diagnostic name.
 func (r *Resource) Name() string { return r.name }
 
-// Capacity reports the number of slots.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // InUse reports how many slots are currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
@@ -70,33 +61,16 @@ func (r *Resource) QueueLen() int { return r.waitLen }
 func (r *Resource) integrate() {
 	now := r.eng.Now()
 	if now > r.lastChange {
-		dt := now - r.lastChange
 		if r.inUse > 0 {
-			r.busyNS += dt
+			r.busyNS += now - r.lastChange
 		}
-		r.weightedNS += dt * Time(r.inUse)
 		r.lastChange = now
 	}
 }
 
-// Acquire requests a slot. fn runs (synchronously if a slot is free,
-// otherwise when one frees up) with the time the caller waited.
-func (r *Resource) Acquire(fn func(waited Time)) {
-	if fn == nil {
-		panic("simx: nil acquire func")
-	}
-	if r.grantNow() {
-		fn(0)
-		return
-	}
-	w := r.newWaiter()
-	w.fn = fn
-	r.enqueue(w)
-}
-
-// AcquireG is the typed, allocation-free Acquire: g.OnGrant(arg, waited)
-// runs synchronously if a slot is free, otherwise when one frees up.
-// Queued waiters live on pooled nodes recycled at grant time.
+// AcquireG requests a slot: g.OnGrant(arg, waited) runs synchronously
+// if a slot is free, otherwise when one frees up. Queued waiters live on
+// pooled nodes recycled at grant time, so acquiring allocates nothing.
 func (r *Resource) AcquireG(g Grantee, arg uint64) {
 	if g == nil {
 		panic("simx: nil acquire grantee")
@@ -117,7 +91,6 @@ func (r *Resource) grantNow() bool {
 	}
 	r.integrate()
 	r.inUse++
-	r.grants++
 	return true
 }
 
@@ -143,7 +116,7 @@ func (r *Resource) newWaiter() *waiter {
 // recycleWaiter pushes a granted waiter node back onto the free-list —
 // the registered release point of the simx.waiter pool.
 func (r *Resource) recycleWaiter(w *waiter) {
-	w.fn, w.g = nil, nil
+	w.g = nil
 	if simcheckEnabled {
 		w.ck.Release("simx.waiter")
 	}
@@ -164,17 +137,6 @@ func (r *Resource) enqueue(w *waiter) {
 	}
 }
 
-// TryAcquire takes a slot if one is free, reporting success. It never queues.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse >= r.capacity {
-		return false
-	}
-	r.integrate()
-	r.inUse++
-	r.grants++
-	return true
-}
-
 // Release frees one slot, handing it to the oldest waiter if any.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
@@ -192,18 +154,12 @@ func (r *Resource) Release() {
 	}
 	r.waitLen--
 	r.inUse++
-	r.grants++
 	waited := r.eng.Now() - w.arrived
-	r.totalWait += waited
 	// Recycle the node before invoking: the grantee often re-queues
 	// immediately and reuses it.
-	fn, g, arg := w.fn, w.g, w.arg
+	g, arg := w.g, w.arg
 	r.recycleWaiter(w)
-	if g != nil {
-		g.OnGrant(arg, waited)
-		return
-	}
-	fn(waited) //simlint:coldalloc closure grants are the audited cold acquire API
+	g.OnGrant(arg, waited)
 }
 
 // BusyNS reports the accumulated time during which at least one slot was
@@ -212,18 +168,6 @@ func (r *Resource) BusyNS() Time {
 	r.integrate()
 	return r.busyNS
 }
-
-// WeightedBusyNS reports the slot-weighted busy integral (slot-ns).
-func (r *Resource) WeightedBusyNS() Time {
-	r.integrate()
-	return r.weightedNS
-}
-
-// Grants reports how many acquisitions have been granted.
-func (r *Resource) Grants() uint64 { return r.grants }
-
-// TotalWait reports the summed queueing delay over all grants.
-func (r *Resource) TotalWait() Time { return r.totalWait }
 
 // MaxQueue reports the deepest wait queue observed.
 func (r *Resource) MaxQueue() int { return r.maxQueue }

@@ -5,16 +5,24 @@ import (
 	"testing/quick"
 )
 
+// grantFunc adapts a closure to Grantee for these tests.
+type grantFunc func(arg uint64, waited Time)
+
+func (f grantFunc) OnGrant(arg uint64, waited Time) { f(arg, waited) }
+
+// hold takes a slot and keeps it.
+var hold = grantFunc(func(uint64, Time) {})
+
 func TestResourceImmediateGrant(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, "bus", 1)
 	granted := false
-	r.Acquire(func(w Time) {
+	r.AcquireG(grantFunc(func(_ uint64, w Time) {
 		granted = true
 		if w != 0 {
 			t.Errorf("waited %v on an idle resource", w)
 		}
-	})
+	}), 0)
 	if !granted {
 		t.Fatal("idle resource did not grant synchronously")
 	}
@@ -26,12 +34,12 @@ func TestResourceImmediateGrant(t *testing.T) {
 func TestResourceFIFOWait(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, "bus", 1)
-	var order []int
+	var order []uint64
 
-	r.Acquire(func(Time) {}) // hold the slot
+	r.AcquireG(hold, 0) // hold the slot
+	g := grantFunc(func(arg uint64, _ Time) { order = append(order, arg) })
 	for i := 0; i < 3; i++ {
-		i := i
-		r.Acquire(func(w Time) { order = append(order, i) })
+		r.AcquireG(g, uint64(i))
 	}
 	if r.QueueLen() != 3 {
 		t.Fatalf("QueueLen() = %d, want 3", r.QueueLen())
@@ -39,7 +47,7 @@ func TestResourceFIFOWait(t *testing.T) {
 
 	// Release at t=10, 20, 30; each release admits the next waiter.
 	for k := 0; k < 3; k++ {
-		eng.Schedule(Time(10*(k+1)), func() { r.Release() })
+		after(eng, Time(10*(k+1)), r.Release)
 	}
 	eng.Run()
 
@@ -57,16 +65,13 @@ func TestResourceFIFOWait(t *testing.T) {
 func TestResourceWaitTimes(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, "bus", 1)
-	r.Acquire(func(Time) {})
+	r.AcquireG(hold, 0)
 	var waited Time = -1
-	r.Acquire(func(w Time) { waited = w })
-	eng.Schedule(42, func() { r.Release() })
+	r.AcquireG(grantFunc(func(_ uint64, w Time) { waited = w }), 0)
+	after(eng, 42, r.Release)
 	eng.Run()
 	if waited != 42 {
 		t.Errorf("waiter saw wait %v, want 42", waited)
-	}
-	if r.TotalWait() != 42 {
-		t.Errorf("TotalWait() = %v, want 42", r.TotalWait())
 	}
 }
 
@@ -74,33 +79,19 @@ func TestResourceCapacityN(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, "dies", 3)
 	grants := 0
+	g := grantFunc(func(_ uint64, w Time) {
+		if w == 0 {
+			grants++
+		}
+	})
 	for i := 0; i < 5; i++ {
-		r.Acquire(func(w Time) {
-			if w == 0 {
-				grants++
-			}
-		})
+		r.AcquireG(g, 0)
 	}
 	if grants != 3 {
 		t.Errorf("%d immediate grants, want 3", grants)
 	}
 	if r.QueueLen() != 2 {
 		t.Errorf("QueueLen() = %d, want 2", r.QueueLen())
-	}
-}
-
-func TestTryAcquire(t *testing.T) {
-	eng := NewEngine()
-	r := NewResource(eng, "slot", 1)
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire on idle resource failed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire on full resource succeeded")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
 	}
 }
 
@@ -118,10 +109,10 @@ func TestBusyIntegral(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, "bus", 1)
 	// busy [10, 30), idle [30, 50), busy [50, 60)
-	eng.Schedule(10, func() { r.Acquire(func(Time) {}) })
-	eng.Schedule(30, func() { r.Release() })
-	eng.Schedule(50, func() { r.Acquire(func(Time) {}) })
-	eng.Schedule(60, func() { r.Release() })
+	after(eng, 10, func() { r.AcquireG(hold, 0) })
+	after(eng, 30, r.Release)
+	after(eng, 50, func() { r.AcquireG(hold, 0) })
+	after(eng, 60, r.Release)
 	eng.Run()
 	if got := r.BusyNS(); got != 30 {
 		t.Errorf("BusyNS() = %v, want 30", got)
@@ -131,8 +122,8 @@ func TestBusyIntegral(t *testing.T) {
 func TestUtilizationSince(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, "bus", 1)
-	eng.Schedule(0, func() { r.Acquire(func(Time) {}) })
-	eng.Schedule(50, func() { r.Release() })
+	after(eng, 0, func() { r.AcquireG(hold, 0) })
+	after(eng, 50, r.Release)
 	eng.RunUntil(100)
 	// busy 50 of 100 ns
 	if u := r.UtilizationSince(0, 0); u != 0.5 {
@@ -143,19 +134,6 @@ func TestUtilizationSince(t *testing.T) {
 	eng.RunUntil(200)
 	if u := r.UtilizationSince(100, snap); u != 0 {
 		t.Errorf("idle-window utilization = %v, want 0", u)
-	}
-}
-
-func TestWeightedBusy(t *testing.T) {
-	eng := NewEngine()
-	r := NewResource(eng, "dies", 2)
-	eng.Schedule(0, func() { r.Acquire(func(Time) {}); r.Acquire(func(Time) {}) })
-	eng.Schedule(10, func() { r.Release() })
-	eng.Schedule(20, func() { r.Release() })
-	eng.Run()
-	// 2 slots for 10ns + 1 slot for 10ns = 30 slot-ns
-	if got := r.WeightedBusyNS(); got != 30 {
-		t.Errorf("WeightedBusyNS() = %v, want 30", got)
 	}
 }
 
@@ -170,10 +148,10 @@ func TestPropertyResourceConservation(t *testing.T) {
 		for _, d8 := range durations {
 			d := Time(d8) + 1 // at least 1ns
 			total += d
-			r.Acquire(func(w Time) {
+			r.AcquireG(grantFunc(func(uint64, Time) {
 				granted++
-				eng.Schedule(d, func() { r.Release() })
-			})
+				after(eng, d, r.Release)
+			}), 0)
 		}
 		eng.Run()
 		return granted == len(durations) && r.BusyNS() == total && r.InUse() == 0
@@ -261,11 +239,11 @@ func TestRNGFork(t *testing.T) {
 func TestResourceIntrospection(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, "intro", 2)
-	if r.Name() != "intro" || r.Capacity() != 2 {
-		t.Errorf("accessors: %q/%d", r.Name(), r.Capacity())
+	if r.Name() != "intro" {
+		t.Errorf("Name = %q", r.Name())
 	}
-	r.Acquire(func(Time) {})
-	if r.Grants() != 1 {
-		t.Errorf("Grants = %d", r.Grants())
+	r.AcquireG(hold, 0)
+	if r.InUse() != 1 || r.QueueLen() != 0 {
+		t.Errorf("InUse/QueueLen = %d/%d after one grant", r.InUse(), r.QueueLen())
 	}
 }

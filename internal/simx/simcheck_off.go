@@ -11,7 +11,6 @@ type ckState struct{}
 
 func (e *Engine) ckSchedule(ev *Event) {}
 func (e *Engine) ckStep(ev *Event)     {}
-func (e *Engine) ckCancel(ev *Event)   {}
 
 // PoolCheck is the pooled-object lifecycle guard. Pooled types (Event
 // nodes here, pcie.Packet, cluster.Command, ...) embed one and their

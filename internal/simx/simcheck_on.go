@@ -130,9 +130,6 @@ func (e *Engine) ckSchedule(ev *Event) {
 	if ev.when < e.now {
 		panic(fmt.Sprintf("simcheck: scheduled event at %v is in the past (now %v)", ev.when, e.now))
 	}
-	if ev.index < 0 || ev.index >= len(e.events) || e.events[ev.index] != ev {
-		panic(fmt.Sprintf("simcheck: pushed event has stale heap index %d", ev.index))
-	}
 	e.ckMaybeVerifyHeap()
 }
 
@@ -145,14 +142,6 @@ func (e *Engine) ckStep(ev *Event) {
 	e.ckMaybeVerifyHeap()
 }
 
-// ckCancel checks that the event's recorded heap index still points at
-// the event before Cancel uses it for heap.Remove.
-func (e *Engine) ckCancel(ev *Event) {
-	if ev.index < 0 || ev.index >= len(e.events) || e.events[ev.index] != ev {
-		panic(fmt.Sprintf("simcheck: cancelling event whose heap index %d is stale", ev.index))
-	}
-}
-
 func (e *Engine) ckMaybeVerifyHeap() {
 	e.ck.ops++
 	if e.ck.ops%ckVerifyEvery == 0 {
@@ -160,14 +149,11 @@ func (e *Engine) ckMaybeVerifyHeap() {
 	}
 }
 
-// ckVerifyHeap proves three properties of the pending-event heap: every
-// event's index field matches its slot, the heap ordering holds between
-// every parent and child, and no pending event is in the past.
+// ckVerifyHeap proves two properties of the pending-event heap: the
+// heap ordering holds between every parent and child, and no pending
+// event is in the past.
 func (e *Engine) ckVerifyHeap() {
 	for i, ev := range e.events {
-		if ev.index != i {
-			panic(fmt.Sprintf("simcheck: heap slot %d holds event recording index %d", i, ev.index))
-		}
 		if ev.when < e.now {
 			panic(fmt.Sprintf("simcheck: pending event at %v is before now %v", ev.when, e.now))
 		}

@@ -9,42 +9,27 @@ import "testing"
 func TestSimcheckSweepsCleanRun(t *testing.T) {
 	eng := NewEngine()
 	rng := NewRNG(7)
-	var fired int
+	h := &countHandler{}
 	for i := 0; i < 4*ckVerifyEvery; i++ {
-		eng.Schedule(Time(rng.Intn(1000))*Microsecond, func() { fired++ })
+		eng.ScheduleEvent(Time(rng.Intn(1000))*Microsecond, h, 0)
 	}
 	eng.Run()
-	if fired != 4*ckVerifyEvery {
-		t.Fatalf("fired %d of %d events", fired, 4*ckVerifyEvery)
+	if h.n != 4*ckVerifyEvery {
+		t.Fatalf("fired %d of %d events", h.n, 4*ckVerifyEvery)
 	}
 }
 
-// TestSimcheckCancelUsesVerifiedIndex cancels from a deep heap; the
-// index-consistency check must accept every live event.
-func TestSimcheckCancelUsesVerifiedIndex(t *testing.T) {
-	eng := NewEngine()
-	var evs []*Event
-	for i := 0; i < 100; i++ {
-		evs = append(evs, eng.Schedule(Time(i)*Microsecond, func() {}))
-	}
-	for _, ev := range evs {
-		eng.Cancel(ev)
-	}
-	if eng.Step() {
-		t.Fatal("no events should remain after cancelling all")
-	}
-}
-
-// TestSimcheckDetectsCorruptHeap corrupts an event's recorded index and
-// expects the sweep to panic: this proves the checker actually checks.
+// TestSimcheckDetectsCorruptHeap breaks the heap order and expects the
+// sweep to panic: this proves the checker actually checks.
 func TestSimcheckDetectsCorruptHeap(t *testing.T) {
 	eng := NewEngine()
-	ev := eng.Schedule(Microsecond, func() {})
-	eng.Schedule(2*Microsecond, func() {})
-	ev.index = 1 // lie about the heap slot
+	eng.ScheduleEvent(Microsecond, nopHandler, 0)
+	eng.ScheduleEvent(2*Microsecond, nopHandler, 0)
+	// Put the later event at the root, above its earlier child.
+	eng.events[0], eng.events[1] = eng.events[1], eng.events[0]
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ckVerifyHeap accepted a corrupted event index")
+			t.Fatal("ckVerifyHeap accepted a heap whose root fires after its child")
 		}
 	}()
 	eng.ckVerifyHeap()
@@ -54,7 +39,7 @@ func TestSimcheckDetectsCorruptHeap(t *testing.T) {
 // expects the monotonicity check to panic.
 func TestSimcheckDetectsPastEvent(t *testing.T) {
 	eng := NewEngine()
-	eng.Schedule(Millisecond, func() {})
+	eng.ScheduleEvent(Millisecond, nopHandler, 0)
 	ev := eng.events[0]
 	eng.now = 2 * Millisecond // move the clock past the pending event
 	defer func() {
