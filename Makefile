@@ -4,7 +4,7 @@
 GO ?= go
 SIMLINT := bin/simlint
 
-.PHONY: build test race simcheck lint lint-fix-list lint-hotzero-list vet fmt-check check clean bench-json bench-compare fault-smoke sweep-smoke metrics-smoke decisions-smoke graph graph-check
+.PHONY: build test race simcheck lint lint-fix-list vet fmt-check check clean bench-json bench-compare fault-smoke sweep-smoke metrics-smoke decisions-smoke
 
 build:
 	$(GO) build ./...
@@ -45,27 +45,6 @@ lint-fix-list:
 	@grep -rn '//simlint:[a-z]' --include='*.go' . \
 		| grep -v '/testdata/' | grep -v '^./internal/lint/' | grep -v '^./cmd/simlint/' \
 		| sed 's|^\./||' || echo "no active suppressions"
-
-# Every audited hot-path escape (//simlint:cold pruned functions and
-# //simlint:coldalloc allocation sites) with file:line — the standing
-# review list for hotzero's allocation-freedom certificate.
-lint-hotzero-list:
-	@grep -rn '//simlint:cold' --include='*.go' . \
-		| grep -v '/testdata/' | grep -v '^./internal/lint/' | grep -v '^./cmd/simlint/' \
-		| sed 's|^\./||' || echo "no audited hot-path escapes"
-
-# Regenerate the certified component-communication graph artifacts
-# (docs/graph/components.{dot,json}) from source. Fails if any
-# cross-package component reference is neither a componentEdges
-# manifest row nor an audited //simlint:edge site, or if a manifest row
-# no longer has a witnessing reference. See docs/architecture.md.
-graph:
-	$(GO) run ./cmd/simgraph
-
-# CI variant: re-render in memory and fail if the committed artifacts
-# are stale instead of rewriting them.
-graph-check:
-	$(GO) run ./cmd/simgraph -check
 
 vet:
 	$(GO) vet ./...
@@ -149,7 +128,7 @@ decisions-smoke:
 		-v ./internal/experiments/
 	$(GO) test ./internal/decision/
 
-check: build fmt-check vet lint graph-check test race simcheck
+check: build fmt-check vet lint test race simcheck
 
 clean:
 	rm -rf bin

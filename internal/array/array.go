@@ -268,12 +268,19 @@ func (a *Array) pkgAt(ppn topo.PPN) *nand.Package {
 	return a.eps[ppn.Switch()][ppn.Cluster()].FIMM(ppn.FIMMSlot()).Package(ppn.Pkg())
 }
 
-// Prepare installs the pre-existing data footprint for a trace: every
-// page that is read is prepopulated in the FTL and force-populated on
-// its device, so reads find real flash pages (costing no simulated
-// time — the data predates the experiment).
+// Prepare checks that every request addresses only pages inside the
+// array, then installs the pre-existing data footprint for a trace:
+// every page that is read is prepopulated in the FTL and
+// force-populated on its device, so reads find real flash pages
+// (costing no simulated time — the data predates the experiment).
 func (a *Array) Prepare(reqs []trace.Request) error {
-	for _, r := range reqs {
+	total := a.cfg.Geometry.TotalPages().Int64()
+	for i, r := range reqs {
+		// LPN+Pages > total, written so it cannot overflow.
+		if r.LPN < 0 || r.Pages < 1 || r.LPN > total-r.Pages.Int64() {
+			return fmt.Errorf("array: request %d (%v LPN %d, %d pages) is outside the array's pages [0,%d)",
+				i, r.Op, r.LPN, r.Pages, total)
+		}
 		if r.Op != trace.Read {
 			continue
 		}
@@ -291,7 +298,7 @@ func (a *Array) Prepare(reqs []trace.Request) error {
 // device populate must respect the block's program order — it goes
 // through the same per-block gate in-flight writes use, completing
 // instantly when its turn comes.
-func (a *Array) ensureMapped(lpn int64) error { //simlint:cold first-touch prepopulation goes through the setup path
+func (a *Array) ensureMapped(lpn int64) error {
 	ppn, need, err := a.ftl.Prepopulate(lpn)
 	if err != nil {
 		return err
@@ -441,7 +448,7 @@ func (a *Array) newReq() *request {
 		r.ck.Checkout("array.request")
 		*r = request{arr: a}
 	} else {
-		r = &request{arr: a} //simlint:coldalloc pool miss: request free-list refill
+		r = &request{arr: a}
 		r.ck.Fresh("array.request")
 	}
 	return r
@@ -460,7 +467,7 @@ func (a *Array) newRef(req *request, lpn int64) *pageRef {
 		ref.ck.Checkout("array.pageRef")
 		*ref = pageRef{arr: a}
 	} else {
-		ref = &pageRef{arr: a} //simlint:coldalloc pool miss: pageRef free-list refill
+		ref = &pageRef{arr: a}
 		ref.ck.Fresh("array.pageRef")
 	}
 	ref.req, ref.lpn = req, lpn
@@ -618,7 +625,7 @@ type launcher interface {
 // GC, migration). The conversion allocates.
 type funcLauncher func()
 
-func (f funcLauncher) launch() { f() } //simlint:cold closure adapter for setup/GC/migration launches
+func (f funcLauncher) launch() { f() }
 
 // blockGate serialises program launches into one erase block.
 type blockGate struct {
@@ -633,11 +640,11 @@ func (a *Array) launchProgram(ppn topo.PPN, l launcher) {
 	bk := ppn.BlockKey()
 	g := a.gates[bk]
 	if g == nil {
-		g = &blockGate{} //simlint:coldalloc first touch: lazy per-block gate
+		g = &blockGate{}
 		a.gates[bk] = g
 	}
 	if g.busy {
-		g.waiting = append(g.waiting, l) //simlint:coldalloc amortized: gate queue growth bounded by in-flight programs
+		g.waiting = append(g.waiting, l)
 		return
 	}
 	g.busy = true
@@ -852,7 +859,7 @@ func (a *Array) finishPage(req *request, b metrics.Breakdown) {
 	a.inFlight--
 	a.recycleReq(req)
 	if a.inFlight == 0 && a.onIdle != nil {
-		a.onIdle() //simlint:coldalloc run-drain callback: fires once when the array idles
+		a.onIdle()
 	}
 }
 

@@ -2,6 +2,8 @@ package array
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"triplea/internal/ftl"
@@ -185,6 +187,37 @@ func TestPrepareMapsReadFootprint(t *testing.T) {
 	}
 	if _, ok := a.FTL().Lookup(50); ok {
 		t.Error("write-only LPN was prepopulated")
+	}
+}
+
+// TestRunRejectsRequestsPastCapacity pins that a trace request running
+// past the last logical page is a Run error naming the request, never a
+// panic deep in the FTL — for writes as for reads, and without
+// overflow at the top of the int64 range.
+func TestRunRejectsRequestsPastCapacity(t *testing.T) {
+	cfg := testConfig()
+	total := cfg.Geometry.TotalPages().Int64()
+	cases := []struct {
+		name string
+		req  trace.Request
+	}{
+		{"write past the end", trace.Request{Op: trace.Write, LPN: total, Pages: 1}},
+		{"write spanning the end", trace.Request{Op: trace.Write, LPN: total - 1, Pages: 2}},
+		{"read spanning the end", trace.Request{Op: trace.Read, LPN: total - 1, Pages: 2}},
+		{"write at MaxInt64", trace.Request{Op: trace.Write, LPN: math.MaxInt64, Pages: 2}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs := []trace.Request{{Op: trace.Write, LPN: total - 1, Pages: 1}, c.req}
+			_, err = a.Run(reqs)
+			if err == nil || !strings.Contains(err.Error(), "request 1 ") {
+				t.Fatalf("Run error = %v, want one naming request 1", err)
+			}
+		})
 	}
 }
 

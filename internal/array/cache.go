@@ -83,7 +83,7 @@ func (c *dramCache) install(lpn int64) {
 		c.lru.Remove(oldest)
 		delete(c.index, oldest.Value.(int64))
 	}
-	c.index[lpn] = c.lru.PushFront(lpn) //simlint:coldalloc LRU insert: one element per cached page, recycled on eviction
+	c.index[lpn] = c.lru.PushFront(lpn)
 }
 
 func (c *dramCache) stats() CacheStats {

@@ -13,7 +13,7 @@ import (
 // one is not already running. The worker relocates the victim's valid
 // pages (device reads and programs that contend with host traffic, as
 // real GC does), erases the victim, and repeats while pressure remains.
-func (a *Array) startGC(id topo.FIMMID) { //simlint:cold garbage collection runs per reclaimed block, not per event
+func (a *Array) startGC(id topo.FIMMID) {
 	flat := id.Flat(a.cfg.Geometry)
 	if a.gcActive[flat] {
 		return
@@ -56,7 +56,7 @@ func (a *Array) gcStep(id topo.FIMMID) {
 
 // OnEvent implements simx.Handler for the opportunistic-GC deferral
 // timer: arg is the flat index of the FIMM whose round was postponed.
-func (a *Array) OnEvent(arg uint64) { //simlint:cold garbage collection runs per reclaimed block, not per event
+func (a *Array) OnEvent(arg uint64) {
 	a.gcStep(topo.FIMMFromFlat(a.cfg.Geometry, int(arg)))
 }
 
@@ -153,7 +153,7 @@ func (a *Array) eraseVictim(plan *ftl.GCPlan, done func()) {
 // with zero-time device fixups so an in-admission write can proceed.
 // Measured experiments are sized so this never fires; it exists to keep
 // pathological configurations (tiny FIMMs, reshaping pile-ups) live.
-func (a *Array) runGCNow(id topo.FIMMID) { //simlint:cold emergency out-of-space reclamation
+func (a *Array) runGCNow(id topo.FIMMID) {
 	plan, ok := a.ftl.PlanGC(id, a.gcVeto)
 	if !ok {
 		return

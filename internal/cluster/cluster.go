@@ -199,7 +199,7 @@ type Command struct {
 // complete runs the command's OnComplete continuation, if any.
 func (cmd *Command) complete() {
 	if cmd.OnComplete != nil {
-		cmd.OnComplete(cmd) //simlint:coldalloc audited continuation dispatch; the indirect call itself does not allocate
+		cmd.OnComplete(cmd)
 	}
 }
 
@@ -427,7 +427,7 @@ func (ep *Endpoint) newPacket() *pcie.Packet {
 	if ep.pktPool != nil {
 		return ep.pktPool.Get()
 	}
-	return &pcie.Packet{} //simlint:coldalloc pool miss: completion-packet fallback
+	return &pcie.Packet{}
 }
 
 // Stats returns a snapshot of endpoint activity.
@@ -500,15 +500,15 @@ func (ep *Endpoint) Submit(cmd *Command) {
 	cmd.ck.InUse("cluster.Command")
 	cmd.ep = ep
 	if cmd.FIMM < 0 || cmd.FIMM >= len(ep.fimms) {
-		ep.fail(cmd, fmt.Errorf("cluster %v: FIMM slot %d out of range", ep.id, cmd.FIMM)) //simlint:coldalloc error path: rejected submission
+		ep.fail(cmd, fmt.Errorf("cluster %v: FIMM slot %d out of range", ep.id, cmd.FIMM))
 		return
 	}
 	if len(cmd.Addrs) == 0 {
-		ep.fail(cmd, fmt.Errorf("cluster %v: command with no addresses", ep.id)) //simlint:coldalloc error path: rejected submission
+		ep.fail(cmd, fmt.Errorf("cluster %v: command with no addresses", ep.id))
 		return
 	}
 	if ep.unplugged {
-		ep.fail(cmd, fmt.Errorf("cluster %v: %w", ep.id, ErrUnplugged)) //simlint:coldalloc error path: rejected submission
+		ep.fail(cmd, fmt.Errorf("cluster %v: %w", ep.id, ErrUnplugged))
 		return
 	}
 	if cmd.Op == OpErase {
@@ -592,12 +592,12 @@ func (ep *Endpoint) enqueueRead(cmd *Command) {
 				break
 			}
 		}
-		q = append(q, nil) //simlint:coldalloc amortized: pending-queue growth bounded by queue depth
+		q = append(q, nil)
 		copy(q[at+1:], q[at:])
 		q[at] = cmd
 		ep.pending[f] = q
 	} else {
-		ep.pending[f] = append(q, cmd) //simlint:coldalloc amortized: pending-queue growth bounded by queue depth
+		ep.pending[f] = append(q, cmd)
 	}
 	ep.pendingLen++
 	if simcheckEnabled {

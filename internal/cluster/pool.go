@@ -14,7 +14,7 @@ type CommandPool struct {
 func (p *CommandPool) Get() *Command {
 	c := p.free
 	if c == nil {
-		c = &Command{} //simlint:coldalloc pool miss: command free-list refill
+		c = &Command{}
 		c.ck.Fresh("cluster.Command")
 		return c
 	}

@@ -139,7 +139,7 @@ type lpnRing struct {
 	full bool
 }
 
-func newLPNRing(n int) *lpnRing { return &lpnRing{buf: make([]int64, n)} } //simlint:coldalloc first touch: per-FIMM recency ring
+func newLPNRing(n int) *lpnRing { return &lpnRing{buf: make([]int64, n)} }
 
 func (r *lpnRing) add(lpn int64) {
 	r.buf[r.next] = lpn
@@ -303,7 +303,7 @@ func (m *Manager) manageStorageContention(pc array.PageComplete) {
 // It only runs while the cluster's shared bus has headroom: batch moves
 // need device reads, and burning a saturated bus on repair traffic
 // would convert storage contention into link contention.
-func (m *Manager) reshapeBatch(pc array.PageComplete, laggards []bool) { //simlint:cold detection-gated batch reshape, not per-event work
+func (m *Manager) reshapeBatch(pc array.PageComplete, laggards []bool) {
 	if m.utilization(pc.Cluster) > 0.5 {
 		return
 	}
@@ -578,7 +578,7 @@ func (m *Manager) utilization(id topo.ClusterID) float64 {
 
 // startMove launches one page move, deduplicating in-flight LPNs and
 // bounding concurrency.
-func (m *Manager) startMove(lpn int64, dst topo.FIMMID, canShadow bool) { //simlint:cold migration launches are detection-gated autonomic actions
+func (m *Manager) startMove(lpn int64, dst topo.FIMMID, canShadow bool) {
 	if m.migrating[lpn] || m.inflight >= m.opt.MaxInflightMigrations {
 		return
 	}

@@ -14,7 +14,9 @@
 // The recorder follows the two-backend pattern of internal/metrics: the
 // Off backend is a nil *Recorder, and every recording hook is
 // nil-receiver-safe, so the off path costs exactly one nil check on the
-// hot paths (certified by the hotzero analyzer). The Ring backend keeps
+// hot paths (it runs inside internal/array's steady-state allocation
+// pins, and TestRecordingHooksDoNotAllocate pins the Ring hooks at
+// zero). The Ring backend keeps
 // a fixed ring of the most recent records plus streaming per-family
 // aggregates (count, regret mean/max, regret histogram, per-cluster
 // choice distribution, top-regret exemplars) so memory stays bounded at

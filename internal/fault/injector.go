@@ -82,7 +82,7 @@ func Attach(a *array.Array, p Plan, opt Options) *Injector {
 
 // OnEvent implements simx.Handler: the materialized fault event at
 // index arg is due.
-func (inj *Injector) OnEvent(arg uint64) { //simlint:cold fault delivery runs once per scripted fault, not per event
+func (inj *Injector) OnEvent(arg uint64) {
 	inj.apply(inj.events[arg])
 }
 

@@ -225,7 +225,7 @@ func (f *FIMM) newOp(op nand.Op, pkg int, addrs []nand.Addr, d Done) *fop {
 		st.ck.Checkout("fimm.fop")
 		st.next = nil
 	} else {
-		st = &fop{f: f} //simlint:coldalloc pool miss: fop free-list refill
+		st = &fop{f: f}
 		st.ck.Fresh("fimm.fop")
 	}
 	st.op, st.pkg, st.addrs, st.d = op, pkg, addrs, d
@@ -308,7 +308,7 @@ func (f *FIMM) Stats() Stats {
 
 func (f *FIMM) checkPkg(pkg int) error {
 	if pkg < 0 || pkg >= len(f.packages) {
-		return fmt.Errorf("fimm: package %d out of range [0,%d)", pkg, len(f.packages)) //simlint:coldalloc error path: package index out of range
+		return fmt.Errorf("fimm: package %d out of range [0,%d)", pkg, len(f.packages))
 	}
 	return nil
 }
@@ -325,7 +325,7 @@ func (f *FIMM) reject(op nand.Op, pkg int, d Done) bool {
 		return true
 	}
 	if f.dead {
-		d.OnFIMMDone(Result{Err: fmt.Errorf("fimm: %v: %w", op, ErrDead)}) //simlint:coldalloc fault path: dead-module error
+		d.OnFIMMDone(Result{Err: fmt.Errorf("fimm: %v: %w", op, ErrDead)})
 		return true
 	}
 	return false

@@ -30,7 +30,7 @@ type blockInfo struct {
 
 func (bi *blockInfo) ensureMask(pagesPerBlock int) {
 	if bi.mask == nil {
-		bi.mask = make([]uint64, (pagesPerBlock+63)/64) //simlint:coldalloc first touch: lazy page-state mask
+		bi.mask = make([]uint64, (pagesPerBlock+63)/64)
 	}
 }
 
@@ -64,7 +64,7 @@ type unitAlloc struct {
 }
 
 func newUnitAlloc() *unitAlloc {
-	return &unitAlloc{touched: make(map[int]*blockInfo), active: -1} //simlint:coldalloc first touch: per-unit allocator state
+	return &unitAlloc{touched: make(map[int]*blockInfo), active: -1}
 }
 
 // freeBlocks reports how many blocks could still become allocation
@@ -86,7 +86,7 @@ func (u *unitAlloc) takeFreeBlock(blocksPerPlane int) (int, *blockInfo, bool) {
 			u.aheadTouched--
 			continue
 		}
-		bi := &blockInfo{} //simlint:coldalloc first touch: per-block metadata
+		bi := &blockInfo{}
 		u.touched[b] = bi
 		return b, bi, true
 	}
@@ -100,7 +100,7 @@ func (u *unitAlloc) takeFreeBlock(blocksPerPlane int) (int, *blockInfo, bool) {
 		}
 	}
 	b := u.freeList[best]
-	u.freeList = append(u.freeList[:best], u.freeList[best+1:]...) //simlint:coldalloc in-place removal: append reuses the existing backing array
+	u.freeList = append(u.freeList[:best], u.freeList[best+1:]...)
 	return b, u.touched[b], true
 }
 
@@ -112,7 +112,7 @@ type fimmAlloc struct {
 }
 
 func newFIMMAlloc(g topo.Geometry) *fimmAlloc {
-	fa := &fimmAlloc{units: make([]*unitAlloc, g.ParallelUnitsPerFIMM())} //simlint:coldalloc first touch: per-FIMM allocator state
+	fa := &fimmAlloc{units: make([]*unitAlloc, g.ParallelUnitsPerFIMM())}
 	for i := range fa.units {
 		fa.units[i] = newUnitAlloc()
 	}

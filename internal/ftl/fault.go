@@ -62,7 +62,7 @@ func (f *FTL) DropMapping(lpn int64) (topo.PPN, bool) {
 	f.unlink(lpn, ppn)
 	delete(f.pageMap, lpn)
 	if f.lost == nil {
-		f.lost = make(map[int64]bool) //simlint:coldalloc fault path: lost-page ledger
+		f.lost = make(map[int64]bool)
 	}
 	f.lost[lpn] = true
 	return ppn, true

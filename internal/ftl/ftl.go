@@ -198,7 +198,7 @@ func (f *FTL) ForEachMapping(visit func(lpn int64, ppn topo.PPN) bool) {
 
 func (f *FTL) checkLPN(lpn int64) error {
 	if lpn < 0 || lpn >= f.geom.TotalPages().Int64() {
-		return fmt.Errorf("ftl: LPN %d out of range [0,%d)", lpn, f.geom.TotalPages()) //simlint:coldalloc error path: out-of-range LPN
+		return fmt.Errorf("ftl: LPN %d out of range [0,%d)", lpn, f.geom.TotalPages())
 	}
 	return nil
 }

@@ -15,7 +15,7 @@ import (
 //
 // Tests call it directly; builds with -tags simcheck also run it
 // periodically from the allocation path.
-func (f *FTL) VerifyBijective() error { //simlint:cold simcheck-only bijectivity diagnostic, not a measured build
+func (f *FTL) VerifyBijective() error {
 	for ppn, lpn := range f.reverse {
 		if got, ok := f.pageMap[lpn]; !ok {
 			return fmt.Errorf("ftl: reverse entry %v -> %d has no forward mapping", ppn, lpn)

@@ -11,20 +11,18 @@ import (
 )
 
 // TestRegistrationTablesResolve checks that every repository entry in
-// the hotzero and poolsafe registration tables names a function that is
-// actually declared: a method on the named type (or an interface
-// method of it), or a package-level function. A stale entry is silent
-// otherwise — matching a name that no longer exists certifies nothing
-// and roots nothing — so renames and deletions must take their table
-// rows with them.
+// poolsafe's registration tables (poolTable's acquires and releases,
+// and handoffSinks) names a function that is actually declared: a
+// method on the named type (or an interface method of it), or a
+// package-level function. A stale entry is silent otherwise — matching
+// a name that no longer exists polices nothing — so renames and
+// deletions must take their table rows with them.
 func TestRegistrationTablesResolve(t *testing.T) {
 	root := filepath.Join("..", "..", "..")
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		t.Fatalf("module root not found from the analyzers package: %v", err)
 	}
-	var refs []funcRef
-	refs = append(refs, hotCertified...)
-	refs = append(refs, handoffSinks...)
+	refs := append([]funcRef(nil), handoffSinks...)
 	for _, p := range poolTable {
 		refs = append(refs, p.acquires...)
 		refs = append(refs, p.releases...)

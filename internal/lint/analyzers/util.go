@@ -137,8 +137,8 @@ func isDuration(t types.Type) bool { return isNamed(t, "time", "Duration") }
 
 // ---- registration-table plumbing ----
 //
-// The table-driven analyzers (poolsafe, isosafe, hotzero) each declare
-// their policy as one or more tables of qualified names; the matching
+// The table-driven analyzers (poolsafe, isosafe) each declare their
+// policy as one or more tables of qualified names; the matching
 // machinery below is shared so a registration means the same thing in
 // every table.
 
@@ -178,16 +178,6 @@ func matchFunc(fn *types.Func, ref funcRef) bool {
 		return false
 	}
 	return n.Obj().Name() == ref.recv
-}
-
-// matchAnyFunc reports whether fn matches any entry of a table.
-func matchAnyFunc(fn *types.Func, table []funcRef) bool {
-	for _, r := range table {
-		if matchFunc(fn, r) {
-			return true
-		}
-	}
-	return false
 }
 
 // calleeFunc resolves the called function or method of a call, if it
@@ -289,24 +279,17 @@ func pkgLevelVar(info *types.Info, e ast.Expr) *types.Var {
 // suppressed reports whether the line holding pos, or the line just
 // above it, carries a "//simlint:<marker>" comment — the audited-site
 // escape hatch (see docs/static-analysis.md). The marker must end at a
-// token boundary, so "simlint:cold" does not match "simlint:coldalloc".
+// token boundary, so "simlint:order" would not match "simlint:ordered".
 func suppressed(pass *analysis.Pass, pos token.Pos, marker string) bool {
-	return MarkerNear(pass.Fset, pass.FileAt(pos), pos, marker)
-}
-
-// MarkerNear reports whether the line holding pos, or the line just
-// above it, carries a "//simlint:<marker>" comment in file. Exported
-// so whole-repo tools outside a vet run (cmd/simgraph) apply the same
-// audited-site convention the analyzers do.
-func MarkerNear(fset *token.FileSet, file *ast.File, pos token.Pos, marker string) bool {
+	file := pass.FileAt(pos)
 	if file == nil {
 		return false
 	}
-	line := fset.Position(pos).Line
+	line := pass.Fset.Position(pos).Line
 	want := "simlint:" + marker
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			cl := fset.Position(c.Pos()).Line
+			cl := pass.Fset.Position(c.Pos()).Line
 			if cl != line && cl != line-1 {
 				continue
 			}
@@ -369,7 +352,5 @@ func All() []*analysis.Analyzer {
 		Nospawn,
 		Poolsafe,
 		Isosafe,
-		Hotzero,
-		Partsafe,
 	}
 }

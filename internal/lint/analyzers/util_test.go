@@ -135,12 +135,6 @@ func TestMatchFunc(t *testing.T) {
 	if matchFunc(nil, funcRef{"internal/demo", "", "Free"}) {
 		t.Errorf("nil *types.Func should never match")
 	}
-	if !matchAnyFunc(get, []funcRef{{"internal/demo", "", "Free"}, {"internal/demo", "Pool", "Get"}}) {
-		t.Errorf("matchAnyFunc should find the second entry")
-	}
-	if matchAnyFunc(get, nil) {
-		t.Errorf("matchAnyFunc over an empty table should be false")
-	}
 }
 
 const calleeSrc = `package demo
@@ -339,11 +333,11 @@ func TestPkgLevelVar(t *testing.T) {
 const suppressSrc = `package demo
 
 func a() int {
-	return 1 //simlint:coldalloc audited example
+	return 1 //simlint:ordered audited example
 }
 
 func b() int {
-	//simlint:coldalloc the line above form
+	//simlint:ordered the line above form
 	return 2
 }
 
@@ -370,20 +364,20 @@ func TestSuppressed(t *testing.T) {
 	if len(rets) != 3 {
 		t.Fatalf("want 3 return statements, got %d", len(rets))
 	}
-	if !suppressed(pass, rets[0].Pos(), "coldalloc") {
+	if !suppressed(pass, rets[0].Pos(), "ordered") {
 		t.Errorf("same-line marker should suppress")
 	}
-	if !suppressed(pass, rets[1].Pos(), "coldalloc") {
+	if !suppressed(pass, rets[1].Pos(), "ordered") {
 		t.Errorf("line-above marker should suppress")
 	}
-	if suppressed(pass, rets[2].Pos(), "coldalloc") {
+	if suppressed(pass, rets[2].Pos(), "ordered") {
 		t.Errorf("unmarked line must not be suppressed")
 	}
 	if suppressed(pass, rets[0].Pos(), "handoff") {
 		t.Errorf("marker names a different rule; must not suppress")
 	}
-	if suppressed(pass, rets[0].Pos(), "cold") {
-		t.Errorf("simlint:coldalloc must not satisfy the simlint:cold marker")
+	if suppressed(pass, rets[0].Pos(), "order") {
+		t.Errorf("simlint:ordered must not satisfy a simlint:order marker")
 	}
 }
 
@@ -392,12 +386,12 @@ func TestMarkerAt(t *testing.T) {
 		text, want string
 		hit        bool
 	}{
-		{"simlint:cold", "simlint:cold", true},
-		{"simlint:coldalloc", "simlint:cold", false},
-		{"simlint:coldalloc", "simlint:coldalloc", true},
-		{" simlint:cold (GC path)", "simlint:cold", true},
-		{"simlint:coldalloc simlint:cold", "simlint:cold", true},
-		{"nothing here", "simlint:cold", false},
+		{"simlint:order", "simlint:order", true},
+		{"simlint:ordered", "simlint:order", false},
+		{"simlint:ordered", "simlint:ordered", true},
+		{" simlint:order (sorted below)", "simlint:order", true},
+		{"simlint:ordered simlint:order", "simlint:order", true},
+		{"nothing here", "simlint:order", false},
 	}
 	for _, c := range cases {
 		if got := markerAt(c.text, c.want); got != c.hit {

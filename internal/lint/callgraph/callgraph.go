@@ -1,9 +1,8 @@
 // Package callgraph builds a static, intra-package call graph over Go
 // syntax with only the standard library (the repository deliberately
 // has no third-party module requirements; see internal/lint/analysis).
-// It exists for the hotzero analyzer, whose allocation-freedom rules
-// are "everything reachable from a hot root" properties and therefore
-// need edges, not just syntax.
+// It serves analyses whose rules are "everything reachable from a
+// root" properties and therefore need edges, not just syntax.
 //
 // One Graph covers one type-checked package: a Node per function
 // declaration and per function literal, and per-node out-edges for
@@ -28,8 +27,8 @@
 //     variable) is a Dynamic edge: the callee is statically unknown.
 //
 // Calls to functions outside the package resolve to edges whose Callee
-// is known but whose Node is nil; the analyzer applies its own policy
-// (certified table, allowlist, report) to those.
+// is known but whose Node is nil; the caller applies its own policy
+// (an allowlist, a report) to those.
 package callgraph
 
 import (

@@ -1,8 +1,9 @@
 package callgraph
 
-// The graph's resolution contracts, pinned directly: hotzero's
-// soundness rests on "the builder never guesses an edge away", so each
-// resolution rule — and each deliberate conservatism — gets a test.
+// The graph's resolution contracts, pinned directly: a reachability
+// walk over the graph is only sound if "the builder never guesses an
+// edge away", so each resolution rule — and each deliberate
+// conservatism — gets a test.
 
 import (
 	"go/ast"

@@ -28,7 +28,7 @@ func (rc *Recorder) RecordFailure(f Failure) {
 		rc.stream.exemplars.add(f)
 		return
 	}
-	rc.failures = append(rc.failures, f) //simlint:coldalloc fault path: exact-backend failure log
+	rc.failures = append(rc.failures, f)
 }
 
 // Failures exposes the fault-terminated requests (callers must not

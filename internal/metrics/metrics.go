@@ -296,7 +296,7 @@ func (rc *Recorder) Record(r Record) {
 		rc.stream.observe(r, lat)
 		return
 	}
-	rc.records = append(rc.records, r) //simlint:coldalloc amortized: exact-backend sample buffer growth
+	rc.records = append(rc.records, r)
 	rc.sorted = nil
 }
 

@@ -8,8 +8,8 @@ import (
 
 // Streaming-backend state: everything here is sized at construction and
 // mutated in place, so the per-request record path performs zero
-// allocations (certified by the hotzero analyzer) and total memory is
-// independent of run length.
+// allocations (pinned by TestStreamingRecordPathDoesNotAllocate) and
+// total memory is independent of run length.
 
 const (
 	// timeBucketCount is the fixed resolution of the completion /

@@ -167,6 +167,36 @@ func TestStreamingExportDeterminism(t *testing.T) {
 	}
 }
 
+// --- zero-allocation record path under streaming ---
+
+// TestStreamingRecordPathDoesNotAllocate pins the Streaming backend's
+// per-request contract at exactly zero allocations: Recorder.Record,
+// RecordFailure, and the Counter.Inc and Breakdown.Add updates beneath
+// them run in place on state sized at construction. Each measured call
+// is one batch long enough to cross timeline range-doublings and the
+// series reservoir's stride changes, and AllocsPerRun measures a single
+// batch, so even one allocation anywhere in it fails the pin.
+func TestStreamingRecordPathDoesNotAllocate(t *testing.T) {
+	rc := NewRecorderWith(Streaming, DefaultSustainedWindow)
+	ctr := NewRegistry().NewCounter("test.ops")
+	var sum Breakdown
+	var now simx.Time
+	batch := func() {
+		for i := 0; i < 10_000; i++ {
+			now += 3 * simx.Microsecond
+			b := Breakdown{StorageWait: simx.Time(i%7) * simx.Microsecond, Texe: 50 * simx.Microsecond}
+			rc.Record(Record{ID: uint64(now), Kind: RequestKind(i % 2), Pages: 1,
+				Submit: now, Complete: now + b.Total(), Breakdown: b})
+			rc.RecordFailure(Failure{ID: uint64(now), Kind: Write, Pages: 1, Submit: now, At: now + simx.Microsecond})
+			ctr.Inc()
+			sum.Add(b)
+		}
+	}
+	if n := testing.AllocsPerRun(1, batch); n != 0 {
+		t.Errorf("streaming record path allocates %v per 10k-request batch, want 0", n)
+	}
+}
+
 // --- bounded failure log under streaming ---
 
 func TestStreamingFailureLogBounded(t *testing.T) {

@@ -64,14 +64,14 @@ func (pk *Package) SetTimingScale(s float64) { pk.timeScale = s }
 func (pk *Package) checkFaults(op Op, addrs []Addr) error {
 	for _, a := range addrs {
 		if pk.deadDies[a.Die] {
-			return fmt.Errorf("nand: %v %v: %w", op, a, ErrDeadDie) //simlint:coldalloc fault path: injected-failure error
+			return fmt.Errorf("nand: %v %v: %w", op, a, ErrDeadDie)
 		}
 		flat := pk.flatBlock(a)
 		if pk.badBlocks[flat] {
-			return fmt.Errorf("nand: %v %v: %w", op, a, ErrBadBlock) //simlint:coldalloc fault path: injected-failure error
+			return fmt.Errorf("nand: %v %v: %w", op, a, ErrBadBlock)
 		}
 		if op != OpRead && pk.wornBlocks[flat] {
-			return fmt.Errorf("nand: %v %v: worn out: %w", op, a, ErrBadBlock) //simlint:coldalloc fault path: injected-failure error
+			return fmt.Errorf("nand: %v %v: worn out: %w", op, a, ErrBadBlock)
 		}
 	}
 	return nil

@@ -163,7 +163,7 @@ func (pk *Package) newOp(op Op, addrs []Addr, d Done) *opState {
 		st.ck.Checkout("nand.opState")
 		st.next = nil
 	} else {
-		st = &opState{pk: pk} //simlint:coldalloc pool miss: opState free-list refill
+		st = &opState{pk: pk}
 		st.ck.Fresh("nand.opState")
 	}
 	st.op, st.addrs, st.d, st.issued = op, addrs, d, pk.eng.Now()
@@ -241,15 +241,15 @@ func (pk *Package) checkAddr(a Addr) error {
 	p := pk.params
 	switch {
 	case a.Die < 0 || a.Die >= p.DiesPerPackage:
-		return fmt.Errorf("nand: die %d out of range [0,%d)", a.Die, p.DiesPerPackage) //simlint:coldalloc error path: invalid address aborts the op
+		return fmt.Errorf("nand: die %d out of range [0,%d)", a.Die, p.DiesPerPackage)
 	case a.Plane < 0 || a.Plane >= p.PlanesPerDie:
-		return fmt.Errorf("nand: plane %d out of range [0,%d)", a.Plane, p.PlanesPerDie) //simlint:coldalloc error path: invalid address aborts the op
+		return fmt.Errorf("nand: plane %d out of range [0,%d)", a.Plane, p.PlanesPerDie)
 	case a.Block < 0 || a.Block >= p.BlocksPerPlane.Int()*p.PlanesPerDie:
-		return fmt.Errorf("nand: block %d out of range [0,%d)", a.Block, p.BlocksPerPlane.Int()*p.PlanesPerDie) //simlint:coldalloc error path: invalid address aborts the op
+		return fmt.Errorf("nand: block %d out of range [0,%d)", a.Block, p.BlocksPerPlane.Int()*p.PlanesPerDie)
 	case a.Page < 0 || a.Page >= p.PagesPerBlock.Int():
-		return fmt.Errorf("nand: page %d out of range [0,%d)", a.Page, p.PagesPerBlock) //simlint:coldalloc error path: invalid address aborts the op
+		return fmt.Errorf("nand: page %d out of range [0,%d)", a.Page, p.PagesPerBlock)
 	case a.Plane != a.Block%p.PlanesPerDie:
-		return fmt.Errorf("nand: block %d addresses plane %d, not plane %d (even/odd rule)", //simlint:coldalloc error path: invalid address aborts the op
+		return fmt.Errorf("nand: block %d addresses plane %d, not plane %d (even/odd rule)",
 			a.Block, a.Block%p.PlanesPerDie, a.Plane)
 	}
 	return nil
@@ -268,7 +268,7 @@ func (pk *Package) block(a Addr) *blockState {
 	id := pk.flatBlock(a)
 	bs := pk.blocks[id]
 	if bs == nil {
-		bs = &blockState{state: make([]PageState, pk.params.PagesPerBlock)} //simlint:coldalloc first touch: lazy per-block page-state
+		bs = &blockState{state: make([]PageState, pk.params.PagesPerBlock)}
 		pk.blocks[id] = bs
 	}
 	return bs
@@ -367,7 +367,7 @@ func (pk *Package) MarkStale(a Addr) error {
 	}
 	bs := pk.block(a)
 	if bs.state[a.Page] != PageValid {
-		return fmt.Errorf("nand: MarkStale on non-valid page %v", a) //simlint:coldalloc error path: malformed multi-plane op
+		return fmt.Errorf("nand: MarkStale on non-valid page %v", a)
 	}
 	bs.state[a.Page] = PageStale
 	return nil
@@ -375,7 +375,7 @@ func (pk *Package) MarkStale(a Addr) error {
 
 func (pk *Package) validateMultiPlane(op Op, addrs []Addr) error {
 	if len(addrs) == 0 {
-		return fmt.Errorf("nand: %v with no addresses", op) //simlint:coldalloc error path: malformed multi-plane op
+		return fmt.Errorf("nand: %v with no addresses", op)
 	}
 	for _, a := range addrs {
 		if err := pk.checkAddr(a); err != nil {
@@ -385,18 +385,18 @@ func (pk *Package) validateMultiPlane(op Op, addrs []Addr) error {
 	first := addrs[0]
 	for i, a := range addrs {
 		if a.Die != first.Die {
-			return fmt.Errorf("nand: multi-plane %v spans dies %d and %d (use die interleaving instead)", //simlint:coldalloc error path: malformed multi-plane op
+			return fmt.Errorf("nand: multi-plane %v spans dies %d and %d (use die interleaving instead)",
 				op, first.Die, a.Die)
 		}
 		// A multi-plane op covers at most the planes of one die, so a
 		// pairwise scan beats allocating a seen-set per validation.
 		for _, b := range addrs[:i] {
 			if b.Plane == a.Plane {
-				return fmt.Errorf("nand: multi-plane %v addresses plane %d twice", op, a.Plane) //simlint:coldalloc error path: malformed multi-plane op
+				return fmt.Errorf("nand: multi-plane %v addresses plane %d twice", op, a.Plane)
 			}
 		}
 		if op != OpErase && a.Page != first.Page {
-			return fmt.Errorf("nand: multi-plane %v page offsets differ (%d vs %d)", //simlint:coldalloc error path: malformed multi-plane op
+			return fmt.Errorf("nand: multi-plane %v page offsets differ (%d vs %d)",
 				op, first.Page, a.Page)
 		}
 	}
@@ -408,7 +408,7 @@ func (pk *Package) startArrayOp(op Op, addrs []Addr, d Done) {
 		panic("nand: nil done receiver")
 	}
 	if len(addrs) == 0 {
-		d.OnNandDone(0, fmt.Errorf("nand: %v with no addresses", op)) //simlint:coldalloc error path: malformed multi-plane op
+		d.OnNandDone(0, fmt.Errorf("nand: %v with no addresses", op))
 		return
 	}
 	if len(addrs) > 1 {
@@ -437,17 +437,17 @@ func (pk *Package) checkState(op Op, addrs []Addr) error {
 		for _, a := range addrs {
 			bs := pk.block(a)
 			if bs.state[a.Page] != PageErased {
-				return fmt.Errorf("nand: program of non-erased page %v", a) //simlint:coldalloc error path: state-machine violation
+				return fmt.Errorf("nand: program of non-erased page %v", a)
 			}
 			if a.Page != bs.nextPage {
-				return fmt.Errorf("nand: out-of-order program %v (next is page %d)", a, bs.nextPage) //simlint:coldalloc error path: state-machine violation
+				return fmt.Errorf("nand: out-of-order program %v (next is page %d)", a, bs.nextPage)
 			}
 		}
 	case OpRead:
 		for _, a := range addrs {
 			bs := pk.blocks[pk.flatBlock(a)]
 			if bs == nil || bs.state[a.Page] == PageErased {
-				return fmt.Errorf("nand: read of erased page %v", a) //simlint:coldalloc error path: state-machine violation
+				return fmt.Errorf("nand: read of erased page %v", a)
 			}
 		}
 	case OpErase:

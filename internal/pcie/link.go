@@ -123,7 +123,7 @@ func (l *Link) newPS(pkt *Packet, accepted Accepted) *pendingSend {
 		ps.ck.Checkout("pcie.pendingSend")
 		ps.next = nil
 	} else {
-		ps = &pendingSend{l: l} //simlint:coldalloc pool miss: pendingSend free-list refill
+		ps = &pendingSend{l: l}
 		ps.ck.Fresh("pcie.pendingSend")
 	}
 	ps.pkt, ps.queued, ps.accepted = pkt, l.eng.Now(), accepted
@@ -189,7 +189,7 @@ func (l *Link) Send(pkt *Packet, accepted Accepted) {
 		l.transmit(ps)
 		return
 	}
-	l.sendQ = append(l.sendQ, ps) //simlint:coldalloc amortized: send-queue growth bounded by outstanding packets
+	l.sendQ = append(l.sendQ, ps)
 	if len(l.sendQ) > l.maxSendQ {
 		l.maxSendQ = len(l.sendQ)
 	}

@@ -20,7 +20,7 @@ type Pool struct {
 func (p *Pool) Get() *Packet {
 	pkt := p.free
 	if pkt == nil {
-		pkt = &Packet{} //simlint:coldalloc pool miss: packet free-list refill
+		pkt = &Packet{}
 		pkt.ck.Fresh("pcie.Packet")
 		return pkt
 	}

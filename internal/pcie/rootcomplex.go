@@ -52,7 +52,7 @@ func (n *rcOp) OnEvent(arg uint64) {
 	case rcInjectRoute:
 		pkt := n.pkt
 		pkt.RouteTime += rc.routeLatency
-		port := rc.route(pkt) //simlint:coldalloc static topology dispatch: route bound once at build time
+		port := rc.route(pkt)
 		if port < 0 || port >= len(rc.ports) {
 			panic(fmt.Sprintf("pcie: RC route for %v returned bad port %d", pkt, port))
 		}
@@ -67,7 +67,7 @@ func (n *rcOp) OnEvent(arg uint64) {
 			from.ReturnCredit()
 		}
 		rc.delivered++
-		rc.deliver(pkt) //simlint:coldalloc static topology dispatch: route bound once at build time
+		rc.deliver(pkt)
 	default:
 		panic("pcie: unknown rcOp phase")
 	}
@@ -97,7 +97,7 @@ func (rc *RootComplex) newOp(pkt *Packet) *rcOp {
 		n.ck.Checkout("pcie.rcOp")
 		n.next = nil
 	} else {
-		n = &rcOp{rc: rc} //simlint:coldalloc pool miss: rcOp free-list refill
+		n = &rcOp{rc: rc}
 		n.ck.Fresh("pcie.rcOp")
 	}
 	n.pkt = pkt

@@ -52,7 +52,7 @@ func (f *fwd) OnEvent(arg uint64) {
 	s := f.s
 	pkt := f.pkt
 	pkt.RouteTime += s.routeLatency
-	port := s.route(pkt) //simlint:coldalloc static topology dispatch: route bound once at build time
+	port := s.route(pkt)
 	var egress *Link
 	if port == Upstream {
 		egress = s.up
@@ -91,7 +91,7 @@ func (s *Switch) newFwd(pkt *Packet, from *Link) *fwd {
 		f.ck.Checkout("pcie.fwd")
 		f.next = nil
 	} else {
-		f = &fwd{s: s} //simlint:coldalloc pool miss: fwd free-list refill
+		f = &fwd{s: s}
 		f.ck.Fresh("pcie.fwd")
 	}
 	f.pkt, f.from = pkt, from

@@ -77,7 +77,7 @@ func (h eventHeap) Less(i, j int) bool {
 }
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any) {
-	*h = append(*h, x.(*Event)) //simlint:coldalloc amortized: event-heap growth
+	*h = append(*h, x.(*Event))
 }
 func (h *eventHeap) Pop() any {
 	old := *h
@@ -154,7 +154,7 @@ func (e *Engine) newEvent() *Event {
 		}
 		ev.next = nil
 	} else {
-		ev = &Event{} //simlint:coldalloc pool miss: event free-list refill
+		ev = &Event{}
 		if simcheckEnabled {
 			ev.ck.Fresh("simx.Event")
 		}

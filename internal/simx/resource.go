@@ -104,7 +104,7 @@ func (r *Resource) newWaiter() *waiter {
 		}
 		w.next = nil
 	} else {
-		w = &waiter{} //simlint:coldalloc pool miss: waiter free-list refill
+		w = &waiter{}
 		if simcheckEnabled {
 			w.ck.Fresh("simx.waiter")
 		}

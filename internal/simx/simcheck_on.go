@@ -157,7 +157,7 @@ func (e *Engine) ckVerifyHeap() {
 		if ev.when < e.now {
 			panic(fmt.Sprintf("simcheck: pending event at %v is before now %v", ev.when, e.now))
 		}
-		for _, c := range []int{2*i + 1, 2*i + 2} { //simlint:coldalloc simcheck diagnostics: not a measured build
+		for _, c := range []int{2*i + 1, 2*i + 2} {
 			if c < len(e.events) && e.events.Less(c, i) {
 				panic(fmt.Sprintf("simcheck: heap property violated between slot %d and child %d", i, c))
 			}

@@ -57,11 +57,11 @@ type Request struct {
 func (r Request) Validate() error {
 	switch {
 	case r.Arrival < 0:
-		return fmt.Errorf("trace: negative arrival %v", r.Arrival) //simlint:coldalloc error path: malformed trace record
+		return fmt.Errorf("trace: negative arrival %v", r.Arrival)
 	case r.LPN < 0:
-		return fmt.Errorf("trace: negative LPN %d", r.LPN) //simlint:coldalloc error path: malformed trace record
+		return fmt.Errorf("trace: negative LPN %d", r.LPN)
 	case r.Pages < 1:
-		return fmt.Errorf("trace: pages %d < 1", r.Pages) //simlint:coldalloc error path: malformed trace record
+		return fmt.Errorf("trace: pages %d < 1", r.Pages)
 	}
 	return nil
 }
