@@ -21,9 +21,11 @@ race:
 
 # Runtime invariant checks (event-time monotonicity, FTL bijectivity,
 # cluster queue conservation, pooled-object lifecycle + leak ledger)
-# compiled in via the simcheck build tag. Includes the seed-42 golden
-# replay, so a leaked pooled object anywhere in a full run fails here
-# with its pool's name.
+# compiled in via the simcheck build tag. This is the pool-ownership
+# gate: it includes the seed-42 golden replays (plain, faulted and
+# retrain/deferral) and the fault-lifecycle table, so a leaked or
+# doubly released pooled object anywhere in a run fails here with its
+# pool's name.
 simcheck:
 	$(GO) test -tags simcheck ./internal/...
 
@@ -68,15 +70,13 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare BENCH_PR3.json -against $(BENCH_JSON)
 
 # Degraded-mode smoke: the degraded-array study (reference fault plan,
-# reduced 2x4 geometry) written to FAULT_TABLE, plus the faulted golden
-# replay and the fault lifecycle tests with the simcheck leak ledger
-# armed. See docs/fault-injection.md.
+# reduced 2x4 geometry) written to FAULT_TABLE. The faulted golden
+# replay and the fault-lifecycle tests run under `make simcheck`. See
+# docs/fault-injection.md.
 FAULT_TABLE ?= fault-table.txt
 fault-smoke:
 	$(GO) run ./cmd/triplea-bench -experiment fault -requests 4000 \
 		-switches 2 -clusters 4 | tee $(FAULT_TABLE)
-	$(GO) test -tags simcheck -run 'TestFaultedGoldenReplay' -v ./internal/experiments/
-	$(GO) test -tags simcheck ./internal/fault/
 
 # Parallel-sweep smoke: the 16-point Fig12 sweep benchmarked serial vs
 # parallel (wall-clock + speedup evidence, see docs/performance.md),

@@ -519,9 +519,8 @@ func (a *Array) Submit(r trace.Request) {
 	}
 	a.nextReqID++
 	// Ownership passes to the per-page continuations minted below; the
-	// page loop runs at least once (Validate rejects Pages < 1), so the
-	// zero-iteration leak path poolsafe sees cannot execute.
-	req := a.newReq() //simlint:handoff every request has >= 1 page; each page's ref/event owns req
+	// page loop runs at least once (Validate rejects Pages < 1).
+	req := a.newReq()
 
 	req.id = a.nextReqID
 	req.op, req.lpn, req.pages = r.Op, r.LPN, r.Pages

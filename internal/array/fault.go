@@ -214,6 +214,21 @@ func (a *Array) gcHalted(id topo.FIMMID) bool {
 		a.health.Cluster(id.ClusterID) != topo.ClusterOnline
 }
 
+// retireUnerasable retires a GC victim whose erase the flash refused.
+// A NAND-level refusal is permanent — the block, or its whole die, can
+// never be erased again — so the FTL must stop offering it as a victim
+// whether or not recovery is on; otherwise the next round would pick
+// the same victim and fail the same way, forever. A dead module or an
+// unplugged cluster needs nothing here: gcHalted stops GC on it.
+func (a *Array) retireUnerasable(victim topo.PPN, err error) {
+	switch {
+	case errors.Is(err, nand.ErrDeadDie):
+		a.ftl.RetireDie(victim.FIMMID(), victim.Pkg(), victim.Die())
+	case errors.Is(err, nand.ErrBadBlock):
+		a.ftl.RetireBlock(victim)
+	}
+}
+
 // gcFaultErr tolerates fault-caused errors on GC device operations
 // (the round is abandoned; retired blocks are never reused) and keeps
 // panicking on everything else.

@@ -135,9 +135,9 @@ func (a *Array) eraseVictim(plan *ftl.GCPlan, done func()) {
 		err := c.Result.Err
 		a.cmdPool.Put(c) // erases retire at completion
 		if err != nil {
-			// A fault-caused erase failure abandons the round; the
-			// victim block stays reclaimable for a later pass.
+			// A fault-caused erase failure abandons the round.
 			a.gcFaultErr("GC erase", err)
+			a.retireUnerasable(plan.Victim, err)
 			done()
 			return
 		}

@@ -10,46 +10,48 @@ import (
 	"testing"
 )
 
-// TestRegistrationTablesResolve checks that every repository entry in
-// poolsafe's registration tables (poolTable's acquires and releases,
-// and handoffSinks) names a function that is actually declared: a
-// method on the named type (or an interface method of it), or a
-// package-level function. A stale entry is silent otherwise — matching
-// a name that no longer exists polices nothing — so renames and
-// deletions must take their table rows with them.
+// TestRegistrationTablesResolve checks that every row of isosafe's
+// registration tables (deepCopySafeTypes, handoffTypes and
+// workerFuncTypes) names a type that is actually declared in its
+// package. A stale row is silent otherwise — matching a name that no
+// longer exists polices nothing — so renames and deletions must take
+// their table rows with them.
 func TestRegistrationTablesResolve(t *testing.T) {
 	root := filepath.Join("..", "..", "..")
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		t.Fatalf("module root not found from the analyzers package: %v", err)
 	}
-	refs := append([]funcRef(nil), handoffSinks...)
-	for _, p := range poolTable {
-		refs = append(refs, p.acquires...)
-		refs = append(refs, p.releases...)
+	tables := []struct {
+		name string
+		rows [][2]string
+	}{
+		{"deepCopySafeTypes", deepCopySafeTypes},
+		{"handoffTypes", handoffTypes},
+		{"workerFuncTypes", workerFuncTypes},
 	}
-	declared := map[string]map[funcRef]bool{}
-	for _, ref := range refs {
-		if !strings.HasPrefix(ref.pkg, "internal/") {
-			continue // stdlib entries are outside this module
-		}
-		if declared[ref.pkg] == nil {
-			declared[ref.pkg] = declaredFuncs(t, filepath.Join(root, filepath.FromSlash(ref.pkg)), ref.pkg)
-		}
-		if !declared[ref.pkg][ref] {
-			t.Errorf("registration %s.%s.%s names no declared function", ref.pkg, ref.recv, ref.name)
+	declared := map[string]map[string]bool{}
+	for _, table := range tables {
+		for _, row := range table.rows {
+			pkg, typ := row[0], row[1]
+			if declared[pkg] == nil {
+				declared[pkg] = declaredTypes(t, filepath.Join(root, filepath.FromSlash(pkg)))
+			}
+			if !declared[pkg][typ] {
+				t.Errorf("%s row {%q, %q} names no declared type", table.name, pkg, typ)
+			}
 		}
 	}
 }
 
-// declaredFuncs parses every non-test Go file in dir (all build-tag
-// variants) and returns the functions it declares as funcRefs.
-func declaredFuncs(t *testing.T, dir, pkg string) map[funcRef]bool {
+// declaredTypes parses every non-test Go file in dir (all build-tag
+// variants) and returns the names of the types it declares.
+func declaredTypes(t *testing.T, dir string) map[string]bool {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("read %s: %v", dir, err)
 	}
-	out := map[funcRef]bool{}
+	out := map[string]bool{}
 	fset := token.NewFileSet()
 	for _, e := range entries {
 		name := e.Name()
@@ -61,52 +63,14 @@ func declaredFuncs(t *testing.T, dir, pkg string) map[funcRef]bool {
 			t.Fatalf("parse %s: %v", name, err)
 		}
 		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				recv := ""
-				if d.Recv != nil && len(d.Recv.List) == 1 {
-					recv = receiverTypeName(d.Recv.List[0].Type)
-				}
-				out[funcRef{pkg, recv, d.Name.Name}] = true
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					iface, ok := ts.Type.(*ast.InterfaceType)
-					if !ok {
-						continue
-					}
-					for _, m := range iface.Methods.List {
-						for _, n := range m.Names {
-							out[funcRef{pkg, ts.Name.Name, n.Name}] = true
-						}
-					}
-				}
+			d, ok := decl.(*ast.GenDecl)
+			if !ok || d.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range d.Specs {
+				out[spec.(*ast.TypeSpec).Name.Name] = true
 			}
 		}
 	}
 	return out
-}
-
-// receiverTypeName strips pointers and type parameters from a method
-// receiver's type expression.
-func receiverTypeName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
 }

@@ -137,89 +137,9 @@ func isDuration(t types.Type) bool { return isNamed(t, "time", "Duration") }
 
 // ---- registration-table plumbing ----
 //
-// The table-driven analyzers (poolsafe, isosafe) each declare their
-// policy as one or more tables of qualified names; the matching
-// machinery below is shared so a registration means the same thing in
-// every table.
-
-// funcRef names a function or method: the defining package's path
-// suffix, the receiver type name ("" for package-level functions), and
-// the function name. Suffix matching lets analyzer testdata fakes
-// ("triplea/internal/pcie") register alongside the real packages.
-type funcRef struct {
-	pkg  string
-	recv string
-	name string
-}
-
-// matchFunc reports whether fn is the function funcRef names.
-func matchFunc(fn *types.Func, ref funcRef) bool {
-	if fn == nil || fn.Name() != ref.name {
-		return false
-	}
-	if fn.Pkg() == nil || !hasPathSuffix(fn.Pkg().Path(), ref.pkg) {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	recv := sig.Recv()
-	if ref.recv == "" {
-		return recv == nil
-	}
-	if recv == nil {
-		return false
-	}
-	n, ok := namedType(recv.Type())
-	if !ok {
-		// Methods on unnamed receivers (embedded interface literals)
-		// have nothing to match a registration against.
-		return false
-	}
-	return n.Obj().Name() == ref.recv
-}
-
-// calleeFunc resolves the called function or method of a call, if it
-// is statically known.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			fn, _ := sel.Obj().(*types.Func)
-			return fn
-		}
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-// receiverExpr returns the receiver/package part of a call's selector,
-// if any, so its uses are recorded.
-func receiverExpr(call *ast.CallExpr) ast.Expr {
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return sel.X
-	}
-	return nil
-}
-
-// isBuiltinAppend reports whether a call is the append builtin with at
-// least one appended element.
-func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "append" || len(call.Args) < 2 {
-		return false
-	}
-	if obj := info.Uses[id]; obj != nil {
-		_, isBuiltin := obj.(*types.Builtin)
-		return isBuiltin
-	}
-	return true
-}
+// isosafe declares its policy as tables of {package-suffix, type-name}
+// pairs; the matching machinery below gives every row the same
+// meaning.
 
 // namedStrict is like isNamed but does NOT unwrap pointers:
 // *array.Config is a shared reference, not a registered value type.
@@ -350,7 +270,6 @@ func All() []*analysis.Analyzer {
 		Units,
 		Exhaustive,
 		Nospawn,
-		Poolsafe,
 		Isosafe,
 	}
 }

@@ -70,171 +70,20 @@ func TestInPackageSet(t *testing.T) {
 	}
 }
 
-const matchSrc = `package demo
-
-type Pool struct{}
-
-func (p *Pool) Get() *Obj  { return nil }
-func (p Pool) Peek() *Obj  { return nil }
-func Free(o *Obj)          {}
-
-type Obj struct{ next *Obj }
-
-type Iface interface{ Get() *Obj }
-`
-
-// lookupFunc resolves a declared function or method by receiver and name.
-func lookupFunc(t *testing.T, pkg *types.Package, info *types.Info, f *ast.File, recv, name string) *types.Func {
+// lookupFunc resolves a declared package-level function by name.
+func lookupFunc(t *testing.T, info *types.Info, f *ast.File, name string) *types.Func {
 	t.Helper()
 	for _, d := range f.Decls {
 		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Name.Name != name {
+		if !ok || fd.Recv != nil || fd.Name.Name != name {
 			continue
 		}
-		fn, ok := info.Defs[fd.Name].(*types.Func)
-		if !ok {
-			continue
-		}
-		sig := fn.Type().(*types.Signature)
-		if recv == "" && sig.Recv() == nil {
+		if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
 			return fn
 		}
-		if recv != "" && sig.Recv() != nil {
-			if n, ok := namedType(sig.Recv().Type()); ok && n.Obj().Name() == recv {
-				return fn
-			}
-		}
 	}
-	t.Fatalf("function %s.%s not found", recv, name)
+	t.Fatalf("function %s not found", name)
 	return nil
-}
-
-func TestMatchFunc(t *testing.T) {
-	_, f, pkg, info := typecheck(t, matchSrc)
-	get := lookupFunc(t, pkg, info, f, "Pool", "Get")
-	free := lookupFunc(t, pkg, info, f, "", "Free")
-
-	if !matchFunc(get, funcRef{"internal/demo", "Pool", "Get"}) {
-		t.Errorf("pointer-receiver method should match its registration")
-	}
-	if matchFunc(get, funcRef{"internal/demo", "Pool", "Put"}) {
-		t.Errorf("name mismatch should not match")
-	}
-	if matchFunc(get, funcRef{"internal/other", "Pool", "Get"}) {
-		t.Errorf("package mismatch should not match")
-	}
-	if matchFunc(get, funcRef{"internal/demo", "", "Get"}) {
-		t.Errorf("method should not match a package-level registration")
-	}
-	if !matchFunc(free, funcRef{"internal/demo", "", "Free"}) {
-		t.Errorf("package-level function should match")
-	}
-	if matchFunc(free, funcRef{"internal/demo", "Pool", "Free"}) {
-		t.Errorf("package-level function should not match a method registration")
-	}
-	if matchFunc(nil, funcRef{"internal/demo", "", "Free"}) {
-		t.Errorf("nil *types.Func should never match")
-	}
-}
-
-const calleeSrc = `package demo
-
-type Pool struct{}
-
-func (p *Pool) Get() int { return 0 }
-func Top() int           { return 0 }
-
-func use(p *Pool) (int, int, int) {
-	a := p.Get()
-	b := Top()
-	f := func() int { return 1 }
-	c := f()
-	return a, b, c
-}
-`
-
-func TestCalleeFunc(t *testing.T) {
-	_, f, _, info := typecheck(t, calleeSrc)
-	var got []string
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn := calleeFunc(info, call); fn != nil {
-			got = append(got, fn.Name())
-		} else {
-			got = append(got, "<dynamic>")
-		}
-		return true
-	})
-	want := []string{"Get", "Top", "<dynamic>"}
-	if len(got) != len(want) {
-		t.Fatalf("resolved callees = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("callee %d = %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
-func TestReceiverExpr(t *testing.T) {
-	_, f, _, _ := typecheck(t, calleeSrc)
-	var sawRecv, sawBare bool
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Get" {
-			if id, ok := receiverExpr(call).(*ast.Ident); !ok || id.Name != "p" {
-				t.Errorf("receiverExpr of p.Get() = %v, want ident p", receiverExpr(call))
-			}
-			sawRecv = true
-		}
-		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "Top" {
-			if receiverExpr(call) != nil {
-				t.Errorf("receiverExpr of a bare call should be nil")
-			}
-			sawBare = true
-		}
-		return true
-	})
-	if !sawRecv || !sawBare {
-		t.Fatalf("test did not visit both call shapes (recv=%v bare=%v)", sawRecv, sawBare)
-	}
-}
-
-const appendSrc = `package demo
-
-func use(xs []int) []int {
-	xs = append(xs, 1)
-	ys := append(xs)
-	_ = ys
-	return xs
-}
-`
-
-func TestIsBuiltinAppend(t *testing.T) {
-	_, f, _, info := typecheck(t, appendSrc)
-	var got []bool
-	ast.Inspect(f, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			got = append(got, isBuiltinAppend(info, call))
-		}
-		return true
-	})
-	// append(xs, 1) qualifies; append(xs) has no appended element.
-	want := []bool{true, false}
-	if len(got) != len(want) {
-		t.Fatalf("saw %d calls, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("call %d: isBuiltinAppend = %v, want %v", i, got[i], want[i])
-		}
-	}
 }
 
 const namedSrc = `package demo
@@ -246,8 +95,8 @@ func vals() (Spec, *Spec, Alias, int) { return Spec{}, nil, Spec{}, 0 }
 `
 
 func TestNamedStrictAndRegistry(t *testing.T) {
-	_, f, pkg, info := typecheck(t, namedSrc)
-	sig := lookupFunc(t, pkg, info, f, "", "vals").Type().(*types.Signature)
+	_, f, _, info := typecheck(t, namedSrc)
+	sig := lookupFunc(t, info, f, "vals").Type().(*types.Signature)
 	spec := sig.Results().At(0).Type()
 	ptr := sig.Results().At(1).Type()
 	alias := sig.Results().At(2).Type()
@@ -274,7 +123,7 @@ func TestNamedStrictAndRegistry(t *testing.T) {
 		t.Errorf("pointer to a registered type should fail isRegisteredNamed")
 	}
 
-	// The pointer-unwrapping variant used by poolsafe's type matching.
+	// The pointer-unwrapping variant the type-keyed analyzers use.
 	if !isNamed(ptr, "internal/demo", "Spec") {
 		t.Errorf("isNamed should unwrap the pointer")
 	}
@@ -373,7 +222,7 @@ func TestSuppressed(t *testing.T) {
 	if suppressed(pass, rets[2].Pos(), "ordered") {
 		t.Errorf("unmarked line must not be suppressed")
 	}
-	if suppressed(pass, rets[0].Pos(), "handoff") {
+	if suppressed(pass, rets[0].Pos(), "shared") {
 		t.Errorf("marker names a different rule; must not suppress")
 	}
 	if suppressed(pass, rets[0].Pos(), "order") {

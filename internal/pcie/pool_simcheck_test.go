@@ -10,8 +10,8 @@ import (
 )
 
 // TestLeakedPacketIsAttributable deliberately drops a packet acquired
-// from a Pool and checks the leak ledger names the pcie.Packet pool —
-// the runtime counterpart of poolsafe's static leak-on-path rule.
+// from a Pool and checks the leak ledger names the pcie.Packet pool, so
+// a leak anywhere in a run is attributable to its pool.
 func TestLeakedPacketIsAttributable(t *testing.T) {
 	snap := simx.SnapshotLedger()
 	var p Pool
