@@ -4,7 +4,7 @@
 GO ?= go
 SIMLINT := bin/simlint
 
-.PHONY: build test race simcheck lint lint-fix-list vet fmt-check check clean bench-json bench-compare fault-smoke sweep-smoke metrics-smoke decisions-smoke
+.PHONY: build test race simcheck fuzz lint lint-fix-list vet fmt-check check clean bench-json bench-compare fault-smoke sweep-smoke metrics-smoke decisions-smoke
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,16 @@ race:
 # pool's name.
 simcheck:
 	$(GO) test -tags simcheck ./internal/...
+
+# Short native-fuzzing pass over the event engine's firing order:
+# FuzzEngineOrder (internal/simx) checks random schedules, full of
+# same-instant ties, against an O(n^2) (when, seq) reference. Plain
+# `go test` runs its seed corpus; this mutates beyond it for FUZZTIME.
+# A failing input is written to internal/simx/testdata/fuzz/ — commit
+# it, and it joins the corpus every `go test` replays.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/simx
 
 $(SIMLINT): $(shell find cmd/simlint internal/lint -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o $(SIMLINT) ./cmd/simlint

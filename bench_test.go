@@ -16,8 +16,6 @@ import (
 	"triplea/internal/experiments"
 	"triplea/internal/ftl"
 	"triplea/internal/metrics"
-	"triplea/internal/nand"
-	"triplea/internal/pcie"
 	"triplea/internal/report"
 	"triplea/internal/simx"
 	"triplea/internal/topo"
@@ -491,34 +489,6 @@ func BenchmarkSweepFig12x16Parallel(b *testing.B) {
 
 // --- Substrate microbenchmarks.
 
-// nopReceiver is a zero-size event, grant and NAND-completion receiver:
-// converting it to an interface allocates nothing, so the substrate
-// microbenchmarks time the simulator's own scheduling path alone.
-type nopReceiver struct{}
-
-func (nopReceiver) OnEvent(uint64)              {}
-func (nopReceiver) OnGrant(uint64, simx.Time)   {}
-func (nopReceiver) OnNandDone(simx.Time, error) {}
-
-func BenchmarkEngineScheduleFire(b *testing.B) {
-	eng := simx.NewEngine()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.ScheduleEvent(simx.Nanosecond, nopReceiver{}, 0)
-		eng.Step()
-	}
-}
-
-func BenchmarkResourceAcquireRelease(b *testing.B) {
-	eng := simx.NewEngine()
-	r := simx.NewResource(eng, "bench", 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.AcquireG(nopReceiver{}, 0)
-		r.Release()
-	}
-}
-
 func BenchmarkPPNPackUnpack(b *testing.B) {
 	b.ReportAllocs()
 	var acc int
@@ -528,52 +498,6 @@ func BenchmarkPPNPackUnpack(b *testing.B) {
 	}
 	_ = acc
 }
-
-func BenchmarkFTLWriteAllocate(b *testing.B) {
-	g := topo.Geometry{
-		Switches: 4, ClustersPerSwitch: 16, FIMMsPerCluster: 4,
-		PackagesPerFIMM: 8, Nand: nand.DefaultParams(),
-	}
-	f := ftl.New(g)
-	span := g.TotalPages().Int64() / 4
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.AllocateWrite(int64(i) % span); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNandReadOp(b *testing.B) {
-	eng := simx.NewEngine()
-	pk := nand.NewPackage(eng, nand.DefaultParams())
-	addrs := []nand.Addr{{}}
-	pk.ProgramOp(addrs, nopReceiver{})
-	eng.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pk.ReadOp(addrs, nopReceiver{})
-		eng.Run()
-	}
-}
-
-func BenchmarkLinkTransfer(b *testing.B) {
-	eng := simx.NewEngine()
-	sink := recvFunc(func(p *pcie.Packet, from *pcie.Link) { from.ReturnCredit() })
-	l := pcie.NewLink(eng, "bench", 16_000_000_000, 100, 8, sink)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Send(&pcie.Packet{Payload: 4096}, nil)
-		eng.Run()
-	}
-}
-
-type recvFunc func(*pcie.Packet, *pcie.Link)
-
-func (f recvFunc) Receive(p *pcie.Packet, l *pcie.Link) { f(p, l) }
 
 func BenchmarkArraySingleRead(b *testing.B) {
 	cfg := array.DefaultConfig()

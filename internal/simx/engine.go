@@ -9,10 +9,7 @@
 // reproducible for a given input.
 package simx
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a simulated instant or duration in nanoseconds.
 type Time int64
@@ -66,33 +63,24 @@ type Event struct {
 	ck   ckLife // pooled-lifecycle guard; empty unless -tags simcheck
 }
 
-type eventHeap []*Event
+// before reports whether a fires ahead of b: earlier time first, then
+// earlier scheduling. seq is unique per engine, so (when, seq) is a
+// strict total order and the firing sequence does not depend on the
+// queue's layout.
+func (a *Event) before(b *Event) bool {
+	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any) {
-	*h = append(*h, x.(*Event))
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
+// heapArity is the fan-out of the pending-event heap. A 4-ary heap is
+// half as deep as a binary one, and a node's four children share one
+// or two cache lines of the pointer slice.
+const heapArity = 4
 
 // Engine is a single-threaded discrete-event simulator.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
 	now     Time
-	events  eventHeap
+	events  []*Event // 4-ary min-heap on (when, seq); see push and pop
 	seq     uint64
 	fired   uint64
 	free    *Event // recycled event nodes (intrusive free-list)
@@ -135,7 +123,7 @@ func (e *Engine) AtEvent(t Time, h Handler, arg uint64) {
 	ev := e.newEvent()
 	e.seq++
 	ev.when, ev.seq, ev.h, ev.arg = t, e.seq, h, arg
-	heap.Push(&e.events, ev)
+	e.push(ev)
 	if simcheckEnabled {
 		e.ckSchedule(ev)
 	}
@@ -177,13 +165,66 @@ func (e *Engine) recycle(ev *Event) {
 // steady-state footprint of the event queue (tests and diagnostics).
 func (e *Engine) EventPoolFree() int { return e.freeLen }
 
+// push adds ev to the pending heap, sifting it up from the new leaf.
+func (e *Engine) push(ev *Event) {
+	h := append(e.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if !ev.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+	e.events = h
+}
+
+// pop removes and returns the earliest pending event; the heap must be
+// non-empty. The last leaf fills the root's hole and sifts down past
+// every child that fires before it.
+func (e *Engine) pop() *Event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	e.events = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := heapArity*i + 1
+		if c >= n {
+			break
+		}
+		end := min(c+heapArity, n)
+		m := c
+		for j := c + 1; j < end; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(last) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = last
+	return top
+}
+
 // Step fires the next event, if any, advancing the clock to its time.
 // It reports whether an event fired.
 func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*Event)
+	ev := e.pop()
 	if simcheckEnabled {
 		e.ckStep(ev)
 	}

@@ -149,16 +149,18 @@ func (e *Engine) ckMaybeVerifyHeap() {
 	}
 }
 
-// ckVerifyHeap proves two properties of the pending-event heap: the
-// heap ordering holds between every parent and child, and no pending
-// event is in the past.
+// ckVerifyHeap proves two properties of the pending-event heap: no
+// child (slots heapArity*i+1 .. heapArity*i+heapArity) fires before
+// its parent i, and no pending event is in the past.
 func (e *Engine) ckVerifyHeap() {
-	for i, ev := range e.events {
+	h := e.events
+	for i, ev := range h {
 		if ev.when < e.now {
 			panic(fmt.Sprintf("simcheck: pending event at %v is before now %v", ev.when, e.now))
 		}
-		for _, c := range []int{2*i + 1, 2*i + 2} {
-			if c < len(e.events) && e.events.Less(c, i) {
+		first := heapArity*i + 1
+		for c := first; c < first+heapArity && c < len(h); c++ {
+			if h[c].before(ev) {
 				panic(fmt.Sprintf("simcheck: heap property violated between slot %d and child %d", i, c))
 			}
 		}

@@ -19,20 +19,35 @@ func TestSimcheckSweepsCleanRun(t *testing.T) {
 	}
 }
 
-// TestSimcheckDetectsCorruptHeap breaks the heap order and expects the
-// sweep to panic: this proves the checker actually checks.
+// TestSimcheckDetectsCorruptHeap plants heaps that break the order
+// between one parent and one child and expects the sweep to panic:
+// this proves the checker actually checks, over each node's full range
+// of four children. The last row is a valid 4-ary heap that a binary
+// sweep (children 2i+1, 2i+2) would reject.
 func TestSimcheckDetectsCorruptHeap(t *testing.T) {
-	eng := NewEngine()
-	eng.ScheduleEvent(Microsecond, nopHandler, 0)
-	eng.ScheduleEvent(2*Microsecond, nopHandler, 0)
-	// Put the later event at the root, above its earlier child.
-	eng.events[0], eng.events[1] = eng.events[1], eng.events[0]
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ckVerifyHeap accepted a heap whose root fires after its child")
-		}
-	}()
-	eng.ckVerifyHeap()
+	for _, tc := range []struct {
+		name    string
+		whens   []Time // slot by slot; seq follows slot order
+		corrupt bool
+	}{
+		{"root after its first child", []Time{2, 1}, true},
+		{"root after its fourth child", []Time{2, 3, 3, 3, 1}, true},
+		{"slot 1 after its fourth child", []Time{1, 3, 3, 3, 3, 4, 4, 4, 2}, true},
+		{"valid 4-ary heap", []Time{1, 5, 2, 2, 2}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := NewEngine()
+			for i, w := range tc.whens {
+				eng.events = append(eng.events, &Event{when: w, seq: uint64(i + 1)})
+			}
+			defer func() {
+				if panicked := recover() != nil; panicked != tc.corrupt {
+					t.Fatalf("ckVerifyHeap panicked = %v on %v, want %v", panicked, tc.whens, tc.corrupt)
+				}
+			}()
+			eng.ckVerifyHeap()
+		})
+	}
 }
 
 // TestSimcheckDetectsPastEvent plants an event behind the clock and
