@@ -109,6 +109,11 @@ type fimmAlloc struct {
 	units  []*unitAlloc
 	rr     int // round-robin pointer across units
 	erases uint64
+	// maxErase is the highest erase count of any block on the FIMM.
+	// CompleteGCErase is the only place a block's count grows, and
+	// touched blocks are never forgotten, so raising it there keeps it
+	// equal to a scan of every touched block.
+	maxErase int
 }
 
 func newFIMMAlloc(g topo.Geometry) *fimmAlloc {
@@ -233,14 +238,5 @@ func (fa *fimmAlloc) denseLPN(f *FTL, ppn topo.PPN) (int64, bool) {
 
 // wear summarises erases on this FIMM.
 func (fa *fimmAlloc) wear() FIMMWear {
-	w := FIMMWear{Erases: fa.erases}
-	for _, u := range fa.units {
-		//simlint:ordered commutative max over blocks
-		for _, bi := range u.touched {
-			if bi.erase > w.MaxBlock {
-				w.MaxBlock = bi.erase
-			}
-		}
-	}
-	return w
+	return FIMMWear{Erases: fa.erases, MaxBlock: fa.maxErase}
 }

@@ -297,6 +297,70 @@ func TestGCCycle(t *testing.T) {
 	}
 }
 
+// scanWear is the reference for Wear: a walk over every touched block
+// of the FIMM, in block order, summing and maximising the per-block
+// erase counts.
+func scanWear(f *FTL, id topo.FIMMID) FIMMWear {
+	var w FIMMWear
+	fa := f.fimms[id.Flat(f.geom)]
+	if fa == nil {
+		return w
+	}
+	for _, u := range fa.units {
+		for b := 0; b < f.geom.Nand.BlocksPerPlane.Int(); b++ {
+			if bi := u.touched[b]; bi != nil {
+				w.Erases += uint64(bi.erase)
+				w.MaxBlock = max(w.MaxBlock, bi.erase)
+			}
+		}
+	}
+	return w
+}
+
+// TestWearMatchesBlockScan churns GC on three FIMMs of the tiny
+// geometry and, after every erase, compares Wear with scanWear. Once a
+// block on the second FIMM has been erased twice it is retired, so its
+// count stays in the scan while GC can no longer pick it.
+func TestWearMatchesBlockScan(t *testing.T) {
+	g := tinyGeometry()
+	f := New(g, WithGCThreshold(4)) // every unit is under pressure once touched
+	ids := []topo.FIMMID{topo.FIMMFromFlat(g, 0), topo.FIMMFromFlat(g, 3), topo.FIMMFromFlat(g, 6)}
+	retired := false
+	for i := 0; i < 1200; i++ {
+		k := i % len(ids)
+		id := ids[k]
+		if plan, ok := f.PlanGC(id, nil); ok {
+			for _, m := range plan.Moves {
+				if _, err := f.AllocateGCMove(m); err != nil {
+					t.Fatalf("AllocateGCMove: %v", err)
+				}
+			}
+			if err := f.CompleteGCErase(plan); err != nil {
+				t.Fatalf("CompleteGCErase: %v", err)
+			}
+			if got, want := f.Wear(id), scanWear(f, id); got != want {
+				t.Fatalf("write %d: Wear(%v) = %+v, block scan %+v", i, id, got, want)
+			}
+			if !retired && k == 1 && f.Wear(id).MaxBlock == 2 {
+				f.RetireBlock(plan.Victim)
+				retired = true
+			}
+		}
+		// Six hot LPNs per FIMM: overwrites leave most pages stale.
+		if _, err := f.AllocateWriteAt(int64(8*k+(i/len(ids))%6), id); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	if !retired {
+		t.Fatal("no block reached two erases, so none was retired")
+	}
+	for _, id := range ids {
+		if w := f.Wear(id); w.MaxBlock < 4 {
+			t.Errorf("Wear(%v) = %+v: churn too light to exercise the maximum", id, w)
+		}
+	}
+}
+
 func TestGCVictimIsEmptiest(t *testing.T) {
 	g := tinyGeometry()
 	f := New(g, WithGCThreshold(4))
