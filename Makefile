@@ -4,7 +4,7 @@
 GO ?= go
 SIMLINT := bin/simlint
 
-.PHONY: build test race simcheck fuzz lint lint-fix-list vet fmt-check check clean bench-json bench-compare fault-smoke sweep-smoke metrics-smoke decisions-smoke
+.PHONY: build test race simcheck fuzz lint lint-fix-list vet fmt-check check clean fault-smoke bench
 
 build:
 	$(GO) build ./...
@@ -67,18 +67,6 @@ fmt-check:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# One pass over every figure/table benchmark with allocation stats,
-# serialised to JSON (see docs/performance.md). BENCH_PR3.json is the
-# committed baseline the CI bench smoke job compares against.
-BENCH_JSON ?= BENCH_PR3.json
-bench-json:
-	$(GO) test . -run '^$$' -bench 'Benchmark(Table|Fig)' -benchtime 1x -benchmem \
-		| $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
-
-# Fail if allocs/op regressed >10% against the committed baseline.
-bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_PR3.json -against $(BENCH_JSON)
-
 # Degraded-mode smoke: the degraded-array study (reference fault plan,
 # reduced 2x4 geometry) written to FAULT_TABLE. The faulted golden
 # replay and the fault-lifecycle tests run under `make simcheck`. See
@@ -88,55 +76,21 @@ fault-smoke:
 	$(GO) run ./cmd/triplea-bench -experiment fault -requests 4000 \
 		-switches 2 -clusters 4 | tee $(FAULT_TABLE)
 
-# Parallel-sweep smoke: the 16-point Fig12 sweep benchmarked serial vs
-# parallel (wall-clock + speedup evidence, see docs/performance.md),
-# serialized to SWEEP_JSON, plus the serial/parallel byte-equivalence
-# tests and the race pass over the orchestration scope.
-SWEEP_JSON ?= BENCH_PR6.json
-sweep-smoke:
-	$(GO) test . -run '^$$' -bench 'BenchmarkSweep' -benchtime 1x -benchmem \
-		| $(GO) run ./cmd/benchjson -o $(SWEEP_JSON)
-	$(GO) test -run 'TestParallel' -v ./internal/experiments/
-	$(GO) test -race ./internal/sweep/
-
-# Streaming-metrics smoke: the recorder footprint benchmarks (exact vs
-# streaming at 10^5 and 10^6 requests, with the steady-state
-# recorder-bytes/op metric) serialized to METRICS_JSON, gated flat
-# (±10%) between the 100k and 1M streaming runs — the O(1)-state
-# contract of docs/metrics.md — plus the streaming determinism/accuracy
-# tests and an end-to-end streaming-backend run of Table 1.
-METRICS_JSON ?= BENCH_PR8.json
-metrics-smoke:
-	$(GO) test . -run '^$$' -bench 'BenchmarkRecorder' -benchtime 1x -benchmem \
-		| $(GO) run ./cmd/benchjson -o $(METRICS_JSON)
-	$(GO) run ./cmd/benchjson -flat recorder-bytes/op \
-		-names RecorderStreaming100k,RecorderStreaming1M -against $(METRICS_JSON)
-	$(GO) test -run 'TestStreaming|TestPercentileNearestRank|TestPropertyStreamingAccuracy|TestSustainedIOPSBackendsAgree' \
-		-v ./internal/metrics/ ./internal/experiments/
-	$(GO) run ./cmd/triplea-bench -experiment table1 -requests 4000 \
-		-switches 2 -clusters 4 -metrics streaming
-
-# Decision flight-recorder smoke (see docs/decision-traces.md): the
-# Table 2 baseline benchmark with recording off, gated against the
-# committed baselines on BOTH allocs/op (vs BENCH_PR3.json — exact, the
-# hot path must stay allocation-free) and ns/op (vs BENCH_PR10.json,
-# ±10% — the zero-overhead-off contract), then the regret study table
-# written to REGRET_TABLE, the seed-42 decision-trace golden, the
-# pure-observation pin and the recorder unit tests.
-DECISIONS_JSON ?= bench-decisions.json
-REGRET_TABLE ?= regret-table.txt
-decisions-smoke:
-	$(GO) test . -run '^$$' -bench 'BenchmarkTable02Baseline' -benchtime 1x -benchmem \
-		| $(GO) run ./cmd/benchjson -o $(DECISIONS_JSON)
-	$(GO) run ./cmd/benchjson -compare BENCH_PR3.json -against $(DECISIONS_JSON) \
-		-names Table02Baseline
-	$(GO) run ./cmd/benchjson -compare BENCH_PR10.json -against $(DECISIONS_JSON) \
-		-metric ns/op -names Table02Baseline
-	$(GO) run ./cmd/triplea-bench -experiment regret -requests 4000 \
-		-switches 2 -clusters 8 | tee $(REGRET_TABLE)
-	$(GO) test -run 'TestDecisionTraceGolden|TestRecordingIsPureObservation|TestRegretStudySmoke' \
-		-v ./internal/experiments/
-	$(GO) test ./internal/decision/
+# The repository benchmark (perfbench/, a module of its own; see
+# perfbench/README.md and docs/performance.md) is the one speed
+# yardstick. The root `go build ./...` skips nested modules, so this
+# vets and tests the module against the current simulator API, then
+# runs each workload on a one-second budget and fails unless its last
+# line reports a correct run with no failed request. Speed itself is
+# compared by alternating same-host runs, not gated here.
+bench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	@for w in paper-suite gc-overwrite fault-recovery; do \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 42 --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$w: $$last"; \
+		echo "$$last" | grep -q '"correct":true' && echo "$$last" | grep -Eq '"failed":0[,}]' \
+			|| { echo "bench: $$w: not a correct run with zero failures"; exit 1; }; \
+	done
 
 check: build fmt-check vet lint test race simcheck
 

@@ -1,246 +1,45 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per table/figure), ablation benchmarks for
-// the design choices DESIGN.md calls out, and microbenchmarks of the
-// substrate hot paths. Long experiment benchmarks naturally run with
-// b.N == 1 and print their tables; repeated iterations reuse the shared
-// suite's cache.
+// Benchmarks for profiling and for the design-choice studies: the
+// Table 2 baseline run (the full-array profiling target), ablation and
+// study benchmarks behind the numbers EXPERIMENTS.md quotes, and two
+// substrate microbenchmarks. They are not a speed yardstick: perfbench/
+// measures speed (docs/performance.md), and the allocation and
+// footprint gates are deterministic tests (TestSteadyStateAllocs,
+// TestStreamingFootprintFlat). cmd/triplea-bench renders every table
+// and figure of the paper.
 package triplea
 
 import (
-	"runtime"
-	"sync"
 	"testing"
 
 	"triplea/internal/array"
 	"triplea/internal/core"
 	"triplea/internal/experiments"
 	"triplea/internal/ftl"
-	"triplea/internal/metrics"
-	"triplea/internal/report"
 	"triplea/internal/simx"
 	"triplea/internal/topo"
 	"triplea/internal/trace"
 	"triplea/internal/workload"
 )
 
-// benchRequests bounds per-run request counts so the full -bench=.
-// sweep finishes in minutes; cmd/triplea-bench runs the full-length
-// versions.
+// benchRequests bounds per-run request counts so each benchmark
+// iteration finishes in seconds; cmd/triplea-bench runs the
+// full-length versions.
 const benchRequests = 30_000
 
-var (
-	suiteOnce sync.Once
-	suite     *experiments.Suite
-)
-
-func sharedSuite() *experiments.Suite {
-	suiteOnce.Do(func() {
-		suite = experiments.NewSuite()
-		suite.Requests = benchRequests
-	})
-	return suite
-}
-
-func logTable(b *testing.B, t *report.Table) {
-	b.Helper()
-	b.Log("\n" + t.String())
-}
-
-func BenchmarkFig01HotRegionCDF(b *testing.B) {
-	s := sharedSuite()
-	var tbl *report.Table
-	var res *experiments.Fig1Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, tbl, err = s.Fig1()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.LinkFactor, "linkDegrX")
-	b.ReportMetric(res.StoreFactor, "storDegrX")
-	logTable(b, tbl)
-}
-
-func BenchmarkTable01Workloads(b *testing.B) {
-	s := sharedSuite()
-	var tbl *report.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tbl, err = s.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	logTable(b, tbl)
-}
-
+// BenchmarkTable02Baseline runs Table 2 (all 13 workloads, baseline and
+// Triple-A, full 4x16 array) on a fresh suite each iteration, so every
+// iteration simulates from scratch and -count N repeats the full run.
+// It is the CPU-profiling target for the whole-array event core:
+//
+//	go test -run '^$' -bench BenchmarkTable02Baseline -benchtime 1x -cpuprofile cpu.out .
 func BenchmarkTable02Baseline(b *testing.B) {
-	s := sharedSuite()
-	var tbl *report.Table
 	for i := 0; i < b.N; i++ {
-		var err error
-		tbl, err = s.Table2()
-		if err != nil {
+		s := experiments.NewSuite()
+		s.Requests = benchRequests
+		if _, err := s.Table2(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	logTable(b, tbl)
-}
-
-func BenchmarkFig09Normalized(b *testing.B) {
-	s := sharedSuite()
-	var tbl *report.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tbl, err = s.Fig9()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Aggregate gains across the congested workloads (paper: ~5x
-	// latency, ~2x IOPS on average).
-	var latSum, iopsSum float64
-	n := 0
-	for _, name := range experiments.WorkloadNames() {
-		r, err := s.Workload(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Profile.HotClusters == 0 {
-			continue
-		}
-		latSum += 1 / r.NormLatency()
-		iopsSum += r.NormIOPS()
-		n++
-	}
-	b.ReportMetric(latSum/float64(n), "meanLatGainX")
-	b.ReportMetric(iopsSum/float64(n), "meanIOPSGainX")
-	logTable(b, tbl)
-}
-
-func BenchmarkFig10Contention(b *testing.B) {
-	s := sharedSuite()
-	var tbl *report.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tbl, err = s.Fig10()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	logTable(b, tbl)
-}
-
-func BenchmarkFig11CDF(b *testing.B) {
-	s := sharedSuite()
-	var tables []*report.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tables, err = s.Fig11()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, t := range tables {
-		logTable(b, t)
-	}
-}
-
-func BenchmarkFig12HotClusterSweep(b *testing.B) {
-	s := sharedSuite()
-	var tbl *report.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tbl, err = s.Fig12()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	logTable(b, tbl)
-}
-
-func BenchmarkFig13NetworkSweep(b *testing.B) {
-	s := sharedSuite()
-	var tbl *report.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tbl, err = s.Fig13()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	logTable(b, tbl)
-}
-
-func BenchmarkFig14ContentionSweep(b *testing.B) {
-	s := sharedSuite()
-	var tbl *report.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tbl, err = s.Fig14()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	logTable(b, tbl)
-}
-
-func BenchmarkFig15Breakdown(b *testing.B) {
-	s := sharedSuite()
-	var tbl *report.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tbl, err = s.Fig15()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	logTable(b, tbl)
-}
-
-func BenchmarkFig16MigrationModes(b *testing.B) {
-	s := sharedSuite()
-	var tbl *report.Table
-	var res *experiments.Fig16Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, tbl, err = s.Fig16()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.AvgUS[1]/res.AvgUS[2], "naiveOverShadowX")
-	logTable(b, tbl)
-}
-
-func BenchmarkWearOverhead(b *testing.B) {
-	s := sharedSuite()
-	var tbl *report.Table
-	var w experiments.WearResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		w, tbl, err = s.Wear()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(w.ExtraWriteFrac*100, "extraWrites%")
-	b.ReportMetric(w.LifetimeLoss*100, "lifetimeLoss%")
-	logTable(b, tbl)
-}
-
-func BenchmarkDRAMRelocation(b *testing.B) {
-	s := sharedSuite()
-	var tbl *report.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tbl, err = s.DRAMStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	logTable(b, tbl)
 }
 
 // BenchmarkDegradedFIMMRecovery measures how much of the performance an
@@ -313,19 +112,6 @@ func BenchmarkOpportunisticGC(b *testing.B) {
 			b.ReportMetric(float64(deferrals), "deferrals")
 		})
 	}
-}
-
-func BenchmarkCostStudy(b *testing.B) {
-	s := sharedSuite()
-	var tbl *report.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tbl, err = s.CostStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	logTable(b, tbl)
 }
 
 // --- Ablation benchmarks: turn off one design element at a time and
@@ -455,38 +241,6 @@ func BenchmarkHostPriorityScheduling(b *testing.B) {
 	}
 }
 
-// --- Sweep-pool wall-clock benchmarks (BENCH_PR6.json, `make
-// sweep-smoke`). Deliberately named outside the Benchmark(Table|Fig)
-// pattern so the PR3 allocation gate ignores them: a fresh suite per
-// iteration defeats the memo cache on purpose, measuring the 16-point
-// Fig12 sweep end to end. Serial vs parallel differ only in Parallel,
-// so their ratio is the pool speedup (~1x on 1 CPU, >=2x on the
-// 4-core CI runner).
-
-func benchSweepFig12(b *testing.B, parallel int) {
-	var tbl *report.Table
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite()
-		s.Requests = 4000
-		s.Fig12Points = 16
-		s.Parallel = parallel
-		var err error
-		tbl, err = s.Fig12()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	logTable(b, tbl)
-}
-
-func BenchmarkSweepFig12x16Serial(b *testing.B) {
-	benchSweepFig12(b, 1)
-}
-
-func BenchmarkSweepFig12x16Parallel(b *testing.B) {
-	benchSweepFig12(b, runtime.GOMAXPROCS(0))
-}
-
 // --- Substrate microbenchmarks.
 
 func BenchmarkPPNPackUnpack(b *testing.B) {
@@ -511,62 +265,4 @@ func BenchmarkArraySingleRead(b *testing.B) {
 		a.Submit(trace.Request{Op: trace.Read, LPN: int64(i % 100000), Pages: 1})
 		a.Engine().Run()
 	}
-}
-
-// synthRecords feeds a recorder `requests` synthetic completions from a
-// seeded stream: a bursty submit clock and latencies spanning several
-// histogram octaves (~1µs .. ~16ms), so the streaming backend's
-// log-spaced buckets, windowed tracker and reservoir all see realistic
-// churn.
-func synthRecords(rec *metrics.Recorder, requests int) {
-	rng := simx.NewRNG(42)
-	var clock simx.Time
-	for i := 0; i < requests; i++ {
-		clock += simx.Time(rng.Intn(2000)) * simx.Nanosecond
-		lat := simx.Time(2000+rng.Intn(1<<uint(10+rng.Intn(14)))) * simx.Nanosecond
-		kind := metrics.Read
-		if rng.Bool(0.3) {
-			kind = metrics.Write
-		}
-		rec.Record(metrics.Record{
-			ID:       uint64(i),
-			Kind:     kind,
-			Pages:    1,
-			Submit:   clock,
-			Complete: clock + lat,
-			Breakdown: metrics.Breakdown{
-				Texe:     lat / 2,
-				LinkWait: lat / 4,
-			},
-		})
-	}
-}
-
-// benchmarkRecorderBytes measures one backend's steady-state metric
-// footprint at a given run length, reported as recorder-bytes/op for
-// the metrics-smoke flatness gate (docs/metrics.md).
-func benchmarkRecorderBytes(b *testing.B, backend metrics.Backend, requests int) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rec := metrics.NewRecorderWith(backend, 0)
-		synthRecords(rec, requests)
-		if rec.Count() != requests {
-			b.Fatalf("recorded %d of %d", rec.Count(), requests)
-		}
-		b.ReportMetric(float64(rec.FootprintBytes()), "recorder-bytes/op")
-	}
-}
-
-// The streaming pair is the O(1) evidence: 10x the requests, flat
-// bytes. The exact run rides along for contrast in BENCH_PR8.json.
-func BenchmarkRecorderStreaming100k(b *testing.B) {
-	benchmarkRecorderBytes(b, metrics.Streaming, 100_000)
-}
-
-func BenchmarkRecorderStreaming1M(b *testing.B) {
-	benchmarkRecorderBytes(b, metrics.Streaming, 1_000_000)
-}
-
-func BenchmarkRecorderExact100k(b *testing.B) {
-	benchmarkRecorderBytes(b, metrics.Exact, 100_000)
 }

@@ -465,7 +465,7 @@ func (m *Manager) siblingFIMM(ep *cluster.Endpoint, laggards []bool, fam decisio
 		}
 		wear := uint64(0)
 		if m.opt.WearAware {
-			wear = m.arr.FTL().Wear(topo.FIMMID{ClusterID: ep.ID(), FIMM: i}).Erases
+			wear = m.arr.FTL().Wear(topo.FIMMID{ClusterID: ep.ID(), FIMM: i})
 		}
 		if n < bestN || wear < bestWear {
 			best, bestN, bestWear = i, n, wear

@@ -377,7 +377,7 @@ func TestWearAwarePlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f.Wear(worn).Erases == 0 {
+	if f.Wear(worn) == 0 {
 		t.Fatal("could not manufacture wear in this geometry")
 	}
 

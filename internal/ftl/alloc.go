@@ -109,11 +109,6 @@ type fimmAlloc struct {
 	units  []*unitAlloc
 	rr     int // round-robin pointer across units
 	erases uint64
-	// maxErase is the highest erase count of any block on the FIMM.
-	// CompleteGCErase is the only place a block's count grows, and
-	// touched blocks are never forgotten, so raising it there keeps it
-	// equal to a scan of every touched block.
-	maxErase int
 }
 
 func newFIMMAlloc(g topo.Geometry) *fimmAlloc {
@@ -234,9 +229,4 @@ func (fa *fimmAlloc) denseLPN(f *FTL, ppn topo.PPN) (int64, bool) {
 	}
 	fp := f.denseFP(ppn)
 	return f.lpnFromHome(ppn.FIMMID().Flat(g), fp), true
-}
-
-// wear summarises erases on this FIMM.
-func (fa *fimmAlloc) wear() FIMMWear {
-	return FIMMWear{Erases: fa.erases, MaxBlock: fa.maxErase}
 }

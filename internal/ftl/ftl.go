@@ -452,19 +452,13 @@ func (f *FTL) fimmAllocFor(flat int) *fimmAlloc {
 	return fa
 }
 
-// FIMMWear summarises wear on one FIMM.
-type FIMMWear struct {
-	Erases   uint64
-	MaxBlock int // highest per-block erase count
-}
-
-// Wear reports wear for one FIMM.
-func (f *FTL) Wear(id topo.FIMMID) FIMMWear {
+// Wear reports the number of block erases on one FIMM.
+func (f *FTL) Wear(id topo.FIMMID) uint64 {
 	fa := f.fimms[id.Flat(f.geom)]
 	if fa == nil {
-		return FIMMWear{}
+		return 0
 	}
-	return fa.wear()
+	return fa.erases
 }
 
 // TotalErases reports erases across the whole array.
@@ -472,7 +466,7 @@ func (f *FTL) TotalErases() uint64 {
 	var n uint64
 	//simlint:ordered commutative sum over FIMMs
 	for _, fa := range f.fimms {
-		n += fa.wear().Erases
+		n += fa.erases
 	}
 	return n
 }

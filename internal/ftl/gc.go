@@ -219,7 +219,6 @@ func (f *FTL) CompleteGCErase(plan *GCPlan) error {
 	}
 	bi.state = blockFree
 	bi.erase++
-	fa.maxErase = max(fa.maxErase, bi.erase)
 	bi.next = 0
 	for i := range bi.mask {
 		bi.mask[i] = 0

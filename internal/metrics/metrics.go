@@ -490,8 +490,8 @@ func (rc *Recorder) Series(n int) []SeriesPoint {
 
 // FootprintBytes estimates the recorder's live metric-state memory: the
 // sample and index buffers under Exact, the fixed streaming structures
-// under Streaming. It is the steady-state flatness gate's measurement
-// (make metrics-smoke), not an exact heap accounting.
+// under Streaming. It is what TestStreamingFootprintFlat pins flat
+// across run lengths, not an exact heap accounting.
 func (rc *Recorder) FootprintBytes() int {
 	const (
 		recordSize  = int(unsafe.Sizeof(Record{}))

@@ -233,6 +233,26 @@ func TestStreamingFailureLogBounded(t *testing.T) {
 	}
 }
 
+// --- bounded state under streaming ---
+
+// TestStreamingFootprintFlat pins the Streaming backend's O(1)-state
+// contract (docs/metrics.md): ten times the records, the same
+// footprint. FootprintBytes counts every buffer the backend keeps, so
+// one that grows with the record count fails here.
+func TestStreamingFootprintFlat(t *testing.T) {
+	footprint := func(n int) int {
+		rc := NewRecorderWith(Streaming, DefaultSustainedWindow)
+		synthStream(42, n, rc)
+		if rc.Count() != n {
+			t.Fatalf("recorded %d of %d", rc.Count(), n)
+		}
+		return rc.FootprintBytes()
+	}
+	if small, large := footprint(100_000), footprint(1_000_000); small != large {
+		t.Errorf("streaming footprint %d B after 1e5 records, %d B after 1e6: state grows with the run", small, large)
+	}
+}
+
 // --- histogram internals ---
 
 // TestBucketIndexMid pins the HDR bucket layout: every value maps to a
