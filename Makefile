@@ -29,15 +29,18 @@ race:
 simcheck:
 	$(GO) test -tags simcheck ./internal/...
 
-# Short native-fuzzing pass over the event engine's firing order:
-# FuzzEngineOrder (internal/simx) checks random schedules, full of
-# same-instant ties, against an O(n^2) (when, seq) reference. Plain
-# `go test` runs its seed corpus; this mutates beyond it for FUZZTIME.
-# A failing input is written to internal/simx/testdata/fuzz/ — commit
-# it, and it joins the corpus every `go test` replays.
+# Short native-fuzzing passes, FUZZTIME each. FuzzEngineOrder
+# (internal/simx) checks random schedules, full of same-instant ties,
+# against an O(n^2) (when, seq) reference. FuzzFTLOps (internal/ftl)
+# checks random sequences of FTL calls against a plain map model of the
+# translation. Plain `go test` runs their seed corpora; this mutates
+# beyond them. A failing input is written to the package's
+# testdata/fuzz/ — commit it, and it joins the corpus every `go test`
+# replays.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/simx
+	$(GO) test -run '^$$' -fuzz '^FuzzFTLOps$$' -fuzztime $(FUZZTIME) ./internal/ftl
 
 $(SIMLINT): $(shell find cmd/simlint internal/lint -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o $(SIMLINT) ./cmd/simlint

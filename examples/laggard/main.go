@@ -76,7 +76,7 @@ func main() {
 			fimms = append(fimms, f)
 		}
 		sort.Slice(fimms, func(i, j int) bool {
-			return fimms[i].Flat(cfg.Geometry) < fimms[j].Flat(cfg.Geometry)
+			return fimms[i].Flat(&cfg.Geometry) < fimms[j].Flat(&cfg.Geometry)
 		})
 		for _, f := range fimms {
 			fmt.Printf(" %v=%d", f, perFIMM[f])

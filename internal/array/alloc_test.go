@@ -47,14 +47,7 @@ func allocScenarios() []allocScenario {
 	small.Geometry.ClustersPerSwitch = 4
 	small.Metrics = metrics.Streaming
 
-	gc := small
-	gc.Geometry.ClustersPerSwitch = 8
-	gc.Geometry.Nand.BlocksPerPlane = 8
-	gc.Geometry.Nand.PagesPerBlock = 16
-	gc.GCThreshold = 4 * units.Block
-	overwrite := workload.MicroWrite(0, 0, 40_000)
-	overwrite.ReadRatio = 0.5
-	overwrite.Footprint = 2048 * units.Page
+	gc, overwrite := gcOverwriteShape()
 
 	hotRead := workload.MicroRead(2, 0, 0)
 	hotRead.RateIOPS = 40_000 * 2 / hotRead.HotIORatio
@@ -64,11 +57,28 @@ func allocScenarios() []allocScenario {
 
 	return []allocScenario{
 		{name: "baseline-read", cfg: small, profile: workload.MicroRead(0, 0, 150_000), measured: 0.02},
-		{name: "baseline-write", cfg: small, profile: workload.MicroWrite(0, 0, 150_000), measured: 0.42},
-		{name: "triplea-read", cfg: small, profile: hotRead, manager: true, measured: 1.36},
-		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 2.55},
-		{name: "fault-recovery", cfg: small, profile: mixed, manager: true, faults: true, measured: 1.84},
+		{name: "baseline-write", cfg: small, profile: workload.MicroWrite(0, 0, 150_000), measured: 0.03},
+		{name: "triplea-read", cfg: small, profile: hotRead, manager: true, measured: 1.17},
+		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 1.98},
+		{name: "fault-recovery", cfg: small, profile: mixed, manager: true, faults: true, measured: 1.27},
 	}
+}
+
+// gcOverwriteShape is the benchmark's gc-overwrite array and load: a
+// tiny-block 2x8 geometry under a 50/50 read/overwrite mix over 2048
+// pages per cluster.
+func gcOverwriteShape() (array.Config, workload.Profile) {
+	cfg := array.DefaultConfig()
+	cfg.Geometry.Switches = 2
+	cfg.Geometry.ClustersPerSwitch = 8
+	cfg.Geometry.Nand.BlocksPerPlane = 8
+	cfg.Geometry.Nand.PagesPerBlock = 16
+	cfg.GCThreshold = 4 * units.Block
+	cfg.Metrics = metrics.Streaming
+	p := workload.MicroWrite(0, 0, 40_000)
+	p.ReadRatio = 0.5
+	p.Footprint = 2048 * units.Page
+	return cfg, p
 }
 
 // TestSteadyStateAllocs pins the heap allocations per request of the
@@ -154,4 +164,63 @@ func (f *feeder) schedule(i int) {
 func (f *feeder) OnEvent(arg uint64) {
 	f.a.Submit(f.reqs[arg])
 	f.schedule(int(arg) + 1)
+}
+
+// setupScenario is one row of the set-up allocation pin table.
+type setupScenario struct {
+	name     string
+	cfg      array.Config
+	profile  workload.Profile
+	measured float64 // allocations per request, default build
+}
+
+// setupScenarios are two of the benchmark's per-run set-ups: the
+// gc-overwrite array with its trace, and one paper-suite array (the cfs
+// profile on the full 4x16 default array, Exact metrics).
+func setupScenarios() []setupScenario {
+	gc, overwrite := gcOverwriteShape()
+	overwrite.Requests = 20_000
+	cfs, _ := workload.ProfileByName("cfs")
+	cfs.Requests = 15_000
+	paper := array.DefaultConfig()
+	paper.Metrics = metrics.Exact
+	return []setupScenario{
+		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 1.20},
+		{name: "paper-cfs", cfg: paper, profile: cfs, measured: 2.99},
+	}
+}
+
+// TestSetupAllocs pins the heap allocations per request of per-run
+// set-up: workload.Generate, array.New and Prepare, which installs the
+// read footprint. The steady-state pins above never see this phase.
+// Each pin is the measured figure plus allocHeadroom, so one more
+// allocation per generated request fails it. A pin moves only with a
+// measured, explained change.
+func TestSetupAllocs(t *testing.T) {
+	for _, sc := range setupScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			reqs, _, err := workload.Generate(sc.cfg.Geometry, sc.profile, allocSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := array.New(sc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Prepare(reqs); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			got := float64(after.Mallocs-before.Mallocs) / float64(len(reqs))
+			pin := sc.measured + allocHeadroom
+			t.Logf("%.2f allocs/request over %d requests (measured %.2f, pin %.2f)", got, len(reqs), sc.measured, pin)
+			if got > pin {
+				t.Errorf("%.2f set-up allocations per request, pinned at %.2f: "+
+					"trace generation, array construction or Prepare allocates more per request", got, pin)
+			}
+		})
+	}
 }

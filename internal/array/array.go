@@ -72,25 +72,17 @@ type Array struct {
 
 	nextReqID   uint64
 	inFlight    int
-	gcActive    map[int]bool // per flat FIMM id
+	gcActive    []bool // per flat FIMM id
 	gcRounds    uint64
 	gcDeferrals uint64
 	migrations  uint64
 	readRetries uint64
 
-	// Write-buffer coherence: pages whose program is still in flight.
-	// Reads of these are served from the endpoint buffer, their blocks
-	// are vetoed as GC victims, and stale-marks are deferred.
-	pendingFlush   map[topo.PPN]bool
-	pendingByBlock map[topo.PPN]int
-	staleOnFlush   map[topo.PPN]bool
-
-	// Per-block program sequencing: NAND requires pages to program in
-	// order inside a block, but writes to one block can be allocated by
-	// different actors (host flush, GC, migration) whose transports
-	// reorder them. The gate launches each block's programs in
-	// allocation order.
-	gates map[topo.PPN]*blockGate
+	// Write-buffer coherence and program sequencing: one record per
+	// erase block (keyed by BlockKey) with programs in flight; see
+	// blockBuf. Idle records wait on freeBuf for reuse.
+	bufs    map[topo.PPN]*blockBuf
+	freeBuf *blockBuf
 
 	// Per-cluster shared-bus utilisation samplers for contention-cause
 	// attribution (rolled every utilWindow).
@@ -122,23 +114,20 @@ func New(cfg Config) (*Array, error) {
 		dec = decision.NewRecorder(cfg.Geometry.TotalClusters())
 	}
 	a := &Array{
-		eng:            eng,
-		cfg:            cfg,
-		decisions:      dec,
-		ftl:            ftl.New(cfg.Geometry, ftl.WithLayout(cfg.Layout), ftl.WithGCThreshold(cfg.GCThreshold)),
-		recorder:       recorder,
-		faultCtrs:      newFaultCounters(recorder.Registry()),
-		rcSlots:        simx.NewResource(eng, "rc-queue", cfg.RCQueueEntries),
-		gcActive:       make(map[int]bool),
-		pendingFlush:   make(map[topo.PPN]bool),
-		pendingByBlock: make(map[topo.PPN]int),
-		staleOnFlush:   make(map[topo.PPN]bool),
-		gates:          make(map[topo.PPN]*blockGate),
-		busUtilAt:      make([]simx.Time, cfg.Geometry.TotalClusters()),
-		busUtilSnap:    make([]simx.Time, cfg.Geometry.TotalClusters()),
-		busUtilLast:    make([]float64, cfg.Geometry.TotalClusters()),
-		cache:          newDRAMCache(units.BytesToPages(cfg.HostDRAMBytes, cfg.Geometry.Nand.PageSizeBytes)),
-		health:         topo.NewHealth(cfg.Geometry),
+		eng:         eng,
+		cfg:         cfg,
+		decisions:   dec,
+		ftl:         ftl.New(cfg.Geometry, ftl.WithLayout(cfg.Layout), ftl.WithGCThreshold(cfg.GCThreshold)),
+		recorder:    recorder,
+		faultCtrs:   newFaultCounters(recorder.Registry()),
+		rcSlots:     simx.NewResource(eng, "rc-queue", cfg.RCQueueEntries),
+		gcActive:    make([]bool, cfg.Geometry.TotalFIMMs()),
+		bufs:        make(map[topo.PPN]*blockBuf),
+		busUtilAt:   make([]simx.Time, cfg.Geometry.TotalClusters()),
+		busUtilSnap: make([]simx.Time, cfg.Geometry.TotalClusters()),
+		busUtilLast: make([]float64, cfg.Geometry.TotalClusters()),
+		cache:       newDRAMCache(units.BytesToPages(cfg.HostDRAMBytes, cfg.Geometry.Nand.PageSizeBytes)),
+		health:      topo.NewHealth(cfg.Geometry),
 	}
 	a.ftl.SetDecisions(dec, eng.Now)
 	a.build()
@@ -154,7 +143,7 @@ const utilWindow = 200 * simx.Microsecond
 // clusterBusUtil samples a cluster's shared-bus utilisation over a
 // rolling window.
 func (a *Array) clusterBusUtil(id topo.ClusterID) float64 {
-	flat := id.Flat(a.cfg.Geometry)
+	flat := id.Flat(&a.cfg.Geometry)
 	now := a.eng.Now()
 	if now-a.busUtilAt[flat] < utilWindow {
 		return a.busUtilLast[flat]
@@ -306,22 +295,15 @@ func (a *Array) ensureMapped(lpn int64) error {
 	if !need {
 		return nil
 	}
-	bk := ppn.BlockKey()
-	a.pendingFlush[ppn] = true
-	a.pendingByBlock[bk]++
-	a.launchProgram(ppn, funcLauncher(func() {
-		if err := a.pkgAt(ppn).ForcePopulate(ppn.NandAddr(a.cfg.Geometry)); err != nil {
+	b := a.buffer(ppn)
+	a.launchProgram(b, funcLauncher(func() {
+		if err := a.pkgAt(ppn).ForcePopulate(ppn.NandAddr(&a.cfg.Geometry)); err != nil {
 			panic(fmt.Sprintf("array: prepopulate: %v", err))
 		}
-		delete(a.pendingFlush, ppn)
-		if a.pendingByBlock[bk]--; a.pendingByBlock[bk] == 0 {
-			delete(a.pendingByBlock, bk)
-		}
-		if a.staleOnFlush[ppn] {
-			delete(a.staleOnFlush, ppn)
+		if b.flushed(ppn.Page()) {
 			a.staleDeviceNow(ppn)
 		}
-		a.releaseGate(bk)
+		a.releaseGate(ppn.BlockKey(), b)
 	}))
 	return nil
 }
@@ -502,8 +484,8 @@ func (a *Array) retryRead(ref *pageRef) {
 	cmd := a.cmdPool.Get()
 	cmd.Op = cluster.OpRead
 	cmd.FIMM, cmd.Pkg = ppn.FIMMSlot(), ppn.Pkg()
-	cmd.SetPageAddr(ppn.NandAddr(a.cfg.Geometry))
-	cmd.BufferHit = a.pendingFlush[ppn]
+	cmd.SetPageAddr(ppn.NandAddr(&a.cfg.Geometry))
+	cmd.BufferHit = a.buffered(ppn)
 	cmd.Meta = ref
 	pkt := a.pktPool.Get()
 	pkt.ID, pkt.Kind, pkt.Addr = ref.req.id, pcie.MemRead, routeAddr(ppn.ClusterID())
@@ -561,7 +543,7 @@ func (a *Array) admitPage(ref *pageRef) {
 		}
 		ppn, _ = a.ftl.Lookup(lpn)
 		kind, op = pcie.MemRead, cluster.OpRead
-		bufferHit = a.pendingFlush[ppn]
+		bufferHit = a.buffered(ppn)
 	case trace.Write:
 		target := a.ftl.ResidentFIMM(lpn)
 		if a.hooks != nil {
@@ -591,18 +573,19 @@ func (a *Array) admitPage(ref *pageRef) {
 	cmd := a.cmdPool.Get()
 	cmd.Op = op
 	cmd.FIMM, cmd.Pkg = ppn.FIMMSlot(), ppn.Pkg()
-	cmd.SetPageAddr(ppn.NandAddr(a.cfg.Geometry))
+	cmd.SetPageAddr(ppn.NandAddr(&a.cfg.Geometry))
 	cmd.BufferHit = bufferHit
 	cmd.Meta = ref
+	var buf *blockBuf
 	if op == cluster.OpWrite {
-		a.trackFlush(ppn, cmd)
+		buf = a.trackFlush(ppn, cmd)
 	}
 	pkt := a.pktPool.Get()
 	pkt.ID, pkt.Kind, pkt.Addr, pkt.Payload = req.id, kind, routeAddr(ppn.ClusterID()), payload
 	pkt.Meta = cmd
 	ref.down = pkt
 	if op == cluster.OpWrite {
-		a.launchProgram(ppn, ref)
+		a.launchProgram(buf, ref)
 	} else {
 		ref.launch()
 	}
@@ -626,53 +609,107 @@ type funcLauncher func()
 
 func (f funcLauncher) launch() { f() }
 
-// blockGate serialises program launches into one erase block.
-type blockGate struct {
-	busy    bool
-	waiting []launcher
+// blockBuf is the write-buffer record of one erase block while any of
+// its page programs is in flight: allocated, buffered in an endpoint,
+// or queued at the block's gate.
+//
+//   - Coherence: a read of a buffered page is served from the endpoint
+//     buffer, a block with buffered pages is vetoed as a GC victim, and
+//     a stale-mark on a buffered page waits for its flush.
+//   - Sequencing: NAND requires pages to program in order inside a
+//     block, but writes to one block can be allocated by different
+//     actors (host flush, GC, migration) whose transports reorder them.
+//     The gate launches the block's programs in allocation order, the
+//     next one only after the previous one flushed.
+type blockBuf struct {
+	buffered pageSet    // pages whose program has not flushed
+	stale    pageSet    // buffered pages whose stale-mark waits for the flush
+	pending  int        // buffered pages
+	busy     bool       // a launched program has not flushed yet
+	waiting  []launcher // programs queued behind it, in allocation order
+	next     *blockBuf  // free-list link
 }
 
-// launchProgram starts a page program respecting per-block allocation
-// order: the next program for a block leaves the host only after the
-// previous one flushed.
-func (a *Array) launchProgram(ppn topo.PPN, l launcher) {
+// pageSet is a bitmap over the pages of one block.
+type pageSet []uint64
+
+func (s pageSet) add(page int)      { s[page/64] |= 1 << (page % 64) }
+func (s pageSet) remove(page int)   { s[page/64] &^= 1 << (page % 64) }
+func (s pageSet) has(page int) bool { return s[page/64]&(1<<(page%64)) != 0 }
+
+// buffer registers an in-flight program of ppn and returns its block's
+// record, taking one off the free-list if the block has none.
+func (a *Array) buffer(ppn topo.PPN) *blockBuf {
 	bk := ppn.BlockKey()
-	g := a.gates[bk]
-	if g == nil {
-		g = &blockGate{}
-		a.gates[bk] = g
+	b := a.bufs[bk]
+	if b == nil {
+		if b = a.freeBuf; b != nil {
+			a.freeBuf, b.next = b.next, nil
+		} else {
+			words := (a.cfg.Geometry.Nand.PagesPerBlock.Int() + 63) / 64
+			b = &blockBuf{buffered: make(pageSet, words), stale: make(pageSet, words)}
+		}
+		a.bufs[bk] = b
 	}
-	if g.busy {
-		g.waiting = append(g.waiting, l)
+	b.buffered.add(ppn.Page())
+	b.pending++
+	return b
+}
+
+// flushed retires a buffered page and reports whether a stale-mark was
+// deferred to its flush.
+func (b *blockBuf) flushed(page int) (staleDeferred bool) {
+	b.buffered.remove(page)
+	b.pending--
+	staleDeferred = b.stale.has(page)
+	b.stale.remove(page)
+	return staleDeferred
+}
+
+// buffered reports whether ppn's program is still buffered in its
+// endpoint.
+func (a *Array) buffered(ppn topo.PPN) bool {
+	b := a.bufs[ppn.BlockKey()]
+	return b != nil && b.buffered.has(ppn.Page())
+}
+
+// launchProgram starts a page program of block b respecting per-block
+// allocation order: the next program for a block leaves the host only
+// after the previous one flushed.
+func (a *Array) launchProgram(b *blockBuf, l launcher) {
+	if b.busy {
+		b.waiting = append(b.waiting, l)
 		return
 	}
-	g.busy = true
+	b.busy = true
 	l.launch()
 }
 
-// releaseGate lets the block's next queued program launch.
-func (a *Array) releaseGate(bk topo.PPN) {
-	g := a.gates[bk]
-	if g == nil {
-		return
-	}
-	if len(g.waiting) > 0 {
-		next := g.waiting[0]
-		g.waiting[0] = nil
-		g.waiting = g.waiting[:copy(g.waiting, g.waiting[1:])]
+// releaseGate lets block bk's next queued program launch. Once the
+// gate is idle and nothing is buffered, the record goes back on the
+// free-list.
+func (a *Array) releaseGate(bk topo.PPN, b *blockBuf) {
+	if len(b.waiting) > 0 {
+		next := b.waiting[0]
+		b.waiting[0] = nil
+		b.waiting = b.waiting[:copy(b.waiting, b.waiting[1:])]
 		next.launch()
 		return
 	}
-	delete(a.gates, bk)
+	b.busy = false
+	if b.pending == 0 {
+		delete(a.bufs, bk)
+		a.freeBuf, b.next = b, a.freeBuf
+	}
 }
 
 // trackFlush registers an in-flight page program and arranges its
-// retirement when the endpoint flush completes (OnCommandFlushed).
-func (a *Array) trackFlush(ppn topo.PPN, cmd *cluster.Command) {
-	a.pendingFlush[ppn] = true
-	a.pendingByBlock[ppn.BlockKey()]++
+// retirement when the endpoint flush completes (OnCommandFlushed). It
+// returns the block's record for launchProgram.
+func (a *Array) trackFlush(ppn topo.PPN, cmd *cluster.Command) *blockBuf {
 	cmd.FlushPPN = ppn
 	cmd.Flushed = a
+	return a.buffer(ppn)
 }
 
 // OnCommandFlushed implements cluster.FlushedH: a tracked page program
@@ -686,18 +723,12 @@ func (a *Array) OnCommandFlushed(c *cluster.Command) {
 	if failed && !(a.faultsArmed && isFaultError(c.Result.Err)) {
 		panic(fmt.Sprintf("array: flush of %v failed: %v", ppn, c.Result.Err))
 	}
-	delete(a.pendingFlush, ppn)
 	bk := ppn.BlockKey()
-	if a.pendingByBlock[bk]--; a.pendingByBlock[bk] == 0 {
-		delete(a.pendingByBlock, bk)
-	}
-	if a.staleOnFlush[ppn] {
-		delete(a.staleOnFlush, ppn)
-		// A failed flush never programmed the page, so there is no
-		// device page to stale-mark; the deferred mark just evaporates.
-		if !failed {
-			a.staleDeviceNow(ppn)
-		}
+	b := a.bufs[bk]
+	// A failed flush never programmed the page, so there is no device
+	// page to stale-mark; a deferred mark just evaporates.
+	if b.flushed(ppn.Page()) && !failed {
+		a.staleDeviceNow(ppn)
 	}
 	if failed {
 		a.failFlushedWrite(ppn)
@@ -707,21 +738,21 @@ func (a *Array) OnCommandFlushed(c *cluster.Command) {
 	} else {
 		c.RetireMark = true
 	}
-	a.releaseGate(bk)
+	a.releaseGate(bk, b)
 }
 
 // markStaleDevice mirrors an FTL stale-mark onto the device page,
 // deferring it when the page's program is still buffered.
 func (a *Array) markStaleDevice(ppn topo.PPN) {
-	if a.pendingFlush[ppn] {
-		a.staleOnFlush[ppn] = true
+	if b := a.bufs[ppn.BlockKey()]; b != nil && b.buffered.has(ppn.Page()) {
+		b.stale.add(ppn.Page())
 		return
 	}
 	a.staleDeviceNow(ppn)
 }
 
 func (a *Array) staleDeviceNow(ppn topo.PPN) {
-	if err := a.pkgAt(ppn).MarkStale(ppn.NandAddr(a.cfg.Geometry)); err != nil {
+	if err := a.pkgAt(ppn).MarkStale(ppn.NandAddr(&a.cfg.Geometry)); err != nil {
 		panic(fmt.Sprintf("array: device stale-mark: %v", err))
 	}
 }
@@ -873,17 +904,16 @@ func (a *Array) ReadRetries() uint64 { return a.readRetries }
 // violation found — a debugging net for layout-reshaping code and a
 // post-run assertion for tests.
 func (a *Array) CheckConsistency() error {
-	g := a.cfg.Geometry
 	var err error
 	a.ftl.ForEachMapping(func(lpn int64, ppn topo.PPN) bool {
 		if back, ok := a.ftl.LPNOf(ppn); !ok || back != lpn {
 			err = fmt.Errorf("array: reverse map of %v = (%d,%v), want LPN %d", ppn, back, ok, lpn)
 			return false
 		}
-		if a.pendingFlush[ppn] {
+		if a.buffered(ppn) {
 			return true // program still buffered; device state lags by design
 		}
-		if st := a.pkgAt(ppn).PageStateAt(ppn.NandAddr(g)); st != nand.PageValid {
+		if st := a.pkgAt(ppn).PageStateAt(ppn.NandAddr(&a.cfg.Geometry)); st != nand.PageValid {
 			err = fmt.Errorf("array: LPN %d maps to %v in device state %v, want valid", lpn, ppn, st)
 			return false
 		}

@@ -132,7 +132,7 @@ func TestWriteEndToEnd(t *testing.T) {
 		t.Fatal("write not mapped")
 	}
 	g := a.Config().Geometry
-	if got := a.pkgAt(ppn).PageStateAt(ppn.NandAddr(g)); got != nand.PageValid {
+	if got := a.pkgAt(ppn).PageStateAt(ppn.NandAddr(&g)); got != nand.PageValid {
 		t.Errorf("device page state = %v, want PageValid", got)
 	}
 	if a.FTL().Stats().HostWrites != 1 {
@@ -464,10 +464,10 @@ func TestGCRaceRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.markStaleDevice(wa.Old)
-	if err := a.pkgAt(wa.New).ForcePopulate(wa.New.NandAddr(cfg.Geometry)); err != nil {
+	if err := a.pkgAt(wa.New).ForcePopulate(wa.New.NandAddr(&cfg.Geometry)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.pkgAt(old).ForceErase(old.NandAddr(cfg.Geometry)); err != nil {
+	if err := a.pkgAt(old).ForceErase(old.NandAddr(&cfg.Geometry)); err != nil {
 		t.Fatal(err)
 	}
 	a.Engine().Run()

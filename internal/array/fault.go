@@ -166,7 +166,7 @@ func (a *Array) restoreLostRead(ref *pageRef) bool {
 		// clone's new home); record it so remapping activity shows up in
 		// the Restore family's choice distribution.
 		if ppn, ok := a.ftl.Lookup(ref.lpn); ok {
-			g := a.cfg.Geometry
+			g := &a.cfg.Geometry
 			c := ppn.ClusterID().Flat(g)
 			f := int64(ppn.FIMMID().Flat(g))
 			rec.Begin(decision.Restore, c, a.eng.Now())
@@ -185,7 +185,7 @@ func (a *Array) redirectWrite(lpn int64, target topo.FIMMID) topo.FIMMID {
 	}
 	fb, ok := a.ftl.FallbackFIMM(lpn)
 	if rec := a.decisions; rec != nil {
-		g := a.cfg.Geometry
+		g := &a.cfg.Geometry
 		rec.Begin(decision.Restore, target.ClusterID.Flat(g), a.eng.Now())
 		rec.Candidate(int64(target.Flat(g)), 0, decision.ExcludedDegraded)
 		if ok {

@@ -14,7 +14,7 @@ import (
 // pages (device reads and programs that contend with host traffic, as
 // real GC does), erases the victim, and repeats while pressure remains.
 func (a *Array) startGC(id topo.FIMMID) {
-	flat := id.Flat(a.cfg.Geometry)
+	flat := id.Flat(&a.cfg.Geometry)
 	if a.gcActive[flat] {
 		return
 	}
@@ -23,7 +23,7 @@ func (a *Array) startGC(id topo.FIMMID) {
 }
 
 func (a *Array) gcStep(id topo.FIMMID) {
-	flat := id.Flat(a.cfg.Geometry)
+	flat := id.Flat(&a.cfg.Geometry)
 	if a.gcHalted(id) {
 		a.gcActive[flat] = false
 		return
@@ -73,7 +73,7 @@ func (a *Array) execGCMoves(plan *ftl.GCPlan, i int, done func()) {
 	readCmd := a.cmdPool.Get()
 	readCmd.Op = cluster.OpRead
 	readCmd.FIMM, readCmd.Pkg = move.Src.FIMMSlot(), move.Src.Pkg()
-	readCmd.SetPageAddr(move.Src.NandAddr(a.cfg.Geometry))
+	readCmd.SetPageAddr(move.Src.NandAddr(&a.cfg.Geometry))
 	readCmd.Background = true
 	readCmd.OnComplete = func(c *cluster.Command) {
 		if c.Result.Err != nil {
@@ -99,7 +99,8 @@ func (a *Array) execGCMoves(plan *ftl.GCPlan, i int, done func()) {
 // gcVeto excludes blocks with buffered (unflushed) programs from
 // victim selection.
 func (a *Array) gcVeto(victim topo.PPN) bool {
-	return a.pendingByBlock[victim.BlockKey()] > 0
+	b := a.bufs[victim.BlockKey()]
+	return b != nil && b.pending > 0
 }
 
 // backgroundProgram writes one page at ppn via the endpoint write path.
@@ -108,7 +109,7 @@ func (a *Array) backgroundProgram(ppn topo.PPN, done func()) {
 	cmd := a.cmdPool.Get()
 	cmd.Op = cluster.OpWrite
 	cmd.FIMM, cmd.Pkg = ppn.FIMMSlot(), ppn.Pkg()
-	cmd.SetPageAddr(ppn.NandAddr(a.cfg.Geometry))
+	cmd.SetPageAddr(ppn.NandAddr(&a.cfg.Geometry))
 	cmd.Background = true
 	// The flush retirement (OnCommandFlushed) recycles the command;
 	// OnComplete only chains the GC state machine.
@@ -120,8 +121,7 @@ func (a *Array) backgroundProgram(ppn topo.PPN, done func()) {
 		}
 		done()
 	}
-	a.trackFlush(ppn, cmd)
-	a.launchProgram(ppn, funcLauncher(func() { ep.Submit(cmd) }))
+	a.launchProgram(a.trackFlush(ppn, cmd), funcLauncher(func() { ep.Submit(cmd) }))
 }
 
 // eraseVictim erases the plan's victim block and completes the plan.
@@ -129,7 +129,7 @@ func (a *Array) eraseVictim(plan *ftl.GCPlan, done func()) {
 	cmd := a.cmdPool.Get()
 	cmd.Op = cluster.OpErase
 	cmd.FIMM, cmd.Pkg = plan.Victim.FIMMSlot(), plan.Victim.Pkg()
-	cmd.SetPageAddr(plan.Victim.NandAddr(a.cfg.Geometry))
+	cmd.SetPageAddr(plan.Victim.NandAddr(&a.cfg.Geometry))
 	cmd.Background = true
 	cmd.OnComplete = func(c *cluster.Command) {
 		err := c.Result.Err
@@ -158,7 +158,7 @@ func (a *Array) runGCNow(id topo.FIMMID) {
 	if !ok {
 		return
 	}
-	g := a.cfg.Geometry
+	g := &a.cfg.Geometry
 	for _, move := range plan.Moves {
 		wa, err := a.ftl.AllocateGCMove(move)
 		if errors.Is(err, ftl.ErrNoSpace) {

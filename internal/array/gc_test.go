@@ -3,7 +3,10 @@ package array
 import (
 	"testing"
 
+	"triplea/internal/cluster"
+	"triplea/internal/nand"
 	"triplea/internal/simx"
+	"triplea/internal/topo"
 	"triplea/internal/trace"
 )
 
@@ -113,13 +116,89 @@ func TestGCVetoProtectsPendingBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bk := wa.New.BlockKey()
-	a.pendingByBlock[bk] = 1
+	b := a.buffer(wa.New)
 	if !a.gcVeto(wa.New) {
 		t.Error("pending block not vetoed")
 	}
-	delete(a.pendingByBlock, bk)
+	b.flushed(wa.New.Page())
+	a.releaseGate(wa.New.BlockKey(), b)
 	if a.gcVeto(wa.New) {
 		t.Error("clean block vetoed")
+	}
+}
+
+// TestWriteBufferRecord follows one block's write-buffer record through
+// two programs, with a stale-mark deferred on the first: reads see the
+// buffer until each page flushes, the deferred mark reaches the device
+// at that page's flush, the second program launches only after the
+// first flushed, the GC veto holds until the last flush, and the record
+// is retired once the gate is idle.
+func TestWriteBufferRecord(t *testing.T) {
+	cfg := testConfig()
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Write one FIMM until two pages land in the same erase block.
+	id := a.FTL().HomeFIMM(0)
+	var first, second topo.PPN
+	byBlock := map[topo.PPN]topo.PPN{}
+	for lpn := int64(0); second == 0; lpn++ {
+		wa, err := a.FTL().AllocateWriteAt(lpn, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, ok := byBlock[wa.New.BlockKey()]; ok {
+			first, second = p, wa.New
+		}
+		byBlock[wa.New.BlockKey()] = wa.New
+	}
+
+	var launched []topo.PPN
+	var cmds []*cluster.Command
+	for _, ppn := range []topo.PPN{first, second} {
+		cmd := a.cmdPool.Get()
+		cmd.Background = true
+		cmds = append(cmds, cmd)
+		a.launchProgram(a.trackFlush(ppn, cmd), funcLauncher(func() { launched = append(launched, ppn) }))
+	}
+	if len(launched) != 1 || launched[0] != first {
+		t.Fatalf("launched %v before any flush, want only %v", launched, first)
+	}
+	if !a.buffered(first) || !a.buffered(second) {
+		t.Fatal("buffered programs not reported as buffer hits")
+	}
+	// The device page is still erased, so an undeferred mark would panic.
+	a.markStaleDevice(first)
+
+	g := &cfg.Geometry
+	for _, ppn := range []topo.PPN{first, second} {
+		if err := a.pkgAt(ppn).ForcePopulate(ppn.NandAddr(g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.OnCommandFlushed(cmds[0])
+	if a.buffered(first) || !a.buffered(second) {
+		t.Errorf("after the first flush: buffered %v, %v; want false, true", a.buffered(first), a.buffered(second))
+	}
+	if st := a.pkgAt(first).PageStateAt(first.NandAddr(g)); st != nand.PageStale {
+		t.Errorf("deferred stale-mark: first page is %v at its flush, want stale", st)
+	}
+	if st := a.pkgAt(second).PageStateAt(second.NandAddr(g)); st != nand.PageValid {
+		t.Errorf("second page is %v, want valid", st)
+	}
+	if len(launched) != 2 {
+		t.Errorf("second program launched %d times after the first flush, want once", len(launched)-1)
+	}
+	if !a.gcVeto(first) {
+		t.Error("block not vetoed while its second program is buffered")
+	}
+
+	a.OnCommandFlushed(cmds[1])
+	if a.buffered(second) || a.gcVeto(first) {
+		t.Error("block still buffered or vetoed after its last flush")
+	}
+	if len(a.bufs) != 0 || a.freeBuf == nil {
+		t.Errorf("%d records live, free-list empty %v: the idle record was not retired", len(a.bufs), a.freeBuf == nil)
 	}
 }

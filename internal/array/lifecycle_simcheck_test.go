@@ -43,10 +43,10 @@ func TestGCRaceRetryRecyclesPools(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.markStaleDevice(wa.Old)
-	if err := a.pkgAt(wa.New).ForcePopulate(wa.New.NandAddr(cfg.Geometry)); err != nil {
+	if err := a.pkgAt(wa.New).ForcePopulate(wa.New.NandAddr(&cfg.Geometry)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.pkgAt(old).ForceErase(old.NandAddr(cfg.Geometry)); err != nil {
+	if err := a.pkgAt(old).ForceErase(old.NandAddr(&cfg.Geometry)); err != nil {
 		t.Fatal(err)
 	}
 	a.Engine().Run()

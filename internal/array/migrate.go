@@ -49,7 +49,7 @@ func (a *Array) MigratePage(lpn int64, dst topo.FIMMID, shadow bool, done func(e
 	}
 
 	transfer := func() { a.transferPage(lpn, src, dst, done) }
-	if shadow || a.pendingFlush[src] {
+	if shadow || a.buffered(src) {
 		// Shadow cloning, or the page's data is still buffered in the
 		// source endpoint: either way no device read is needed.
 		transfer()
@@ -60,7 +60,7 @@ func (a *Array) MigratePage(lpn int64, dst topo.FIMMID, shadow bool, done func(e
 	readCmd := a.cmdPool.Get()
 	readCmd.Op = cluster.OpRead
 	readCmd.FIMM, readCmd.Pkg = src.FIMMSlot(), src.Pkg()
-	readCmd.SetPageAddr(src.NandAddr(a.cfg.Geometry))
+	readCmd.SetPageAddr(src.NandAddr(&a.cfg.Geometry))
 	readCmd.Background = true
 	readCmd.OnComplete = func(c *cluster.Command) {
 		err := c.Result.Err
@@ -98,16 +98,16 @@ func (a *Array) transferPage(lpn int64, src topo.PPN, dst topo.FIMMID, done func
 	writeCmd := a.cmdPool.Get()
 	writeCmd.Op = cluster.OpWrite
 	writeCmd.FIMM, writeCmd.Pkg = wa.New.FIMMSlot(), wa.New.Pkg()
-	writeCmd.SetPageAddr(wa.New.NandAddr(a.cfg.Geometry))
+	writeCmd.SetPageAddr(wa.New.NandAddr(&a.cfg.Geometry))
 	writeCmd.Background = true
 	// OnCommandFlushed recycles the command; OnComplete only reports.
 	writeCmd.OnComplete = finish
-	a.trackFlush(wa.New, writeCmd)
+	buf := a.trackFlush(wa.New, writeCmd)
 
 	if src.ClusterID() == wa.New.ClusterID() {
 		// Reshaping within the cluster: the data never leaves the
 		// endpoint; the write path (bus + program) is the whole cost.
-		a.launchProgram(wa.New, funcLauncher(func() {
+		a.launchProgram(buf, funcLauncher(func() {
 			a.Endpoint(wa.New.ClusterID()).Submit(writeCmd)
 		}))
 		return
@@ -116,7 +116,7 @@ func (a *Array) transferPage(lpn int64, src topo.PPN, dst topo.FIMMID, done func
 	// posted write from the source endpoint to the destination cluster,
 	// sharing links and switch buffers with host traffic. The clone
 	// packet recycles on arrival at the destination endpoint.
-	a.launchProgram(wa.New, funcLauncher(func() {
+	a.launchProgram(buf, funcLauncher(func() {
 		pkt := a.pktPool.Get()
 		pkt.Kind = pcie.MemWrite
 		pkt.Addr = routeAddr(wa.New.ClusterID())

@@ -250,13 +250,13 @@ func (cmd *Command) OnGrant(arg uint64, waited simx.Time) {
 		ep.bus.AcquireG(cmd, gBusRead)
 	case gBusRead:
 		cmd.busWait = waited
-		cmd.xferT = units.ScaleByPages(ep.params.BusPageTime(), cmd.Pages())
+		cmd.xferT = units.ScaleByPages(ep.busPageTime, cmd.Pages())
 		ep.eng.ScheduleEvent(cmd.xferT, cmd, hReadXfer)
 	case gWBuf:
 		ep.admitBufferedWrite(cmd, waited)
 	case gBusFlush:
 		cmd.busWait = waited
-		cmd.xferT = units.ScaleByPages(ep.params.BusPageTime(), cmd.Pages())
+		cmd.xferT = units.ScaleByPages(ep.busPageTime, cmd.Pages())
 		ep.eng.ScheduleEvent(cmd.xferT, cmd, hFlushXfer)
 	default:
 		panic("cluster: unknown grant phase")
@@ -339,6 +339,9 @@ type Endpoint struct {
 	eng    *simx.Engine
 	id     topo.ClusterID
 	params Params
+	// busPageTime is params.BusPageTime(), computed once: the bus path
+	// needs it per command, and the call copies Params.
+	busPageTime simx.Time
 
 	fimms   []*fimm.FIMM
 	bus     *simx.Resource // shared local bus
@@ -375,6 +378,7 @@ func New(eng *simx.Engine, id topo.ClusterID, params Params) *Endpoint {
 		eng:            eng,
 		id:             id,
 		params:         params,
+		busPageTime:    params.BusPageTime(),
 		bus:            simx.NewResource(eng, id.String()+".bus", 1),
 		staging:        simx.NewResource(eng, id.String()+".staging", params.StagingEntries),
 		hal:            simx.NewResource(eng, id.String()+".hal", 1),

@@ -102,6 +102,9 @@ type Stats struct {
 type Manager struct {
 	arr *array.Array
 	opt Options
+	// geom is the array's geometry, copied once at Attach: every page
+	// completion needs it, and Array.Config copies the whole Config.
+	geom *topo.Geometry
 
 	busTime  simx.Time // tDMA: shared-bus time per page
 	texeRead simx.Time // nominal read cell time
@@ -118,7 +121,8 @@ type Manager struct {
 
 	// recent tracks each FIMM's most recently served LPNs (a proxy for
 	// the data its stalled requests want), fueling batch reshaping.
-	recent map[int]*lpnRing
+	// Indexed by flat FIMM id; nil until the FIMM serves a page.
+	recent []*lpnRing
 
 	// laggardScratch backs detectLaggards, which runs on every page
 	// completion and every write-target decision; reusing one buffer
@@ -182,6 +186,7 @@ func Attach(a *array.Array, opt Options) *Manager {
 	m := &Manager{
 		arr:       a,
 		opt:       opt,
+		geom:      &cfg.Geometry,
 		busTime:   cfg.BusPageTime(),
 		texeRead:  n.TCmdOverhead + n.TRead + n.TECCPerPage,
 		nFIMM:     cfg.Geometry.FIMMsPerCluster,
@@ -190,7 +195,7 @@ func Attach(a *array.Array, opt Options) *Manager {
 		utilBusy:  make([]simx.Time, cfg.Geometry.TotalClusters()),
 		utilLast:  make([]float64, cfg.Geometry.TotalClusters()),
 		migrating: make(map[int64]bool),
-		recent:    make(map[int]*lpnRing),
+		recent:    make([]*lpnRing, cfg.Geometry.TotalFIMMs()),
 
 		laggardScratch: make([]bool, cfg.Geometry.FIMMsPerCluster),
 	}
@@ -224,8 +229,7 @@ func (m *Manager) OnPageComplete(pc array.PageComplete) {
 
 // rememberServed records the page in its FIMM's recent-working-set ring.
 func (m *Manager) rememberServed(pc array.PageComplete) {
-	g := m.arr.Config().Geometry
-	flat := topo.FIMMID{ClusterID: pc.Cluster, FIMM: pc.FIMM}.Flat(g)
+	flat := topo.FIMMID{ClusterID: pc.Cluster, FIMM: pc.FIMM}.Flat(m.geom)
 	r := m.recent[flat]
 	if r == nil {
 		r = newLPNRing(4 * m.opt.ReshapeBatch)
@@ -307,9 +311,8 @@ func (m *Manager) reshapeBatch(pc array.PageComplete, laggards []bool) {
 	if m.utilization(pc.Cluster) > 0.5 {
 		return
 	}
-	g := m.arr.Config().Geometry
 	laggard := topo.FIMMID{ClusterID: pc.Cluster, FIMM: pc.FIMM}
-	ring := m.recent[laggard.Flat(g)]
+	ring := m.recent[laggard.Flat(m.geom)]
 	if ring == nil {
 		return
 	}
@@ -438,8 +441,7 @@ func (m *Manager) siblingFIMM(ep *cluster.Endpoint, laggards []bool, fam decisio
 		rec = nil
 	}
 	if rec != nil {
-		g := m.arr.Config().Geometry
-		rec.Begin(fam, ep.ID().Flat(g), m.arr.Engine().Now())
+		rec.Begin(fam, ep.ID().Flat(m.geom), m.arr.Engine().Now())
 	}
 	best, bestN := -1, int(^uint(0)>>1)
 	var bestWear uint64
@@ -472,11 +474,10 @@ func (m *Manager) siblingFIMM(ep *cluster.Endpoint, laggards []bool, fam decisio
 		}
 	}
 	if rec != nil {
-		g := m.arr.Config().Geometry
 		if best >= 0 {
-			rec.Commit(int64(best), -float64(bestN), ep.ID().Flat(g))
+			rec.Commit(int64(best), -float64(bestN), ep.ID().Flat(m.geom))
 		} else {
-			rec.Commit(0, -float64(stalled[0]), ep.ID().Flat(g))
+			rec.Commit(0, -float64(stalled[0]), ep.ID().Flat(m.geom))
 		}
 	}
 	if best < 0 {
@@ -500,7 +501,7 @@ func (m *Manager) leastStalledFIMM(id topo.ClusterID) int {
 // candidate set) are scored through utilizationPeek so recording never
 // perturbs the sampling cache the off path maintains.
 func (m *Manager) coldClusterNear(hot topo.ClusterID, fam decision.Family) (topo.ClusterID, bool) {
-	g := m.arr.Config().Geometry
+	g := m.geom
 	threshold := 1 / float64(m.nFIMM)
 	best := topo.ClusterID{}
 	bestU := threshold
@@ -549,8 +550,7 @@ func (m *Manager) coldClusterNear(hot topo.ClusterID, fam decision.Family) (topo
 // utilization() for those would roll their windows and diverge the
 // cached values from a recording-off run.
 func (m *Manager) utilizationPeek(id topo.ClusterID) float64 {
-	g := m.arr.Config().Geometry
-	flat := id.Flat(g)
+	flat := id.Flat(m.geom)
 	now := m.arr.Engine().Now()
 	if now-m.utilAt[flat] < m.opt.UtilWindow {
 		return m.utilLast[flat]
@@ -561,8 +561,7 @@ func (m *Manager) utilizationPeek(id topo.ClusterID) float64 {
 // utilization samples a cluster's shared-bus utilisation over the
 // sliding window, caching between window rolls.
 func (m *Manager) utilization(id topo.ClusterID) float64 {
-	g := m.arr.Config().Geometry
-	flat := id.Flat(g)
+	flat := id.Flat(m.geom)
 	now := m.arr.Engine().Now()
 	elapsed := now - m.utilAt[flat]
 	if elapsed < m.opt.UtilWindow {

@@ -222,12 +222,12 @@ func TestWriteTargetRedirectsFromLaggard(t *testing.T) {
 			t.Fatal(err)
 		}
 		ppn, _ := a.FTL().Lookup(lpn)
-		if err := a.Endpoint(id).FIMM(ppn.FIMMSlot()).Package(ppn.Pkg()).ForcePopulate(ppn.NandAddr(g)); err != nil {
+		if err := a.Endpoint(id).FIMM(ppn.FIMMSlot()).Package(ppn.Pkg()).ForcePopulate(ppn.NandAddr(&g)); err != nil {
 			t.Fatal(err)
 		}
 		ep.Submit(&cluster.Command{
 			Op: cluster.OpRead, FIMM: ppn.FIMMSlot(), Pkg: ppn.Pkg(),
-			Addrs: []nand.Addr{ppn.NandAddr(g)}, Background: true,
+			Addrs: []nand.Addr{ppn.NandAddr(&g)}, Background: true,
 		})
 	}
 	resident := topo.FIMMID{ClusterID: id, FIMM: 0}
@@ -266,12 +266,12 @@ func TestQueueExaminationStrategy(t *testing.T) {
 			t.Fatal(err)
 		}
 		ppn, _ := a.FTL().Lookup(lpn)
-		if err := ep.FIMM(ppn.FIMMSlot()).Package(ppn.Pkg()).ForcePopulate(ppn.NandAddr(g)); err != nil {
+		if err := ep.FIMM(ppn.FIMMSlot()).Package(ppn.Pkg()).ForcePopulate(ppn.NandAddr(&g)); err != nil {
 			t.Fatal(err)
 		}
 		ep.Submit(&cluster.Command{
 			Op: cluster.OpRead, FIMM: ppn.FIMMSlot(), Pkg: ppn.Pkg(),
-			Addrs: []nand.Addr{ppn.NandAddr(g)}, Background: true,
+			Addrs: []nand.Addr{ppn.NandAddr(&g)}, Background: true,
 		})
 	}
 	lag := m.detectLaggards(ep)
@@ -307,7 +307,7 @@ func prepLPN(a *array.Array, lpn int64) error {
 	if need {
 		g := a.Config().Geometry
 		return a.Endpoint(ppn.ClusterID()).FIMM(ppn.FIMMSlot()).Package(ppn.Pkg()).
-			ForcePopulate(ppn.NandAddr(g))
+			ForcePopulate(ppn.NandAddr(&g))
 	}
 	return nil
 }

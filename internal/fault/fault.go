@@ -175,7 +175,7 @@ func (p Plan) Materialize(g topo.Geometry) []Event {
 		if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
 			return c
 		}
-		if c := cmp.Compare(a.Cluster.Flat(g), b.Cluster.Flat(g)); c != 0 {
+		if c := cmp.Compare(a.Cluster.Flat(&g), b.Cluster.Flat(&g)); c != 0 {
 			return c
 		}
 		if c := cmp.Compare(a.FIMM, b.FIMM); c != 0 {

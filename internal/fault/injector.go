@@ -118,7 +118,7 @@ func (inj *Injector) apply(ev Event) {
 		up.Retrain(ev.Duration)
 
 	case KindBlockReadFail:
-		addr := ev.Block.NandAddr(g)
+		addr := ev.Block.NandAddr(&g)
 		ep.FIMM(ev.Block.FIMMSlot()).Package(ev.Block.Pkg()).FailBlock(addr)
 		if inj.opt.Recover {
 			// List before dropping: DropMapping clears the valid bits
@@ -128,7 +128,7 @@ func (inj *Injector) apply(ev Event) {
 		}
 
 	case KindBlockWearOut:
-		addr := ev.Block.NandAddr(g)
+		addr := ev.Block.NandAddr(&g)
 		ep.FIMM(ev.Block.FIMMSlot()).Package(ev.Block.Pkg()).WearOutBlock(addr)
 		if inj.opt.Recover {
 			// Data stays readable; just never program or erase it again.
@@ -136,7 +136,7 @@ func (inj *Injector) apply(ev Event) {
 		}
 
 	case KindDieReadFail:
-		addr := ev.Block.NandAddr(g)
+		addr := ev.Block.NandAddr(&g)
 		ep.FIMM(ev.Block.FIMMSlot()).Package(ev.Block.Pkg()).FailDie(addr.Die)
 		if inj.opt.Recover {
 			fid := ev.Block.FIMMID()
@@ -169,7 +169,7 @@ func (inj *Injector) apply(ev Event) {
 		inj.evacuate(ev.Cluster)
 
 	case KindClusterReplug:
-		if e := inj.evacs[ev.Cluster.Flat(g)]; e != nil {
+		if e := inj.evacs[ev.Cluster.Flat(&g)]; e != nil {
 			// Replugged mid-evacuation: the data is reachable again, so
 			// abandon the remaining drain (in-flight moves finish) and
 			// don't release the hardware.
@@ -227,20 +227,20 @@ func (inj *Injector) evacuate(id topo.ClusterID) {
 		// a candidate: same-switch destinations score 1 (preferred local
 		// fabric hops), cross-switch ones 0. The rotation then cycles
 		// through all of them, so only the first pick is the "decision".
-		rec.Begin(decision.Evacuation, id.Flat(g), a.Engine().Now())
+		rec.Begin(decision.Evacuation, id.Flat(&g), a.Engine().Now())
 		for _, fid := range targets {
 			score := 0.0
 			if fid.Switch == id.Switch {
 				score = 1.0
 			}
-			rec.Candidate(int64(fid.Flat(g)), score, decision.Eligible)
+			rec.Candidate(int64(fid.Flat(&g)), score, decision.Eligible)
 		}
 		first := targets[0]
 		score := 0.0
 		if first.Switch == id.Switch {
 			score = 1.0
 		}
-		rec.Commit(int64(first.Flat(g)), score, first.ClusterID.Flat(g))
+		rec.Commit(int64(first.Flat(&g)), score, first.ClusterID.Flat(&g))
 	}
 
 	inj.stats.Recoveries = append(inj.stats.Recoveries,
@@ -248,7 +248,7 @@ func (inj *Injector) evacuate(id topo.ClusterID) {
 	e := &evac{
 		inj:     inj,
 		id:      id,
-		flat:    id.Flat(g),
+		flat:    id.Flat(&g),
 		recIdx:  len(inj.stats.Recoveries) - 1,
 		targets: targets,
 		queue:   a.FTL().MappedOnCluster(id),

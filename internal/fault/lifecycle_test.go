@@ -94,11 +94,26 @@ func lifecycleCases(t *testing.T) []lifecycleCase {
 		Block: topo.PackPPN(0, 0, 0, 0, 0, 0, 0),
 	}}}
 
+	// A one-FIMM array whose cluster is unplugged mid-run with recovery
+	// on: there is nowhere to evacuate to, so the cluster goes offline,
+	// write redirection finds no placeable fallback FIMM, and the writes
+	// fail downstream.
+	lone := testConfig()
+	lone.Geometry.Switches, lone.Geometry.ClustersPerSwitch, lone.Geometry.FIMMsPerCluster = 1, 1, 1
+	var writes []trace.Request
+	for i := 0; i < 200; i++ {
+		writes = append(writes, trace.Request{
+			Arrival: simx.Time(i) * 2 * simx.Microsecond, Op: trace.Write, LPN: int64(i % 64), Pages: 1,
+		})
+	}
+	unplugLone := Plan{Events: []Event{{At: writes[100].Arrival, Kind: KindClusterUnplug}}}
+
 	return []lifecycleCase{
 		{name: "fimm-death+unplug-recover-off", cfg: small, reqs: burst, plan: killAndPull},
 		{name: "fimm-death+unplug-recover-on", cfg: small, reqs: burst, plan: killAndPull, recover: true},
 		{name: "gc-overwrite-fimm-deaths", cfg: gc, reqs: overwrite, plan: fimmDeaths},
 		{name: "gc-overwrite-die-fail-recover-off", cfg: gc, reqs: overwrite, plan: deadDie},
+		{name: "one-fimm-unplug-recover-on", cfg: lone, reqs: writes, plan: unplugLone, recover: true},
 	}
 }
 

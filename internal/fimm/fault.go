@@ -40,7 +40,7 @@ func (f *FIMM) SetCellTimeScale(s float64) {
 // xferTime reports the channel time for n pages under any injected
 // lane degradation.
 func (f *FIMM) xferTime(n int) simx.Time {
-	t := units.ScaleByPages(f.params.PageTransferTime(), units.Pages(n))
+	t := units.ScaleByPages(f.pageXfer, units.Pages(n))
 	if f.channelScale > 0 {
 		t = simx.Time(float64(t) * f.channelScale)
 	}

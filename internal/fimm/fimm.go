@@ -112,8 +112,11 @@ type Done interface {
 
 // FIMM is one flash inline memory module.
 type FIMM struct {
-	eng      *simx.Engine
-	params   Params
+	eng    *simx.Engine
+	params Params
+	// pageXfer is params.PageTransferTime(), computed once: every read
+	// and program needs it, and the call copies Params.
+	pageXfer simx.Time
 	packages []*nand.Package
 	channel  *simx.Resource
 	freeOp   *fop // recycled operation nodes
@@ -246,9 +249,10 @@ func New(eng *simx.Engine, params Params) *FIMM {
 		panic(err)
 	}
 	f := &FIMM{
-		eng:     eng,
-		params:  params,
-		channel: simx.NewResource(eng, "fimm-channel", 1),
+		eng:      eng,
+		params:   params,
+		pageXfer: params.PageTransferTime(),
+		channel:  simx.NewResource(eng, "fimm-channel", 1),
 	}
 	for i := 0; i < params.NumPackages; i++ {
 		f.packages = append(f.packages, nand.NewPackage(eng, params.Nand))
@@ -374,7 +378,7 @@ func splitDeviceTime(observed, nominal simx.Time) (wait, cell simx.Time) {
 
 // cellTime reports the nominal (queue-free) cell time of an op.
 func (f *FIMM) cellTime(op nand.Op, n int) simx.Time {
-	p := f.params.Nand
+	p := &f.params.Nand
 	switch op {
 	case nand.OpRead:
 		return p.TCmdOverhead + p.TRead + p.TECCPerPage

@@ -20,12 +20,19 @@ const (
 // keeping memory proportional to the workload footprint rather than the
 // 16 TB array.
 type blockInfo struct {
-	state   blockStateKind
-	erase   int
-	valid   int
-	next    int      // sequential-program pointer
-	mask    []uint64 // valid-page bitmap
-	retired bool     // faulted out: never allocated, claimed or GC'd again
+	state blockStateKind
+	erase int
+	valid int
+	next  int      // sequential-program pointer
+	mask  []uint64 // valid-page bitmap
+	// lpns records, for a written (non-dense) block, the LPN each page
+	// was programmed with: pages program in order, so slot i is page i.
+	// It grows as pages program, because sparse workloads open many
+	// blocks they barely use. A slot outlives its page's validity; only
+	// the mask says whether the page still holds that LPN. Dense blocks
+	// leave it empty: their pages invert analytically.
+	lpns    []int64
+	retired bool // faulted out: never allocated, claimed or GC'd again
 }
 
 func (bi *blockInfo) ensureMask(pagesPerBlock int) {
@@ -54,7 +61,11 @@ func (bi *blockInfo) isValid(page int) bool {
 // unitAlloc manages the blocks of one parallel unit (package, die,
 // plane). Block indices here are plane-local.
 type unitAlloc struct {
-	touched      map[int]*blockInfo
+	// touched holds the state of every touched block, indexed by
+	// plane-local block; nil entries are virgin. It is grown only to
+	// the highest block touched, so it stays proportional to the
+	// footprint (see blockInfo).
+	touched      []*blockInfo
 	freeList     []int // recycled free blocks
 	nextFresh    int   // lowest never-touched plane-local block
 	aheadTouched int   // touched blocks at indices >= nextFresh
@@ -64,7 +75,23 @@ type unitAlloc struct {
 }
 
 func newUnitAlloc() *unitAlloc {
-	return &unitAlloc{touched: make(map[int]*blockInfo), active: -1}
+	return &unitAlloc{active: -1}
+}
+
+// block returns plane-local block b's state, or nil if b is virgin.
+func (u *unitAlloc) block(b int) *blockInfo {
+	if b < len(u.touched) {
+		return u.touched[b]
+	}
+	return nil
+}
+
+// touch records the state of a newly touched block b.
+func (u *unitAlloc) touch(b int, bi *blockInfo) {
+	if b >= len(u.touched) {
+		u.touched = append(u.touched, make([]*blockInfo, b+1-len(u.touched))...)
+	}
+	u.touched[b] = bi
 }
 
 // freeBlocks reports how many blocks could still become allocation
@@ -80,14 +107,14 @@ func (u *unitAlloc) takeFreeBlock(blocksPerPlane int) (int, *blockInfo, bool) {
 	for u.nextFresh < blocksPerPlane {
 		b := u.nextFresh
 		u.nextFresh++
-		if _, ok := u.touched[b]; ok {
+		if u.block(b) != nil {
 			// Includes blocks retired by fault injection: retirement gives
 			// an untouched block a touched entry exactly so this skips it.
 			u.aheadTouched--
 			continue
 		}
 		bi := &blockInfo{}
-		u.touched[b] = bi
+		u.touch(b, bi)
 		return b, bi, true
 	}
 	if len(u.freeList) == 0 {
@@ -111,8 +138,8 @@ type fimmAlloc struct {
 	erases uint64
 }
 
-func newFIMMAlloc(g topo.Geometry) *fimmAlloc {
-	fa := &fimmAlloc{units: make([]*unitAlloc, g.ParallelUnitsPerFIMM())}
+func newFIMMAlloc(units int) *fimmAlloc {
+	fa := &fimmAlloc{units: make([]*unitAlloc, units)}
 	for i := range fa.units {
 		fa.units[i] = newUnitAlloc()
 	}
@@ -120,23 +147,23 @@ func newFIMMAlloc(g topo.Geometry) *fimmAlloc {
 }
 
 // unitIndex maps a PPN's (pkg, die, plane) to its unit slot.
-func unitIndex(g topo.Geometry, pkg, die, plane int) int {
+func unitIndex(g *topo.Geometry, pkg, die, plane int) int {
 	return (pkg*g.Nand.DiesPerPackage+die)*g.Nand.PlanesPerDie + plane
 }
 
 // unitCoords inverts unitIndex.
-func unitCoords(g topo.Geometry, unit int) (pkg, die, plane int) {
+func unitCoords(g *topo.Geometry, unit int) (pkg, die, plane int) {
 	planes := g.Nand.PlanesPerDie
 	dies := g.Nand.DiesPerPackage
 	return unit / (dies * planes), (unit / planes) % dies, unit % planes
 }
 
-func (fa *fimmAlloc) unitOf(g topo.Geometry, ppn topo.PPN) *unitAlloc {
+func (fa *fimmAlloc) unitOf(g *topo.Geometry, ppn topo.PPN) *unitAlloc {
 	plane := ppn.Block() % g.Nand.PlanesPerDie
 	return fa.units[unitIndex(g, ppn.Pkg(), ppn.Die(), plane)]
 }
 
-func planeLocalBlock(g topo.Geometry, ppn topo.PPN) int {
+func planeLocalBlock(g *topo.Geometry, ppn topo.PPN) int {
 	return ppn.Block() / g.Nand.PlanesPerDie
 }
 
@@ -144,13 +171,13 @@ func planeLocalBlock(g topo.Geometry, ppn topo.PPN) int {
 // It reports false if the block has been consumed by dynamic
 // allocation, in which case the caller allocates out-of-place.
 func (fa *fimmAlloc) claimDense(f *FTL, ppn topo.PPN) bool {
-	g := f.geom
+	g := &f.geom
 	u := fa.unitOf(g, ppn)
 	b := planeLocalBlock(g, ppn)
-	bi := u.touched[b]
+	bi := u.block(b)
 	if bi == nil {
 		bi = &blockInfo{state: blockDense}
-		u.touched[b] = bi
+		u.touch(b, bi)
 		u.allocated++
 		if b >= u.nextFresh {
 			u.aheadTouched++
@@ -169,10 +196,11 @@ func (fa *fimmAlloc) claimDense(f *FTL, ppn topo.PPN) bool {
 	return true
 }
 
-// allocPage hands out the next physical page on this FIMM, rotating
-// across parallel units so consecutive writes land on different dies.
-func (fa *fimmAlloc) allocPage(f *FTL, id topo.FIMMID) (topo.PPN, error) {
-	g := f.geom
+// allocPage hands out the next physical page on this FIMM for lpn,
+// rotating across parallel units so consecutive writes land on
+// different dies.
+func (fa *fimmAlloc) allocPage(f *FTL, id topo.FIMMID, lpn int64) (topo.PPN, error) {
+	g := &f.geom
 	for attempt := 0; attempt < len(fa.units); attempt++ {
 		unit := (fa.rr + attempt) % len(fa.units)
 		u := fa.units[unit]
@@ -194,6 +222,7 @@ func (fa *fimmAlloc) allocPage(f *FTL, id topo.FIMMID) (topo.PPN, error) {
 		page := bi.next
 		bi.next++
 		bi.setValid(page)
+		bi.lpns = append(bi.lpns, lpn)
 		pkg, die, plane := unitCoords(g, unit)
 		block := u.active*g.Nand.PlanesPerDie + plane
 		ppn := topo.PackPPN(id.Switch, id.Cluster, id.FIMM, pkg, die, block, page)
@@ -207,26 +236,22 @@ func (fa *fimmAlloc) allocPage(f *FTL, id topo.FIMMID) (topo.PPN, error) {
 	return 0, ErrNoSpace
 }
 
-// markStale clears a page's valid bit after its LPN moved elsewhere.
-func (fa *fimmAlloc) markStale(f *FTL, ppn topo.PPN) {
-	g := f.geom
-	u := fa.unitOf(g, ppn)
-	bi := u.touched[planeLocalBlock(g, ppn)]
-	if bi == nil || !bi.isValid(ppn.Page()) {
-		panic(fmt.Sprintf("ftl: markStale of non-valid page %v", ppn))
+// blockOf returns the state of ppn's erase block, or nil if the block
+// was never touched.
+func (f *FTL) blockOf(ppn topo.PPN) *blockInfo {
+	fa := f.fimms[ppn.FIMMID().Flat(&f.geom)]
+	if fa == nil {
+		return nil
 	}
-	bi.clearValid(ppn.Page())
+	return fa.unitOf(&f.geom, ppn).block(planeLocalBlock(&f.geom, ppn))
 }
 
-// denseLPN inverts a dense page back to its LPN, if the page is a live
-// prepopulated page.
-func (fa *fimmAlloc) denseLPN(f *FTL, ppn topo.PPN) (int64, bool) {
-	g := f.geom
-	u := fa.unitOf(g, ppn)
-	bi := u.touched[planeLocalBlock(g, ppn)]
-	if bi == nil || bi.state != blockDense || !bi.isValid(ppn.Page()) {
-		return 0, false
+// lpnAt reports the LPN held by ppn, a valid page of block bi: the LPN
+// a written block recorded when it programmed the page, or the
+// analytic inverse of a dense page's home.
+func (f *FTL) lpnAt(bi *blockInfo, ppn topo.PPN) int64 {
+	if bi.state == blockDense {
+		return f.lpnFromHome(ppn.FIMMID().Flat(&f.geom), f.denseFP(ppn))
 	}
-	fp := f.denseFP(ppn)
-	return f.lpnFromHome(ppn.FIMMID().Flat(g), fp), true
+	return bi.lpns[ppn.Page()]
 }

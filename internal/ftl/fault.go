@@ -23,7 +23,7 @@ func (f *FTL) placeableFlat(flat int) bool {
 	if f.health == nil {
 		return true
 	}
-	return f.health.Placeable(topo.FIMMFromFlat(f.geom, flat))
+	return f.health.Placeable(f.ids[flat])
 }
 
 // FallbackFIMM picks a deterministic placeable FIMM for lpn: its home
@@ -36,14 +36,14 @@ func (f *FTL) FallbackFIMM(lpn int64) (topo.FIMMID, bool) {
 	}
 	homeFlat, _ := f.home(lpn)
 	if f.placeableFlat(homeFlat) {
-		return topo.FIMMFromFlat(f.geom, homeFlat), true
+		return f.ids[homeFlat], true
 	}
-	n := f.geom.TotalFIMMs()
-	start := homeFlat + 1 + int(lpn%int64(n-1))
+	n := len(f.ids)
+	start := homeFlat + 1 + int(lpn%int64(max(n-1, 1)))
 	for i := 0; i < n; i++ {
 		flat := (start + i) % n
 		if f.placeableFlat(flat) {
-			return topo.FIMMFromFlat(f.geom, flat), true
+			return f.ids[flat], true
 		}
 	}
 	return topo.FIMMID{}, false
@@ -99,7 +99,7 @@ func (f *FTL) MappedOnCluster(id topo.ClusterID) []int64 {
 // allocation, dense claim or GC will touch it. The caller (the fault
 // injector) drops the mappings separately.
 func (f *FTL) SetFIMMDead(id topo.FIMMID) {
-	fa := f.fimmAllocFor(id.Flat(f.geom))
+	fa := f.fimmAllocFor(id.Flat(&f.geom))
 	for _, u := range fa.units {
 		u.retired = true
 	}
@@ -108,9 +108,9 @@ func (f *FTL) SetFIMMDead(id topo.FIMMID) {
 // RetireDie retires the parallel units of one die on a FIMM (a die-level
 // read failure).
 func (f *FTL) RetireDie(id topo.FIMMID, pkg, die int) {
-	fa := f.fimmAllocFor(id.Flat(f.geom))
+	fa := f.fimmAllocFor(id.Flat(&f.geom))
 	for plane := 0; plane < f.geom.Nand.PlanesPerDie; plane++ {
-		fa.units[unitIndex(f.geom, pkg, die, plane)].retired = true
+		fa.units[unitIndex(&f.geom, pkg, die, plane)].retired = true
 	}
 }
 
@@ -118,15 +118,15 @@ func (f *FTL) RetireDie(id topo.FIMMID, pkg, die int) {
 // (a grown bad block). Valid-page bookkeeping is left intact; the
 // injector drops the affected mappings, which clears the bits.
 func (f *FTL) RetireBlock(ppn topo.PPN) {
-	fa := f.fimmAllocFor(ppn.FIMMID().Flat(f.geom))
-	g := f.geom
+	fa := f.fimmAllocFor(ppn.FIMMID().Flat(&f.geom))
+	g := &f.geom
 	u := fa.unitOf(g, ppn)
 	b := planeLocalBlock(g, ppn)
-	bi := u.touched[b]
+	bi := u.block(b)
 	if bi == nil {
 		// Virgin block: give it a touched entry so takeFreeBlock skips it.
 		bi = &blockInfo{}
-		u.touched[b] = bi
+		u.touch(b, bi)
 		if b >= u.nextFresh {
 			u.aheadTouched++
 		}
@@ -158,9 +158,9 @@ func (f *FTL) RetireBlock(ppn topo.PPN) {
 // block keeps its valid/stale bookkeeping and stays an ordinary GC
 // victim — the eventual erase resynchronises both cursors.
 func (f *FTL) AbortBlock(ppn topo.PPN) {
-	fa := f.fimmAllocFor(ppn.FIMMID().Flat(f.geom))
-	u := fa.unitOf(f.geom, ppn)
-	bi := u.touched[planeLocalBlock(f.geom, ppn)]
+	fa := f.fimmAllocFor(ppn.FIMMID().Flat(&f.geom))
+	u := fa.unitOf(&f.geom, ppn)
+	bi := u.block(planeLocalBlock(&f.geom, ppn))
 	if bi == nil || bi.state != blockActive {
 		return
 	}
@@ -171,25 +171,15 @@ func (f *FTL) AbortBlock(ppn topo.PPN) {
 // BlockLPNs lists, in ascending page order, the logical pages currently
 // stored in ppn's erase block — the blast radius of a block fault.
 func (f *FTL) BlockLPNs(ppn topo.PPN) []int64 {
-	fa := f.fimms[ppn.FIMMID().Flat(f.geom)]
-	if fa == nil {
-		return nil
-	}
-	g := f.geom
-	u := fa.unitOf(g, ppn)
-	bi := u.touched[planeLocalBlock(g, ppn)]
+	bi := f.blockOf(ppn)
 	if bi == nil {
 		return nil
 	}
 	base := ppn.BlockKey()
 	var out []int64
-	for page := 0; page < g.Nand.PagesPerBlock.Int(); page++ {
-		if !bi.isValid(page) {
-			continue
-		}
-		src := topo.PPN(uint64(base) | uint64(page))
-		if lpn, ok := f.LPNOf(src); ok {
-			out = append(out, lpn)
+	for page := 0; page < f.geom.Nand.PagesPerBlock.Int(); page++ {
+		if bi.isValid(page) {
+			out = append(out, f.lpnAt(bi, topo.PPN(uint64(base)|uint64(page))))
 		}
 	}
 	return out

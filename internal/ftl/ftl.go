@@ -112,10 +112,19 @@ type FTL struct {
 	layout      Layout
 	gcThreshold units.Blocks // free blocks per unit below which GC is wanted
 
-	pageMap map[int64]topo.PPN // lpn -> current ppn
-	reverse map[topo.PPN]int64 // ppn -> lpn, dynamic pages only
+	// Constants of geom, computed once so the per-page paths never copy
+	// the Geometry.
+	totalPages   int64
+	pagesPerFIMM int64
+	unitsPerFIMM int
+	ids          []topo.FIMMID // flat FIMM id -> FIMMID
 
-	fimms map[int]*fimmAlloc // flat FIMM id -> allocator state
+	// pageMap stays a map: the LPN space is the whole array (2^32 pages
+	// at the default geometry), far too large for a dense table. The
+	// reverse direction lives in the blocks (blockInfo.lpns).
+	pageMap map[int64]topo.PPN // lpn -> current ppn
+
+	fimms []*fimmAlloc // flat FIMM id -> allocator state, nil until touched
 
 	// Fault state (fault.go). health is nil in unfaulted arrays; lost
 	// holds LPNs whose physical page was destroyed by a fault, so
@@ -148,12 +157,18 @@ func New(geom topo.Geometry, opts ...Option) *FTL {
 		panic(err)
 	}
 	f := &FTL{
-		geom:        geom,
-		layout:      LayoutClustered,
-		gcThreshold: 2 * units.Block,
-		pageMap:     make(map[int64]topo.PPN),
-		reverse:     make(map[topo.PPN]int64),
-		fimms:       make(map[int]*fimmAlloc),
+		geom:         geom,
+		layout:       LayoutClustered,
+		gcThreshold:  2 * units.Block,
+		totalPages:   geom.TotalPages().Int64(),
+		pagesPerFIMM: geom.PagesPerFIMM().Int64(),
+		unitsPerFIMM: geom.ParallelUnitsPerFIMM(),
+		ids:          make([]topo.FIMMID, geom.TotalFIMMs()),
+		pageMap:      make(map[int64]topo.PPN),
+		fimms:        make([]*fimmAlloc, geom.TotalFIMMs()),
+	}
+	for flat := range f.ids {
+		f.ids[flat] = topo.FIMMFromFlat(geom, flat)
 	}
 	for _, o := range opts {
 		o(f)
@@ -197,8 +212,8 @@ func (f *FTL) ForEachMapping(visit func(lpn int64, ppn topo.PPN) bool) {
 }
 
 func (f *FTL) checkLPN(lpn int64) error {
-	if lpn < 0 || lpn >= f.geom.TotalPages().Int64() {
-		return fmt.Errorf("ftl: LPN %d out of range [0,%d)", lpn, f.geom.TotalPages())
+	if lpn < 0 || lpn >= f.totalPages {
+		return fmt.Errorf("ftl: LPN %d out of range [0,%d)", lpn, f.totalPages)
 	}
 	return nil
 }
@@ -208,11 +223,10 @@ func (f *FTL) checkLPN(lpn int64) error {
 func (f *FTL) home(lpn int64) (fimmFlat int, fp int64) {
 	switch f.layout {
 	case LayoutStriped:
-		n := int64(f.geom.TotalFIMMs())
+		n := int64(len(f.ids))
 		return int(lpn % n), lpn / n
 	case LayoutClustered:
-		per := f.geom.PagesPerFIMM().Int64()
-		return int(lpn / per), lpn % per
+		return int(lpn / f.pagesPerFIMM), lpn % f.pagesPerFIMM
 	}
 	panic("ftl: unknown layout")
 }
@@ -223,7 +237,7 @@ func (f *FTL) HomeFIMM(lpn int64) topo.FIMMID {
 		panic(err)
 	}
 	flat, _ := f.home(lpn)
-	return topo.FIMMFromFlat(f.geom, flat)
+	return f.ids[flat]
 }
 
 // HomeCluster reports the LPN's static home cluster.
@@ -246,23 +260,19 @@ func (f *FTL) ResidentFIMM(lpn int64) topo.FIMMID {
 
 // LPNOf reports the logical page currently stored at ppn, if any.
 func (f *FTL) LPNOf(ppn topo.PPN) (int64, bool) {
-	if lpn, ok := f.reverse[ppn]; ok {
-		return lpn, ok
-	}
-	// Dense pages are analytically invertible.
-	fa := f.fimms[ppn.FIMMID().Flat(f.geom)]
-	if fa == nil {
+	bi := f.blockOf(ppn)
+	if bi == nil || !bi.isValid(ppn.Page()) {
 		return 0, false
 	}
-	return fa.denseLPN(f, ppn)
+	return f.lpnAt(bi, ppn), true
 }
 
 // densePPN computes the dense (prepopulated) physical location for a
 // FIMM-local page index: consecutive indices stripe across parallel
 // units for maximum die-level parallelism.
 func (f *FTL) densePPN(fimmFlat int, fp int64) topo.PPN {
-	g := f.geom
-	u := g.ParallelUnitsPerFIMM()
+	g := &f.geom
+	u := f.unitsPerFIMM
 	planes := g.Nand.PlanesPerDie
 	dies := g.Nand.DiesPerPackage
 	unit := int(fp % int64(u))
@@ -275,20 +285,20 @@ func (f *FTL) densePPN(fimmFlat int, fp int64) topo.PPN {
 	plane := unit % planes
 	block := planeLocalBlock*planes + plane
 
-	id := topo.FIMMFromFlat(g, fimmFlat)
+	id := f.ids[fimmFlat]
 	return topo.PackPPN(id.Switch, id.Cluster, id.FIMM, pkg, die, block, pageInBlock)
 }
 
 // denseFP inverts densePPN: the FIMM-local page index of a dense PPN.
 func (f *FTL) denseFP(ppn topo.PPN) int64 {
-	g := f.geom
+	g := &f.geom
 	planes := g.Nand.PlanesPerDie
 	dies := g.Nand.DiesPerPackage
 	plane := ppn.Block() % planes
 	planeLocalBlock := ppn.Block() / planes
 	unit := (ppn.Pkg()*dies+ppn.Die())*planes + plane
 	rest := int64(planeLocalBlock)*g.Nand.PagesPerBlock.Int64() + int64(ppn.Page())
-	return rest*int64(g.ParallelUnitsPerFIMM()) + int64(unit)
+	return rest*int64(f.unitsPerFIMM) + int64(unit)
 }
 
 // lpnFromHome inverts home(): the LPN whose static placement is
@@ -296,9 +306,9 @@ func (f *FTL) denseFP(ppn topo.PPN) int64 {
 func (f *FTL) lpnFromHome(fimmFlat int, fp int64) int64 {
 	switch f.layout {
 	case LayoutStriped:
-		return fp*int64(f.geom.TotalFIMMs()) + int64(fimmFlat)
+		return fp*int64(len(f.ids)) + int64(fimmFlat)
 	case LayoutClustered:
-		return int64(fimmFlat)*f.geom.PagesPerFIMM().Int64() + fp
+		return int64(fimmFlat)*f.pagesPerFIMM + fp
 	}
 	panic("ftl: unknown layout")
 }
@@ -344,7 +354,7 @@ func (f *FTL) Prepopulate(lpn int64) (topo.PPN, bool, error) {
 // flat order — a deterministic spill used when the home location is
 // consumed or faulted out.
 func (f *FTL) allocateFallback(lpn int64, homeFlat int) (WriteAlloc, error) {
-	n := f.geom.TotalFIMMs()
+	n := len(f.ids)
 	var lastErr error
 	// Home first, then an LPN-keyed rotation over the rest so a faulted
 	// module's pages spread across the survivors.
@@ -357,7 +367,7 @@ func (f *FTL) allocateFallback(lpn int64, homeFlat int) (WriteAlloc, error) {
 		if !f.placeableFlat(flat) {
 			continue
 		}
-		wa, err := f.allocate(lpn, topo.FIMMFromFlat(f.geom, flat), WriteHost)
+		wa, err := f.allocate(lpn, f.ids[flat], WriteHost)
 		if err == nil {
 			return wa, nil
 		}
@@ -403,8 +413,8 @@ func (f *FTL) Relocate(lpn int64, target topo.FIMMID) (WriteAlloc, error) {
 }
 
 func (f *FTL) allocate(lpn int64, target topo.FIMMID, kind WriteKind) (WriteAlloc, error) {
-	fa := f.fimmAllocFor(target.Flat(f.geom))
-	ppn, err := fa.allocPage(f, target)
+	fa := f.fimmAllocFor(target.Flat(&f.geom))
+	ppn, err := fa.allocPage(f, target, lpn)
 	if err != nil {
 		return WriteAlloc{}, err
 	}
@@ -414,7 +424,6 @@ func (f *FTL) allocate(lpn int64, target topo.FIMMID, kind WriteKind) (WriteAllo
 		f.unlink(lpn, old)
 	}
 	f.pageMap[lpn] = ppn
-	f.reverse[ppn] = lpn
 	delete(f.lost, lpn) // a fresh mapping resurrects a fault-lost LPN
 	if simcheckEnabled {
 		f.ckMapped(lpn, ppn)
@@ -430,13 +439,14 @@ func (f *FTL) allocate(lpn int64, target topo.FIMMID, kind WriteKind) (WriteAllo
 	return wa, nil
 }
 
-// unlink removes the lpn->old edge bookkeeping: reverse entry and the
-// block's valid count.
+// unlink removes the lpn->old edge bookkeeping: the page's valid bit,
+// which also retires the LPN its block recorded for it.
 func (f *FTL) unlink(lpn int64, old topo.PPN) {
-	delete(f.reverse, old)
-	if fa := f.fimms[old.FIMMID().Flat(f.geom)]; fa != nil {
-		fa.markStale(f, old)
+	bi := f.blockOf(old)
+	if bi == nil || !bi.isValid(old.Page()) {
+		panic(fmt.Sprintf("ftl: unlink of non-valid page %v", old))
 	}
+	bi.clearValid(old.Page())
 	if simcheckEnabled {
 		f.ckUnlinked(lpn, old)
 	}
@@ -446,7 +456,7 @@ func (f *FTL) unlink(lpn int64, old topo.PPN) {
 func (f *FTL) fimmAllocFor(flat int) *fimmAlloc {
 	fa := f.fimms[flat]
 	if fa == nil {
-		fa = newFIMMAlloc(f.geom)
+		fa = newFIMMAlloc(f.unitsPerFIMM)
 		f.fimms[flat] = fa
 	}
 	return fa
@@ -454,7 +464,7 @@ func (f *FTL) fimmAllocFor(flat int) *fimmAlloc {
 
 // Wear reports the number of block erases on one FIMM.
 func (f *FTL) Wear(id topo.FIMMID) uint64 {
-	fa := f.fimms[id.Flat(f.geom)]
+	fa := f.fimms[id.Flat(&f.geom)]
 	if fa == nil {
 		return 0
 	}
@@ -464,9 +474,10 @@ func (f *FTL) Wear(id topo.FIMMID) uint64 {
 // TotalErases reports erases across the whole array.
 func (f *FTL) TotalErases() uint64 {
 	var n uint64
-	//simlint:ordered commutative sum over FIMMs
 	for _, fa := range f.fimms {
-		n += fa.erases
+		if fa != nil {
+			n += fa.erases
+		}
 	}
 	return n
 }

@@ -41,14 +41,14 @@ func TestHomeClustered(t *testing.T) {
 	g := tinyGeometry()
 	f := New(g)
 	per := g.PagesPerFIMM().Int64()
-	if got := f.HomeFIMM(0); got.Flat(g) != 0 {
+	if got := f.HomeFIMM(0); got.Flat(&g) != 0 {
 		t.Errorf("LPN 0 home = %v", got)
 	}
-	if got := f.HomeFIMM(per); got.Flat(g) != 1 {
+	if got := f.HomeFIMM(per); got.Flat(&g) != 1 {
 		t.Errorf("LPN %d home = %v, want FIMM 1", per, got)
 	}
 	last := g.TotalPages().Int64() - 1
-	if got := f.HomeFIMM(last); got.Flat(g) != g.TotalFIMMs()-1 {
+	if got := f.HomeFIMM(last); got.Flat(&g) != g.TotalFIMMs()-1 {
 		t.Errorf("last LPN home = %v", got)
 	}
 }
@@ -58,7 +58,7 @@ func TestHomeStriped(t *testing.T) {
 	f := New(g, WithLayout(LayoutStriped))
 	n := int64(g.TotalFIMMs())
 	for lpn := int64(0); lpn < 2*n; lpn++ {
-		if got := f.HomeFIMM(lpn); got.Flat(g) != int(lpn%n) {
+		if got := f.HomeFIMM(lpn); got.Flat(&g) != int(lpn%n) {
 			t.Fatalf("striped LPN %d home = %v", lpn, got)
 		}
 	}
@@ -119,7 +119,7 @@ func TestPrepopulateSpreadsAcrossUnits(t *testing.T) {
 			t.Fatal(err)
 		}
 		plane := ppn.Block() % g.Nand.PlanesPerDie
-		seen[unitIndex(g, ppn.Pkg(), ppn.Die(), plane)] = true
+		seen[unitIndex(&g, ppn.Pkg(), ppn.Die(), plane)] = true
 	}
 	if len(seen) != g.ParallelUnitsPerFIMM() {
 		t.Errorf("consecutive LPNs used %d units, want %d", len(seen), g.ParallelUnitsPerFIMM())
@@ -303,13 +303,13 @@ func TestGCCycle(t *testing.T) {
 // pick the block it retires and to check that the churn is heavy
 // enough.
 func scanWear(f *FTL, id topo.FIMMID) (erases uint64, maxBlock int) {
-	fa := f.fimms[id.Flat(f.geom)]
+	fa := f.fimms[id.Flat(&f.geom)]
 	if fa == nil {
 		return 0, 0
 	}
 	for _, u := range fa.units {
 		for b := 0; b < f.geom.Nand.BlocksPerPlane.Int(); b++ {
-			if bi := u.touched[b]; bi != nil {
+			if bi := u.block(b); bi != nil {
 				erases += uint64(bi.erase)
 				maxBlock = max(maxBlock, bi.erase)
 			}
@@ -386,6 +386,36 @@ func TestGCVictimIsEmptiest(t *testing.T) {
 	// blocks; with this pattern fully-stale blocks exist.
 	if len(plan.Moves) != 0 {
 		t.Errorf("victim has %d valid pages, expected an empty victim", len(plan.Moves))
+	}
+}
+
+// TestGCTieBreakLowestBlock fills every block of one FIMM, then leaves
+// unit 0's plane-local blocks 1 and 3 with one valid page each and
+// blocks 0 and 2 with three: PlanGC must pick block 1, the lowest of
+// the equally empty blocks.
+func TestGCTieBreakLowestBlock(t *testing.T) {
+	g := tinyGeometry()
+	f := New(g, WithGCThreshold(4))
+	id := f.HomeFIMM(0)
+	// Write i lands on unit i%4, plane-local block i/16, so unit 0's
+	// blocks hold LPNs {0,4,8,12}, {16,...,28}, {32,...,44}, {48,...,60}.
+	for lpn := int64(0); lpn < g.PagesPerFIMM().Int64(); lpn++ {
+		if _, err := f.AllocateWriteAt(lpn, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, _ := f.Lookup(16)
+	for _, lpn := range []int64{0, 20, 24, 28, 32, 52, 56, 60} {
+		if _, ok := f.DropMapping(lpn); !ok {
+			t.Fatalf("LPN %d was not mapped", lpn)
+		}
+	}
+	plan, ok := f.PlanGC(id, nil)
+	if !ok {
+		t.Fatal("no GC plan")
+	}
+	if plan.Victim != want.BlockKey() || len(plan.Moves) != 1 || plan.Moves[0].LPN != 16 {
+		t.Errorf("victim %v with moves %+v, want %v with LPN 16", plan.Victim, plan.Moves, want.BlockKey())
 	}
 }
 

@@ -2,7 +2,6 @@ package ftl
 
 import (
 	"fmt"
-	"sort"
 
 	"triplea/internal/decision"
 	"triplea/internal/topo"
@@ -27,7 +26,7 @@ type GCPlan struct {
 // GCPressure reports whether any parallel unit of the FIMM has fewer
 // free blocks than the configured threshold.
 func (f *FTL) GCPressure(id topo.FIMMID) bool {
-	fa := f.fimms[id.Flat(f.geom)]
+	fa := f.fimms[id.Flat(&f.geom)]
 	if fa == nil {
 		return false
 	}
@@ -45,7 +44,7 @@ func (f *FTL) GCPressure(id topo.FIMMID) bool {
 // MinFreeBlocks reports the free-block count of the FIMM's most
 // pressured parallel unit (the urgency signal for GC scheduling).
 func (f *FTL) MinFreeBlocks(id topo.FIMMID) units.Blocks {
-	fa := f.fimms[id.Flat(f.geom)]
+	fa := f.fimms[id.Flat(&f.geom)]
 	if fa == nil {
 		return f.geom.Nand.BlocksPerPlane
 	}
@@ -67,11 +66,11 @@ func (f *FTL) MinFreeBlocks(id topo.FIMMID) units.Blocks {
 // A non-nil veto excludes candidate victim blocks (identified by their
 // page-0 PPN) — the array vetoes blocks with in-flight buffered writes.
 func (f *FTL) PlanGC(id topo.FIMMID, veto func(topo.PPN) bool) (*GCPlan, bool) {
-	fa := f.fimms[id.Flat(f.geom)]
+	fa := f.fimms[id.Flat(&f.geom)]
 	if fa == nil {
 		return nil, false
 	}
-	g := f.geom
+	g := &f.geom
 
 	// Most pressured unit first.
 	unitIdx, minFree := -1, int(^uint(0)>>1)
@@ -91,9 +90,8 @@ func (f *FTL) PlanGC(id topo.FIMMID, veto func(topo.PPN) bool) (*GCPlan, bool) {
 
 	// Greedy victim: reclaimable (full or dense) block with fewest
 	// valid pages, skipping vetoed blocks. Candidates are scanned in
-	// ascending block order so equal-valid ties break the same way on
-	// every run; ranging over the map directly would let Go's random
-	// iteration order pick the victim among ties.
+	// ascending block order, so among equally empty blocks the lowest
+	// wins.
 	//
 	// Candidates are also scored into the decision flight recorder at
 	// -valid (fewer valid pages is better). The greedy "cannot beat the
@@ -108,15 +106,9 @@ func (f *FTL) PlanGC(id topo.FIMMID, veto func(topo.PPN) bool) (*GCPlan, bool) {
 	} else {
 		rec = nil
 	}
-	blocks := make([]int, 0, len(u.touched))
-	for b := range u.touched {
-		blocks = append(blocks, b)
-	}
-	sort.Ints(blocks)
 	victimBlock, victimValid := -1, int(^uint(0)>>1)
-	for _, b := range blocks {
-		bi := u.touched[b]
-		if bi.state != blockFull && bi.state != blockDense {
+	for b, bi := range u.touched {
+		if bi == nil || (bi.state != blockFull && bi.state != blockDense) {
 			continue
 		}
 		if bi.retired {
@@ -175,11 +167,7 @@ func (f *FTL) PlanGC(id topo.FIMMID, veto func(topo.PPN) bool) (*GCPlan, bool) {
 			continue
 		}
 		src := topo.PackPPN(id.Switch, id.Cluster, id.FIMM, pkg, die, dieBlock, page)
-		lpn, ok := f.LPNOf(src)
-		if !ok {
-			panic(fmt.Sprintf("ftl: valid page %v has no LPN", src))
-		}
-		plan.Moves = append(plan.Moves, GCMove{LPN: lpn, Src: src})
+		plan.Moves = append(plan.Moves, GCMove{LPN: f.lpnAt(bi, src), Src: src})
 	}
 	f.stats.GCPlans++
 	return plan, true
@@ -200,14 +188,14 @@ func (f *FTL) AllocateGCMove(m GCMove) (WriteAlloc, error) {
 // CompleteGCErase finalises a plan after the device erased the victim:
 // the block returns to the free pool with its wear incremented.
 func (f *FTL) CompleteGCErase(plan *GCPlan) error {
-	fa := f.fimms[plan.FIMM.Flat(f.geom)]
+	fa := f.fimms[plan.FIMM.Flat(&f.geom)]
 	if fa == nil {
 		return fmt.Errorf("ftl: CompleteGCErase on untouched FIMM %v", plan.FIMM)
 	}
-	g := f.geom
+	g := &f.geom
 	u := fa.unitOf(g, plan.Victim)
 	b := planeLocalBlock(g, plan.Victim)
-	bi := u.touched[b]
+	bi := u.block(b)
 	if bi == nil {
 		return fmt.Errorf("ftl: victim block %v unknown", plan.Victim)
 	}
@@ -223,6 +211,7 @@ func (f *FTL) CompleteGCErase(plan *GCPlan) error {
 	for i := range bi.mask {
 		bi.mask[i] = 0
 	}
+	bi.lpns = bi.lpns[:0]
 	u.allocated--
 	u.freeList = append(u.freeList, b)
 	fa.erases++

@@ -25,7 +25,7 @@ func (f *FTL) ckMapped(lpn int64, ppn topo.PPN) {
 	if got, ok := f.pageMap[lpn]; !ok || got != ppn {
 		panic(fmt.Sprintf("simcheck: mapping %d -> %v not installed (found %v, %t)", lpn, ppn, got, ok))
 	}
-	if back, ok := f.reverse[ppn]; !ok || back != lpn {
+	if back, ok := f.LPNOf(ppn); !ok || back != lpn {
 		panic(fmt.Sprintf("simcheck: reverse of %v is %d (%t), want %d", ppn, back, ok, lpn))
 	}
 	f.ck.ops++
@@ -38,7 +38,7 @@ func (f *FTL) ckMapped(lpn int64, ppn topo.PPN) {
 
 // ckUnlinked validates that unlink removed the stale reverse edge.
 func (f *FTL) ckUnlinked(lpn int64, old topo.PPN) {
-	if back, ok := f.reverse[old]; ok {
+	if back, ok := f.LPNOf(old); ok {
 		panic(fmt.Sprintf("simcheck: unlinked page %v still reverse-maps to %d", old, back))
 	}
 }

@@ -47,15 +47,16 @@ func runTestGC(t *testing.T, f *FTL, id topo.FIMMID) {
 	}
 }
 
-// TestSimcheckDetectsBrokenReverse corrupts the reverse index and
-// expects both the full sweep and the incremental hook to object.
+// TestSimcheckDetectsBrokenReverse corrupts the LPN the page's block
+// recorded and expects both the full sweep and the incremental hook to
+// object.
 func TestSimcheckDetectsBrokenReverse(t *testing.T) {
 	f := New(tinyGeometry())
 	wa, err := f.AllocateWrite(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.reverse[wa.New] = 99 // break ppn -> lpn
+	f.blockOf(wa.New).lpns[wa.New.Page()] = 99 // break ppn -> lpn
 	if err := f.VerifyBijective(); err == nil {
 		t.Fatal("VerifyBijective accepted a corrupted reverse index")
 	}

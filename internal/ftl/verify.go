@@ -7,22 +7,15 @@ import (
 )
 
 // VerifyBijective proves that the translation state describes a
-// bijection: every reverse entry inverts a live pageMap entry, no two
-// LPNs share a physical page, and every mapping without a reverse entry
-// is a dense prepopulated page sitting at its LPN's analytic home
-// (those are deliberately kept out of the reverse index — LPNOf inverts
-// them arithmetically).
+// bijection between mapped LPNs and valid pages: no two LPNs share a
+// physical page, every mapping lands on a valid page whose block maps
+// it back to the same LPN (the LPN a written block recorded when it
+// programmed the page, or the analytic inverse of a dense page's home),
+// and the blocks hold no valid page that no mapping points at.
 //
 // Tests call it directly; builds with -tags simcheck also run it
 // periodically from the allocation path.
 func (f *FTL) VerifyBijective() error {
-	for ppn, lpn := range f.reverse {
-		if got, ok := f.pageMap[lpn]; !ok {
-			return fmt.Errorf("ftl: reverse entry %v -> %d has no forward mapping", ppn, lpn)
-		} else if got != ppn {
-			return fmt.Errorf("ftl: reverse entry %v -> %d disagrees with forward mapping %d -> %v", ppn, lpn, lpn, got)
-		}
-	}
 	seen := make(map[topo.PPN]int64, len(f.pageMap))
 	//simlint:ordered order-independent validation scan
 	for lpn, ppn := range f.pageMap {
@@ -30,16 +23,29 @@ func (f *FTL) VerifyBijective() error {
 			return fmt.Errorf("ftl: LPNs %d and %d both map to %v", prev, lpn, ppn)
 		}
 		seen[ppn] = lpn
-		if back, ok := f.reverse[ppn]; ok {
-			if back != lpn {
-				return fmt.Errorf("ftl: mapping %d -> %v reversed to %d", lpn, ppn, back)
-			}
+		back, ok := f.LPNOf(ppn)
+		if !ok {
+			return fmt.Errorf("ftl: mapping %d -> %v lands on a page that is not valid", lpn, ppn)
+		}
+		if back != lpn {
+			return fmt.Errorf("ftl: mapping %d -> %v reversed to %d", lpn, ppn, back)
+		}
+	}
+	valid := 0
+	for _, fa := range f.fimms {
+		if fa == nil {
 			continue
 		}
-		fimmFlat, fp := f.home(lpn)
-		if f.densePPN(fimmFlat, fp) != ppn {
-			return fmt.Errorf("ftl: mapping %d -> %v has no reverse entry and is not the LPN's dense home", lpn, ppn)
+		for _, u := range fa.units {
+			for _, bi := range u.touched {
+				if bi != nil {
+					valid += bi.valid
+				}
+			}
 		}
+	}
+	if valid != len(f.pageMap) {
+		return fmt.Errorf("ftl: %d valid pages but %d mappings", valid, len(f.pageMap))
 	}
 	return nil
 }

@@ -98,8 +98,7 @@ type Package struct {
 	params Params
 	dies   []*die
 
-	blocks map[int]*blockState // keyed by flat block id
-	freeOp *opState            // recycled operation nodes
+	freeOp *opState // recycled operation nodes
 	stats  Stats
 
 	// Fault-injection state (fault.go). Nil maps and a zero scale mean
@@ -183,6 +182,10 @@ type die struct {
 	// cacheTag remembers the last page latched into the cache register so
 	// repeated reads of the hot page skip tR (cache-mode commands).
 	cacheTag int64
+	// blocks holds the state of every touched block, indexed by
+	// die-level block address and grown only to the highest block
+	// touched; nil entries were never touched.
+	blocks []*blockState
 }
 
 // NewPackage builds a package; invalid params panic (a construction-time
@@ -195,7 +198,6 @@ func NewPackage(eng *simx.Engine, params Params) *Package {
 		eng:    eng,
 		params: params,
 		dies:   make([]*die, params.DiesPerPackage),
-		blocks: make(map[int]*blockState),
 	}
 	for i := range pk.dies {
 		pk.dies[i] = &die{
@@ -212,10 +214,11 @@ func (pk *Package) Params() Params { return pk.params }
 // Stats returns a snapshot of package activity.
 func (pk *Package) Stats() Stats {
 	s := pk.stats
-	//simlint:ordered commutative max over blocks
-	for _, bs := range pk.blocks {
-		if bs.eraseCount > s.MaxEraseWear {
-			s.MaxEraseWear = bs.eraseCount
+	for _, d := range pk.dies {
+		for _, bs := range d.blocks {
+			if bs != nil && bs.eraseCount > s.MaxEraseWear {
+				s.MaxEraseWear = bs.eraseCount
+			}
 		}
 	}
 	return s
@@ -238,7 +241,7 @@ func (pk *Package) Busy() bool {
 }
 
 func (pk *Package) checkAddr(a Addr) error {
-	p := pk.params
+	p := &pk.params
 	switch {
 	case a.Die < 0 || a.Die >= p.DiesPerPackage:
 		return fmt.Errorf("nand: die %d out of range [0,%d)", a.Die, p.DiesPerPackage)
@@ -256,7 +259,7 @@ func (pk *Package) checkAddr(a Addr) error {
 }
 
 func (pk *Package) flatBlock(a Addr) int {
-	p := pk.params
+	p := &pk.params
 	return a.Die*p.PlanesPerDie*p.BlocksPerPlane.Int() + a.Block
 }
 
@@ -264,14 +267,27 @@ func (pk *Package) flatPage(a Addr) int64 {
 	return int64(pk.flatBlock(a))*pk.params.PagesPerBlock.Int64() + int64(a.Page)
 }
 
+// block returns the addressed block's state, creating it on first touch.
 func (pk *Package) block(a Addr) *blockState {
-	id := pk.flatBlock(a)
-	bs := pk.blocks[id]
+	d := pk.dies[a.Die]
+	if a.Block >= len(d.blocks) {
+		d.blocks = append(d.blocks, make([]*blockState, a.Block+1-len(d.blocks))...)
+	}
+	bs := d.blocks[a.Block]
 	if bs == nil {
 		bs = &blockState{state: make([]PageState, pk.params.PagesPerBlock)}
-		pk.blocks[id] = bs
+		d.blocks[a.Block] = bs
 	}
 	return bs
+}
+
+// touched returns the addressed block's state, or nil if the block was
+// never touched.
+func (pk *Package) touched(a Addr) *blockState {
+	if d := pk.dies[a.Die]; a.Block < len(d.blocks) {
+		return d.blocks[a.Block]
+	}
+	return nil
 }
 
 // PageStateAt reports the physical state of a page.
@@ -279,7 +295,7 @@ func (pk *Package) PageStateAt(a Addr) PageState {
 	if err := pk.checkAddr(a); err != nil {
 		panic(err)
 	}
-	bs := pk.blocks[pk.flatBlock(a)]
+	bs := pk.touched(a)
 	if bs == nil {
 		return PageErased
 	}
@@ -288,7 +304,7 @@ func (pk *Package) PageStateAt(a Addr) PageState {
 
 // EraseCount reports the wear of the addressed block.
 func (pk *Package) EraseCount(a Addr) int {
-	bs := pk.blocks[pk.flatBlock(a)]
+	bs := pk.touched(a)
 	if bs == nil {
 		return 0
 	}
@@ -445,7 +461,7 @@ func (pk *Package) checkState(op Op, addrs []Addr) error {
 		}
 	case OpRead:
 		for _, a := range addrs {
-			bs := pk.blocks[pk.flatBlock(a)]
+			bs := pk.touched(a)
 			if bs == nil || bs.state[a.Page] == PageErased {
 				return fmt.Errorf("nand: read of erased page %v", a)
 			}
@@ -466,7 +482,7 @@ func (pk *Package) execTime(op Op, addrs []Addr, d *die) simx.Time {
 }
 
 func (pk *Package) baseExecTime(op Op, addrs []Addr, d *die) simx.Time {
-	p := pk.params
+	p := &pk.params
 	base := p.TCmdOverhead
 	switch op {
 	case OpRead:

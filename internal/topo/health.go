@@ -86,12 +86,12 @@ func (h *Health) Cluster(id ClusterID) ClusterState {
 	if h == nil {
 		return ClusterOnline
 	}
-	return h.clusters[id.Flat(h.g)]
+	return h.clusters[id.Flat(&h.g)]
 }
 
 // SetCluster records a cluster state transition.
 func (h *Health) SetCluster(id ClusterID, s ClusterState) {
-	flat := id.Flat(h.g)
+	flat := id.Flat(&h.g)
 	if h.clusters[flat] == ClusterOnline && s != ClusterOnline {
 		h.notOnline++
 	} else if h.clusters[flat] != ClusterOnline && s == ClusterOnline {
@@ -105,12 +105,12 @@ func (h *Health) FIMM(id FIMMID) FIMMState {
 	if h == nil {
 		return FIMMOnline
 	}
-	return h.fimms[id.Flat(h.g)]
+	return h.fimms[id.Flat(&h.g)]
 }
 
 // SetFIMM records a module state transition.
 func (h *Health) SetFIMM(id FIMMID, s FIMMState) {
-	flat := id.Flat(h.g)
+	flat := id.Flat(&h.g)
 	if h.fimms[flat] == FIMMOnline && s != FIMMOnline {
 		h.notOnline++
 	} else if h.fimms[flat] != FIMMOnline && s == FIMMOnline {

@@ -84,8 +84,10 @@ type ClusterID struct {
 
 func (c ClusterID) String() string { return fmt.Sprintf("sw%d/cl%d", c.Switch, c.Cluster) }
 
-// Flat reports the cluster's array-wide index.
-func (c ClusterID) Flat(g Geometry) int { return c.Switch*g.ClustersPerSwitch + c.Cluster }
+// Flat reports the cluster's array-wide index. It takes the geometry
+// by pointer: hot paths call it per page, and a Geometry copy costs
+// more than the arithmetic.
+func (c ClusterID) Flat(g *Geometry) int { return c.Switch*g.ClustersPerSwitch + c.Cluster }
 
 // ClusterFromFlat is the inverse of ClusterID.Flat.
 func ClusterFromFlat(g Geometry, flat int) ClusterID {
@@ -100,8 +102,8 @@ type FIMMID struct {
 
 func (f FIMMID) String() string { return fmt.Sprintf("%v/f%d", f.ClusterID, f.FIMM) }
 
-// Flat reports the FIMM's array-wide index.
-func (f FIMMID) Flat(g Geometry) int {
+// Flat reports the FIMM's array-wide index; see ClusterID.Flat.
+func (f FIMMID) Flat(g *Geometry) int {
 	return f.ClusterID.Flat(g)*g.FIMMsPerCluster + f.FIMM
 }
 
@@ -198,7 +200,7 @@ func (p PPN) BlockKey() PPN { return p &^ PPN(maxPage) }
 
 // NandAddr reports the page's address within its package. The plane is
 // derived from the block's parity per the even/odd addressing rule.
-func (p PPN) NandAddr(g Geometry) nand.Addr {
+func (p PPN) NandAddr(g *Geometry) nand.Addr {
 	return nand.Addr{
 		Die:   p.Die(),
 		Plane: p.Block() % g.Nand.PlanesPerDie,

@@ -59,14 +59,14 @@ func TestClusterFIMMFlatRoundTrip(t *testing.T) {
 	g := testGeometry()
 	for flat := 0; flat < g.TotalClusters(); flat++ {
 		c := ClusterFromFlat(g, flat)
-		if c.Flat(g) != flat {
-			t.Fatalf("cluster flat %d -> %v -> %d", flat, c, c.Flat(g))
+		if c.Flat(&g) != flat {
+			t.Fatalf("cluster flat %d -> %v -> %d", flat, c, c.Flat(&g))
 		}
 	}
 	for flat := 0; flat < g.TotalFIMMs(); flat++ {
 		f := FIMMFromFlat(g, flat)
-		if f.Flat(g) != flat {
-			t.Fatalf("fimm flat %d -> %v -> %d", flat, f, f.Flat(g))
+		if f.Flat(&g) != flat {
+			t.Fatalf("fimm flat %d -> %v -> %d", flat, f, f.Flat(&g))
 		}
 	}
 }
@@ -108,7 +108,7 @@ func TestPPNPackPanics(t *testing.T) {
 func TestNandAddrPlaneDerivation(t *testing.T) {
 	g := testGeometry()
 	p := PackPPN(0, 0, 0, 0, 0, 5, 7)
-	a := p.NandAddr(g)
+	a := p.NandAddr(&g)
 	if a.Plane != 1 { // block 5 is odd -> plane 1
 		t.Errorf("plane = %d, want 1", a.Plane)
 	}

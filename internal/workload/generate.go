@@ -113,7 +113,7 @@ func Generate(g topo.Geometry, p Profile, seed uint64) ([]trace.Request, GenStat
 	hot := HotSet(g, p)
 	hotFlats := make(map[int]bool, len(hot))
 	for _, c := range hot {
-		hotFlats[c.Flat(g)] = true
+		hotFlats[c.Flat(&g)] = true
 	}
 	var cold []int
 	for flat := 0; flat < g.TotalClusters(); flat++ {
@@ -158,12 +158,12 @@ func Generate(g topo.Geometry, p Profile, seed uint64) ([]trace.Request, GenStat
 		var flat int
 		isHot := len(hot) > 0 && rng.Bool(p.HotIORatio)
 		if isHot {
-			flat = hot[rng.Intn(len(hot))].Flat(g)
+			flat = hot[rng.Intn(len(hot))].Flat(&g)
 			stats.HotRequests++
 		} else if len(cold) > 0 {
 			flat = cold[rng.Intn(len(cold))]
 		} else {
-			flat = hot[rng.Intn(len(hot))].Flat(g)
+			flat = hot[rng.Intn(len(hot))].Flat(&g)
 			stats.HotRequests++
 		}
 

@@ -91,10 +91,10 @@ func TestHotSetSpread(t *testing.T) {
 	// Distinct clusters.
 	seen := map[int]bool{}
 	for _, c := range hot {
-		if seen[c.Flat(g)] {
+		if seen[c.Flat(&g)] {
 			t.Errorf("duplicate hot cluster %v", c)
 		}
-		seen[c.Flat(g)] = true
+		seen[c.Flat(&g)] = true
 	}
 }
 
@@ -157,7 +157,7 @@ func TestGenerateHotTraffic(t *testing.T) {
 	}
 	hotFlats := map[int]bool{}
 	for _, c := range stats.HotClusters {
-		hotFlats[c.Flat(g)] = true
+		hotFlats[c.Flat(&g)] = true
 	}
 	pagesPerCluster := g.PagesPerFIMM().Int64() * int64(g.FIMMsPerCluster)
 	hot := 0
