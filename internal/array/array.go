@@ -72,7 +72,8 @@ type Array struct {
 
 	nextReqID   uint64
 	inFlight    int
-	gcActive    []bool // per flat FIMM id
+	gcActive    []bool        // per flat FIMM id
+	gcRound     []*ftl.GCPlan // per flat FIMM id: background round in flight, until its erase ends
 	gcRounds    uint64
 	gcDeferrals uint64
 	migrations  uint64
@@ -122,6 +123,7 @@ func New(cfg Config) (*Array, error) {
 		faultCtrs:   newFaultCounters(recorder.Registry()),
 		rcSlots:     simx.NewResource(eng, "rc-queue", cfg.RCQueueEntries),
 		gcActive:    make([]bool, cfg.Geometry.TotalFIMMs()),
+		gcRound:     make([]*ftl.GCPlan, cfg.Geometry.TotalFIMMs()),
 		bufs:        make(map[topo.PPN]*blockBuf),
 		busUtilAt:   make([]simx.Time, cfg.Geometry.TotalClusters()),
 		busUtilSnap: make([]simx.Time, cfg.Geometry.TotalClusters()),
@@ -318,6 +320,7 @@ func (a *Array) Run(reqs []trace.Request) (*metrics.Recorder, error) {
 	if err := a.Prepare(reqs); err != nil {
 		return nil, err
 	}
+	a.recorder.Reserve(len(reqs))
 	// Schedule arrivals lazily: each arrival schedules the next, so the
 	// event heap stays small for million-request traces. The feeder is a
 	// single reusable Handler — one pooled event per arrival, zero

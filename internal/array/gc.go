@@ -46,8 +46,10 @@ func (a *Array) gcStep(id topo.FIMMID) {
 		a.gcActive[flat] = false
 		return
 	}
+	a.gcRound[flat] = plan
 	a.execGCMoves(plan, 0, func() {
 		a.eraseVictim(plan, func() {
+			a.gcRound[flat] = nil
 			a.gcRounds++
 			a.gcStep(id) // keep collecting while pressured
 		})
@@ -96,9 +98,13 @@ func (a *Array) execGCMoves(plan *ftl.GCPlan, i int, done func()) {
 	ep.Submit(readCmd)
 }
 
-// gcVeto excludes blocks with buffered (unflushed) programs from
-// victim selection.
+// gcVeto excludes from victim selection blocks with buffered
+// (unflushed) programs and the victim of the FIMM's background round
+// in flight, which the emergency path must not erase under it.
 func (a *Array) gcVeto(victim topo.PPN) bool {
+	if r := a.gcRound[victim.FIMMID().Flat(&a.cfg.Geometry)]; r != nil && r.Victim == victim {
+		return true
+	}
 	b := a.bufs[victim.BlockKey()]
 	return b != nil && b.pending > 0
 }

@@ -1,9 +1,11 @@
 package array
 
 import (
+	"slices"
 	"testing"
 
 	"triplea/internal/cluster"
+	"triplea/internal/ftl"
 	"triplea/internal/nand"
 	"triplea/internal/simx"
 	"triplea/internal/topo"
@@ -106,6 +108,49 @@ func TestOpportunisticGCUrgencyOverride(t *testing.T) {
 	}
 	if a.FTL().Stats().GCErases == 0 {
 		t.Error("urgent pressure did not force collection")
+	}
+}
+
+// TestEmergencyGCSparesInFlightVictim runs the emergency path on a FIMM
+// while a background round is collecting there. runGCNow must pick a
+// victim other than the round's: erasing that one under the round lets
+// the FTL refill it, and the round's own erase then wipes live pages
+// (caught here only by the GC bookkeeping check's panic).
+func TestEmergencyGCSparesInFlightVictim(t *testing.T) {
+	cfg := gcConfig()
+	cfg.OpportunisticGC = true
+	cfg.Geometry.Nand.BlocksPerPlane = 4
+	cfg.GCThreshold = 3
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := overwriteTrace(30, 4, 2*simx.Millisecond)
+	if err := a.Prepare(reqs); err != nil {
+		t.Fatal(err)
+	}
+	(&arrivalFeeder{arr: a, reqs: reqs}).scheduleNext(0)
+	flat := -1
+	for flat < 0 {
+		if !a.eng.Step() {
+			t.Fatal("the run ended before a background GC round began")
+		}
+		flat = slices.IndexFunc(a.gcRound, func(p *ftl.GCPlan) bool { return p != nil })
+	}
+	victim := a.gcRound[flat].Victim
+	if !a.gcVeto(victim) {
+		t.Fatalf("in-flight victim %v not vetoed", victim)
+	}
+	a.runGCNow(topo.FIMMFromFlat(cfg.Geometry, flat))
+	a.eng.Run()
+	if a.inFlight != 0 || a.recorder.Count() != len(reqs) {
+		t.Fatalf("%d requests in flight, %d of %d completed", a.inFlight, a.recorder.Count(), len(reqs))
+	}
+	if a.gcVeto(victim) {
+		t.Errorf("victim %v still vetoed after its round ended", victim)
+	}
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -300,6 +301,17 @@ func (rc *Recorder) Record(r Record) {
 	rc.sorted = nil
 }
 
+// Reserve makes room for n more records, so a run that knows its
+// request count grows the Exact sample buffer once instead of
+// regrowing it as records arrive. Streaming keeps no samples and
+// ignores it.
+func (rc *Recorder) Reserve(n int) {
+	if rc.backend == Streaming {
+		return
+	}
+	rc.records = slices.Grow(rc.records, n)
+}
+
 // Count reports completed requests.
 func (rc *Recorder) Count() int { return int(rc.count) }
 
@@ -490,8 +502,10 @@ func (rc *Recorder) Series(n int) []SeriesPoint {
 
 // FootprintBytes estimates the recorder's live metric-state memory: the
 // sample and index buffers under Exact, the fixed streaming structures
-// under Streaming. It is what TestStreamingFootprintFlat pins flat
-// across run lengths, not an exact heap accounting.
+// under Streaming. Exact buffers count at their capacity, so records
+// made room for by Reserve count before they arrive. It is what
+// TestStreamingFootprintFlat pins flat across run lengths, not an
+// exact heap accounting.
 func (rc *Recorder) FootprintBytes() int {
 	const (
 		recordSize  = int(unsafe.Sizeof(Record{}))

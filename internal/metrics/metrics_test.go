@@ -3,6 +3,7 @@ package metrics
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"triplea/internal/simx"
 )
@@ -246,6 +247,51 @@ func TestRecordsExposed(t *testing.T) {
 	rc.Record(rec(1, 0, 5))
 	if got := rc.Records(); len(got) != 1 || got[0].ID != 1 {
 		t.Errorf("Records = %v", got)
+	}
+}
+
+// TestReserve pins Recorder.Reserve. Under Exact, n records after
+// Reserve(n) allocate nothing and come back in order after the records
+// made before it, and the footprint counts the room reserved. Streaming
+// keeps no samples, so Reserve leaves its footprint alone.
+func TestReserve(t *testing.T) {
+	const n = 1000
+	rc := NewRecorder()
+	rc.Record(rec(0, 0, 1))
+	rc.Reserve(n)
+	if got, want := rc.FootprintBytes(), (n+1)*int(unsafe.Sizeof(Record{})); got < want {
+		t.Errorf("FootprintBytes after Reserve(%d) = %d, want at least %d", n, got, want)
+	}
+	warmedUp := false
+	allocs := testing.AllocsPerRun(1, func() {
+		if !warmedUp { // AllocsPerRun calls once unmeasured first
+			warmedUp = true
+			return
+		}
+		for id := uint64(1); id <= n; id++ {
+			rc.Record(rec(id, 0, simx.Time(id)))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%d records after Reserve(%d) allocate %v times, want 0", n, n, allocs)
+	}
+	got := rc.Records()
+	if len(got) != n+1 {
+		t.Fatalf("%d records kept, want %d", len(got), n+1)
+	}
+	for i, r := range got {
+		if r.ID != uint64(i) {
+			t.Fatalf("record %d has ID %d, want %d", i, r.ID, i)
+		}
+	}
+
+	st := NewRecorderWith(Streaming, DefaultSustainedWindow)
+	st.Record(rec(0, 0, 1))
+	before := st.FootprintBytes()
+	st.Reserve(n)
+	if after := st.FootprintBytes(); after != before || st.Records() != nil {
+		t.Errorf("streaming Reserve(%d): footprint %d B -> %d B, %d records kept; want unchanged, none",
+			n, before, after, len(st.Records()))
 	}
 }
 

@@ -71,16 +71,19 @@ func (a *Event) before(b *Event) bool {
 	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
 }
 
-// heapArity is the fan-out of the pending-event heap. A 4-ary heap is
-// half as deep as a binary one, and a node's four children share one
-// or two cache lines of the pointer slice.
-const heapArity = 4
+// heapArity is the fan-out of the pending-event heap. Most sifts stop
+// at the root's children: a fired event's follow-up takes the root
+// slot and rarely sinks far (see Step). There a binary heap compares
+// two children where a 4-ary heap compares four, and measured faster
+// (docs/performance.md, "Event queue").
+const heapArity = 2
 
 // Engine is a single-threaded discrete-event simulator.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
 	now     Time
-	events  []*Event // 4-ary min-heap on (when, seq); see push and pop
+	events  []*Event // min-heap on (when, seq); see push and Step
+	hole    bool     // events[0] is a fired event's recycled node; see Step
 	seq     uint64
 	fired   uint64
 	free    *Event // recycled event nodes (intrusive free-list)
@@ -100,7 +103,13 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are scheduled and not yet fired.
-func (e *Engine) Pending() int { return len(e.events) }
+// While a handler runs, the event it was called from no longer counts.
+func (e *Engine) Pending() int {
+	if e.hole {
+		return len(e.events) - 1
+	}
+	return len(e.events)
+}
 
 // ScheduleEvent arranges for h.OnEvent(arg) to run delay nanoseconds
 // from now on a pooled event node. A negative delay panics: the
@@ -165,8 +174,15 @@ func (e *Engine) recycle(ev *Event) {
 // steady-state footprint of the event queue (tests and diagnostics).
 func (e *Engine) EventPoolFree() int { return e.freeLen }
 
-// push adds ev to the pending heap, sifting it up from the new leaf.
+// push adds ev to the pending heap. While the root slot is empty (a
+// handler's first schedule; see Step), ev takes that slot and sifts
+// down. Otherwise it sifts up from a new leaf.
 func (e *Engine) push(ev *Event) {
+	if e.hole {
+		e.hole = false
+		e.siftDown(ev)
+		return
+	}
 	h := append(e.events, ev)
 	i := len(h) - 1
 	for i > 0 {
@@ -181,20 +197,11 @@ func (e *Engine) push(ev *Event) {
 	e.events = h
 }
 
-// pop removes and returns the earliest pending event; the heap must be
-// non-empty. The last leaf fills the root's hole and sifts down past
-// every child that fires before it.
-func (e *Engine) pop() *Event {
+// siftDown puts ev in the root slot and moves it down past every child
+// that fires before it.
+func (e *Engine) siftDown(ev *Event) {
 	h := e.events
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	h = h[:n]
-	e.events = h
-	if n == 0 {
-		return top
-	}
+	n := len(h)
 	i := 0
 	for {
 		c := heapArity*i + 1
@@ -208,23 +215,48 @@ func (e *Engine) pop() *Event {
 				m = j
 			}
 		}
-		if !h[m].before(last) {
+		if !h[m].before(ev) {
 			break
 		}
 		h[i] = h[m]
 		i = m
 	}
-	h[i] = last
-	return top
+	h[i] = ev
+}
+
+// dropRoot removes the empty root slot: the last leaf fills it and
+// sifts down.
+func (e *Engine) dropRoot() {
+	e.hole = false
+	n := len(e.events) - 1
+	last := e.events[n]
+	e.events[n] = nil
+	e.events = e.events[:n]
+	if n > 0 {
+		e.siftDown(last)
+	}
 }
 
 // Step fires the next event, if any, advancing the clock to its time.
 // It reports whether an event fired.
+//
+// The fired event stays in the root slot while its handler runs, with
+// its node already recycled and the slot marked empty (hole). Most
+// handlers schedule a follow-up, and the first one takes the slot with
+// a single sift down, where removing the root and then adding the
+// follow-up would take two sifts. If the handler schedules nothing,
+// Step removes the empty root when it returns. A
+// Step, Run or RunUntil that finds the slot still empty (called from a
+// handler, or after a handler's panic was recovered) removes it first
+// and never fires it.
 func (e *Engine) Step() bool {
+	if e.hole {
+		e.dropRoot()
+	}
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := e.pop()
+	ev := e.events[0]
 	if simcheckEnabled {
 		e.ckStep(ev)
 	}
@@ -234,7 +266,11 @@ func (e *Engine) Step() bool {
 	// hop immediately, reusing this hot node.
 	h, arg := ev.h, ev.arg
 	e.recycle(ev)
+	e.hole = true
 	h.OnEvent(arg)
+	if e.hole {
+		e.dropRoot()
+	}
 	return true
 }
 
@@ -246,6 +282,9 @@ func (e *Engine) Run() {
 
 // RunUntil fires events with time <= t, then advances the clock to t.
 func (e *Engine) RunUntil(t Time) {
+	if e.hole {
+		e.dropRoot()
+	}
 	for len(e.events) > 0 && e.events[0].when <= t {
 		e.Step()
 	}

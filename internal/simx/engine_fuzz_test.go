@@ -32,10 +32,12 @@ func (s fuzzSchedule) children(id uint64) []Time {
 	return delays
 }
 
-// firing is one event observed firing: its number and its instant.
+// firing is one event observed firing: its number, its instant, and
+// how many other events were pending when its handler began.
 type firing struct {
-	id uint64
-	at Time
+	id      uint64
+	at      Time
+	pending int
 }
 
 // fuzzRun plays a fuzzSchedule on the engine. It is the Handler of
@@ -55,7 +57,7 @@ func (r *fuzzRun) schedule(d Time) {
 }
 
 func (r *fuzzRun) OnEvent(id uint64) {
-	r.fired = append(r.fired, firing{id, r.eng.Now()})
+	r.fired = append(r.fired, firing{id, r.eng.Now(), r.eng.Pending()})
 	for _, d := range r.s.children(id) {
 		r.schedule(d)
 	}
@@ -95,7 +97,7 @@ func referenceOrder(s fuzzSchedule) []firing {
 		pend[m] = pend[len(pend)-1]
 		pend = pend[:len(pend)-1]
 		now = ev.when
-		fired = append(fired, firing{ev.seq, now})
+		fired = append(fired, firing{ev.seq, now, len(pend)})
 		for _, d := range s.children(ev.seq) {
 			schedule(d)
 		}
@@ -105,15 +107,17 @@ func referenceOrder(s fuzzSchedule) []firing {
 
 // FuzzEngineOrder checks that the engine fires any schedule, including
 // events that handlers add while it runs, in exactly the (when, seq)
-// order of referenceOrder. The engine side drains through RunUntil in
-// strides of 1-3 ns taken from the input, so the run also crosses the
-// early-exit peek at the heap's root.
+// order of referenceOrder, and that each handler sees the reference's
+// Pending count: the event firing is no longer pending, though its
+// empty slot is still the heap's root. The engine side drains through
+// RunUntil in strides of 1-3 ns taken from the input, so the run also
+// crosses the early-exit peek at the heap's root.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add(make([]byte, 16)) // 16 events at one instant, no children
 	f.Add([]byte{0x04, 0x08, 0x15, 0x2a, 0x3f, 0x96, 0xc9, 0xfe})
-	deep := make([]byte, 256) // 256 pending at the start: a heap five levels deep
+	deep := make([]byte, 256) // 256 pending at the start: a heap nine levels deep
 	for i := range deep {
 		deep[i] = byte(i * 37)
 	}
@@ -137,8 +141,8 @@ func FuzzEngineOrder(f *testing.F) {
 		}
 		for i := range want {
 			if r.fired[i] != want[i] {
-				t.Fatalf("firing %d: engine fired event %d at %v, reference event %d at %v",
-					i, r.fired[i].id, r.fired[i].at, want[i].id, want[i].at)
+				t.Fatalf("firing %d: engine fired event %d at %v with %d pending, reference event %d at %v with %d pending",
+					i, r.fired[i].id, r.fired[i].at, r.fired[i].pending, want[i].id, want[i].at, want[i].pending)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package simx
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -191,5 +192,163 @@ func TestEngineIntrospection(t *testing.T) {
 	}
 	if eng.EventPoolFree() != 1 {
 		t.Errorf("EventPoolFree after run = %d, want the one recycled node", eng.EventPoolFree())
+	}
+}
+
+// seen is one event observed firing: its arg, the clock, and Pending()
+// as its handler saw it.
+type seen struct {
+	arg     uint64
+	at      Time
+	pending int
+}
+
+// probe logs every firing, then runs the row's reaction to it.
+type probe struct {
+	eng   *Engine
+	log   []seen
+	react func(p *probe, arg uint64)
+}
+
+func (p *probe) OnEvent(arg uint64) {
+	p.log = append(p.log, seen{arg, p.eng.Now(), p.eng.Pending()})
+	if p.react != nil {
+		p.react(p, arg)
+	}
+}
+
+// followUps maps an event's arg to its follow-up delays; follow-up k of
+// event a gets arg 10*a+k+1.
+func followUps(delays map[uint64][]Time) func(p *probe, arg uint64) {
+	return func(p *probe, arg uint64) {
+		for k, d := range delays[arg] {
+			p.eng.ScheduleEvent(d, p, 10*arg+uint64(k)+1)
+		}
+	}
+}
+
+// panicsOn1 is a reaction whose handler for event 1 fails.
+func panicsOn1(p *probe, arg uint64) {
+	if arg == 1 {
+		panic("handler failed")
+	}
+}
+
+// runToPanic runs the engine into a panicsOn1 failure, recovers it, and
+// checks that the failed event no longer counts as pending.
+func runToPanic(t *testing.T, p *probe) {
+	t.Helper()
+	func() {
+		defer func() {
+			if r := recover(); r != "handler failed" {
+				t.Fatalf("recovered %v, want the handler's panic", r)
+			}
+		}()
+		p.eng.Run()
+	}()
+	if got := p.eng.Pending(); got != 2 {
+		t.Errorf("Pending after the panic = %d, want 2", got)
+	}
+}
+
+// TestFusedStepContract pins Step's fused fire-and-reschedule. While a
+// handler runs, its event's slot is the heap's empty root. Whatever the
+// handler does (schedule nothing, one or several follow-ups, call Step
+// or RunUntil itself, or panic), events fire in (when, seq) order, the
+// fired event never counts as pending, and the empty root never fires.
+func TestFusedStepContract(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		at    []Time // initial events, args 1, 2, ... in this order
+		react func(p *probe, arg uint64)
+		run   func(t *testing.T, p *probe) // nil: Run
+		want  []seen
+	}{
+		{
+			name: "no follow-up",
+			at:   []Time{30, 10, 20, 10},
+			want: []seen{{2, 10, 3}, {4, 10, 2}, {3, 20, 1}, {1, 30, 0}},
+		},
+		{
+			// 11 sinks below both pending events, 21 ties the clock,
+			// and 31 ties 11 at 35 but was scheduled later.
+			name:  "one follow-up",
+			at:    []Time{10, 20, 30},
+			react: followUps(map[uint64][]Time{1: {25}, 2: {0}, 3: {5}}),
+			want:  []seen{{1, 10, 2}, {2, 20, 2}, {21, 20, 2}, {3, 30, 1}, {11, 35, 1}, {31, 35, 0}},
+		},
+		{
+			name:  "three follow-ups",
+			at:    []Time{10, 10, 40},
+			react: followUps(map[uint64][]Time{1: {30, 0, 5}}),
+			want:  []seen{{1, 10, 2}, {2, 10, 4}, {12, 10, 3}, {13, 15, 2}, {3, 40, 1}, {11, 40, 0}},
+		},
+		{
+			name: "handler calls Step",
+			at:   []Time{10, 10, 20},
+			react: func(p *probe, arg uint64) {
+				if arg == 1 {
+					if !p.eng.Step() {
+						panic("nested Step fired nothing")
+					}
+					p.eng.ScheduleEvent(0, p, 11)
+				}
+			},
+			want: []seen{{1, 10, 2}, {2, 10, 1}, {11, 10, 1}, {3, 20, 0}},
+		},
+		{
+			name: "handler calls RunUntil(Now())",
+			at:   []Time{10, 10, 10, 20},
+			react: func(p *probe, arg uint64) {
+				if arg == 1 {
+					p.eng.RunUntil(p.eng.Now())
+					p.eng.ScheduleEvent(5, p, 11)
+				}
+			},
+			want: []seen{{1, 10, 3}, {2, 10, 2}, {3, 10, 1}, {11, 15, 1}, {4, 20, 0}},
+		},
+		{
+			name:  "Run again after a recovered panic",
+			at:    []Time{10, 20, 30},
+			react: panicsOn1,
+			run: func(t *testing.T, p *probe) {
+				runToPanic(t, p)
+				p.eng.Run()
+			},
+			want: []seen{{1, 10, 2}, {2, 20, 1}, {3, 30, 0}},
+		},
+		{
+			name:  "RunUntil after a recovered panic",
+			at:    []Time{10, 20, 30},
+			react: panicsOn1,
+			run: func(t *testing.T, p *probe) {
+				runToPanic(t, p)
+				// The empty root still holds the failed event's time, 10.
+				p.eng.RunUntil(15)
+				if len(p.log) != 1 || p.eng.Now() != 15 {
+					t.Errorf("RunUntil(15) after the panic: %d firings, clock %v; want 1, 15", len(p.log), p.eng.Now())
+				}
+				p.eng.Run()
+			},
+			want: []seen{{1, 10, 2}, {2, 20, 1}, {3, 30, 0}},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &probe{eng: NewEngine(), react: tc.react}
+			for i, w := range tc.at {
+				p.eng.AtEvent(w, p, uint64(i+1))
+			}
+			if tc.run != nil {
+				tc.run(t, p)
+			} else {
+				p.eng.Run()
+			}
+			if !slices.Equal(p.log, tc.want) {
+				t.Errorf("fired (arg, at, pending) %v, want %v", p.log, tc.want)
+			}
+			if p.eng.Pending() != 0 || p.eng.Fired() != uint64(len(tc.want)) {
+				t.Errorf("after the run: Pending %d, Fired %d; want 0, %d", p.eng.Pending(), p.eng.Fired(), len(tc.want))
+			}
+		})
 	}
 }

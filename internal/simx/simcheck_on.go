@@ -151,8 +151,13 @@ func (e *Engine) ckMaybeVerifyHeap() {
 
 // ckVerifyHeap proves two properties of the pending-event heap: no
 // child (slots heapArity*i+1 .. heapArity*i+heapArity) fires before
-// its parent i, and no pending event is in the past.
+// its parent i, and no pending event is in the past. It runs only
+// between heap operations, never while a handler holds the root slot
+// empty (see Step): that slot's node is recycled.
 func (e *Engine) ckVerifyHeap() {
+	if e.hole {
+		panic("simcheck: heap swept while its root slot is empty")
+	}
 	h := e.events
 	for i, ev := range h {
 		if ev.when < e.now {
