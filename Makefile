@@ -33,14 +33,16 @@ simcheck:
 # (internal/simx) checks random schedules, full of same-instant ties,
 # against an O(n^2) (when, seq) reference. FuzzFTLOps (internal/ftl)
 # checks random sequences of FTL calls against a plain map model of the
-# translation. Plain `go test` runs their seed corpora; this mutates
-# beyond them. A failing input is written to the package's
+# translation. FuzzDecode (internal/trace) checks that trace decoding
+# never panics and that an accepted trace survives Encode then Decode.
+# Plain `go test` runs their seed corpora; this mutates beyond them. A failing input is written to the package's
 # testdata/fuzz/ — commit it, and it joins the corpus every `go test`
 # replays.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/simx
 	$(GO) test -run '^$$' -fuzz '^FuzzFTLOps$$' -fuzztime $(FUZZTIME) ./internal/ftl
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
 
 $(SIMLINT): $(shell find cmd/simlint internal/lint -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o $(SIMLINT) ./cmd/simlint

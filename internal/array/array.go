@@ -72,11 +72,11 @@ type Array struct {
 
 	nextReqID   uint64
 	inFlight    int
-	gcActive    []bool        // per flat FIMM id
-	gcRound     []*ftl.GCPlan // per flat FIMM id: background round in flight, until its erase ends
+	gc          []gcWorker // per flat FIMM id
 	gcRounds    uint64
 	gcDeferrals uint64
 	migrations  uint64
+	moving      int // MigratePage moves that have not reported yet
 	readRetries uint64
 
 	// Write-buffer coherence and program sequencing: one record per
@@ -90,9 +90,6 @@ type Array struct {
 	busUtilAt   []simx.Time
 	busUtilSnap []simx.Time
 	busUtilLast []float64
-
-	// drained fires when in-flight work reaches zero (Run uses it).
-	onIdle func()
 
 	// Steady-state object pools (single-threaded free-lists). Packets
 	// and commands are shared with the endpoints so completions recycle
@@ -122,14 +119,16 @@ func New(cfg Config) (*Array, error) {
 		recorder:    recorder,
 		faultCtrs:   newFaultCounters(recorder.Registry()),
 		rcSlots:     simx.NewResource(eng, "rc-queue", cfg.RCQueueEntries),
-		gcActive:    make([]bool, cfg.Geometry.TotalFIMMs()),
-		gcRound:     make([]*ftl.GCPlan, cfg.Geometry.TotalFIMMs()),
+		gc:          make([]gcWorker, cfg.Geometry.TotalFIMMs()),
 		bufs:        make(map[topo.PPN]*blockBuf),
 		busUtilAt:   make([]simx.Time, cfg.Geometry.TotalClusters()),
 		busUtilSnap: make([]simx.Time, cfg.Geometry.TotalClusters()),
 		busUtilLast: make([]float64, cfg.Geometry.TotalClusters()),
 		cache:       newDRAMCache(units.BytesToPages(cfg.HostDRAMBytes, cfg.Geometry.Nand.PageSizeBytes)),
 		health:      topo.NewHealth(cfg.Geometry),
+	}
+	for i := range a.gc {
+		a.gc[i] = gcWorker{arr: a, id: topo.FIMMFromFlat(cfg.Geometry, i)}
 	}
 	a.ftl.SetDecisions(dec, eng.Now)
 	a.build()
@@ -259,16 +258,20 @@ func (a *Array) pkgAt(ppn topo.PPN) *nand.Package {
 	return a.eps[ppn.Switch()][ppn.Cluster()].FIMM(ppn.FIMMSlot()).Package(ppn.Pkg())
 }
 
-// Prepare checks that every request addresses only pages inside the
-// array, then installs the pre-existing data footprint for a trace:
-// every page that is read is prepopulated in the FTL and
-// force-populated on its device, so reads find real flash pages
-// (costing no simulated time — the data predates the experiment).
+// Prepare checks that every request is well-formed and addresses only
+// pages inside the array, then installs the pre-existing data
+// footprint for a trace: every page that is read is prepopulated in
+// the FTL and force-populated on its device, so reads find real flash
+// pages (costing no simulated time — the data predates the experiment).
 func (a *Array) Prepare(reqs []trace.Request) error {
 	total := a.cfg.Geometry.TotalPages().Int64()
 	for i, r := range reqs {
+		if err := r.Validate(); err != nil {
+			return fmt.Errorf("array: request %d (%v LPN %d, %d pages) is malformed: %w",
+				i, r.Op, r.LPN, r.Pages, err)
+		}
 		// LPN+Pages > total, written so it cannot overflow.
-		if r.LPN < 0 || r.Pages < 1 || r.LPN > total-r.Pages.Int64() {
+		if r.LPN > total-r.Pages.Int64() {
 			return fmt.Errorf("array: request %d (%v LPN %d, %d pages) is outside the array's pages [0,%d)",
 				i, r.Op, r.LPN, r.Pages, total)
 		}
@@ -298,16 +301,28 @@ func (a *Array) ensureMapped(lpn int64) error {
 		return nil
 	}
 	b := a.buffer(ppn)
-	a.launchProgram(b, funcLauncher(func() {
-		if err := a.pkgAt(ppn).ForcePopulate(ppn.NandAddr(&a.cfg.Geometry)); err != nil {
-			panic(fmt.Sprintf("array: prepopulate: %v", err))
-		}
-		if b.flushed(ppn.Page()) {
-			a.staleDeviceNow(ppn)
-		}
-		a.releaseGate(ppn.BlockKey(), b)
-	}))
+	a.launchProgram(b, &populate{arr: a, ppn: ppn, buf: b})
 	return nil
+}
+
+// populate is a prepopulated page parked at its block's gate.
+type populate struct {
+	arr *Array
+	ppn topo.PPN
+	buf *blockBuf
+}
+
+// launch implements launcher: the page's turn came, so it programs
+// instantly.
+func (p *populate) launch() {
+	a := p.arr
+	if err := a.pkgAt(p.ppn).ForcePopulate(p.ppn.NandAddr(&a.cfg.Geometry)); err != nil {
+		panic(fmt.Sprintf("array: prepopulate: %v", err))
+	}
+	if p.buf.flushed(p.ppn.Page()) {
+		a.staleDeviceNow(p.ppn)
+	}
+	a.releaseGate(p.ppn.BlockKey(), p.buf)
 }
 
 // Run replays a trace to completion and returns the recorder. The
@@ -328,8 +343,18 @@ func (a *Array) Run(reqs []trace.Request) (*metrics.Recorder, error) {
 	f := &arrivalFeeder{arr: a, reqs: reqs}
 	f.scheduleNext(0)
 	a.eng.Run()
+	// A continuation chain that broke leaves its work unfinished with
+	// nothing left to schedule.
 	if a.inFlight != 0 {
 		return nil, fmt.Errorf("array: %d requests still in flight after drain", a.inFlight)
+	}
+	for i := range a.gc {
+		if a.gc[i].active {
+			return nil, fmt.Errorf("array: GC on %v still active after drain", a.gc[i].id)
+		}
+	}
+	if a.moving != 0 {
+		return nil, fmt.Errorf("array: %d page migrations never reported after drain", a.moving)
 	}
 	// Every pooled object minted during the run (events, waiters,
 	// packets, commands, request/pageRef nodes, device op states) must
@@ -484,10 +509,7 @@ func (a *Array) retryRead(ref *pageRef) {
 		ppn, _ = a.ftl.Lookup(ref.lpn)
 	}
 	a.readRetries++
-	cmd := a.cmdPool.Get()
-	cmd.Op = cluster.OpRead
-	cmd.FIMM, cmd.Pkg = ppn.FIMMSlot(), ppn.Pkg()
-	cmd.SetPageAddr(ppn.NandAddr(&a.cfg.Geometry))
+	cmd := a.command(cluster.OpRead, ppn, nil)
 	cmd.BufferHit = a.buffered(ppn)
 	cmd.Meta = ref
 	pkt := a.pktPool.Get()
@@ -573,10 +595,7 @@ func (a *Array) admitPage(ref *pageRef) {
 		payload = a.cfg.Geometry.Nand.PageSizeBytes
 	}
 
-	cmd := a.cmdPool.Get()
-	cmd.Op = op
-	cmd.FIMM, cmd.Pkg = ppn.FIMMSlot(), ppn.Pkg()
-	cmd.SetPageAddr(ppn.NandAddr(&a.cfg.Geometry))
+	cmd := a.command(op, ppn, nil)
 	cmd.BufferHit = bufferHit
 	cmd.Meta = ref
 	var buf *blockBuf
@@ -599,18 +618,25 @@ func (a *Array) admitPage(ref *pageRef) {
 	}
 }
 
+// command draws a pooled device command for the page at ppn. A
+// command with a Done receiver is background work (GC, migration): it
+// reports to done and sends no completion to the host.
+func (a *Array) command(op cluster.Op, ppn topo.PPN, done cluster.DoneH) *cluster.Command {
+	cmd := a.cmdPool.Get()
+	cmd.Op = op
+	cmd.FIMM, cmd.Pkg = ppn.FIMMSlot(), ppn.Pkg()
+	cmd.SetPageAddr(ppn.NandAddr(&a.cfg.Geometry))
+	cmd.Done = done
+	cmd.Background = done != nil
+	return cmd
+}
+
 // launcher starts a gated page program (hands the command to its
-// transport). The hot host-write path implements it on the pooled
-// pageRef; cold paths adapt closures with funcLauncher.
+// transport): the host write's pageRef, a GC worker's relocation, a
+// migration's destination program, or a prepopulated page.
 type launcher interface {
 	launch()
 }
-
-// funcLauncher adapts a closure to launcher for cold paths (setup,
-// GC, migration). The conversion allocates.
-type funcLauncher func()
-
-func (f funcLauncher) launch() { f() }
 
 // blockBuf is the write-buffer record of one erase block while any of
 // its page programs is in flight: allocated, buffered in an endpoint,
@@ -719,7 +745,7 @@ func (a *Array) trackFlush(ppn topo.PPN, cmd *cluster.Command) *blockBuf {
 // reached flash (the write-buffer eviction point). This is also the
 // write command's release point — for host writes the command recycles
 // once both retirement events (ack delivery, flush) have happened; for
-// background writes OnComplete has already run, so it recycles here.
+// background writes Done has already run, so it recycles here.
 func (a *Array) OnCommandFlushed(c *cluster.Command) {
 	ppn := c.FlushPPN
 	failed := c.Result.Err != nil
@@ -891,9 +917,6 @@ func (a *Array) finishPage(req *request, b metrics.Breakdown) {
 	}
 	a.inFlight--
 	a.recycleReq(req)
-	if a.inFlight == 0 && a.onIdle != nil {
-		a.onIdle()
-	}
 }
 
 // ReadRetries reports reads re-resolved after losing a race with

@@ -193,7 +193,8 @@ func TestPrepareMapsReadFootprint(t *testing.T) {
 // TestRunRejectsRequestsPastCapacity pins that a trace request running
 // past the last logical page is a Run error naming the request, never a
 // panic deep in the FTL — for writes as for reads, and without
-// overflow at the top of the int64 range.
+// overflow at the top of the int64 range. A malformed request (negative
+// arrival, unknown op) is a Run error the same way.
 func TestRunRejectsRequestsPastCapacity(t *testing.T) {
 	cfg := testConfig()
 	total := cfg.Geometry.TotalPages().Int64()
@@ -205,6 +206,8 @@ func TestRunRejectsRequestsPastCapacity(t *testing.T) {
 		{"write spanning the end", trace.Request{Op: trace.Write, LPN: total - 1, Pages: 2}},
 		{"read spanning the end", trace.Request{Op: trace.Read, LPN: total - 1, Pages: 2}},
 		{"write at MaxInt64", trace.Request{Op: trace.Write, LPN: math.MaxInt64, Pages: 2}},
+		{"negative arrival", trace.Request{Arrival: -5, Op: trace.Write, LPN: 1, Pages: 1}},
+		{"unknown op", trace.Request{Op: trace.Op(7), LPN: 1, Pages: 1}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -264,6 +267,11 @@ func TestRCQueueAdmissionStall(t *testing.T) {
 	}
 }
 
+// migratedFunc adapts a function to Migrated.
+type migratedFunc func(err error)
+
+func (f migratedFunc) OnMigrated(_ int64, err error) { f(err) }
+
 func TestMigratePageMovesData(t *testing.T) {
 	a, _ := New(testConfig())
 	if err := a.ensureMapped(3); err != nil {
@@ -276,7 +284,7 @@ func TestMigratePageMovesData(t *testing.T) {
 	}
 	var migErr error
 	doneAt := simx.Time(-1)
-	a.MigratePage(3, dst, false, func(err error) { migErr = err; doneAt = a.Engine().Now() })
+	a.MigratePage(3, dst, false, migratedFunc(func(err error) { migErr = err; doneAt = a.Engine().Now() }))
 	a.Engine().Run()
 	if migErr != nil {
 		t.Fatalf("migration: %v", migErr)
@@ -312,12 +320,12 @@ func TestShadowCloningFasterThanNaive(t *testing.T) {
 		dst := topo.FIMMID{ClusterID: topo.ClusterID{Switch: 0, Cluster: 1}, FIMM: 0}
 		start := a.Engine().Now()
 		var end simx.Time
-		a.MigratePage(3, dst, shadow, func(err error) {
+		a.MigratePage(3, dst, shadow, migratedFunc(func(err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
 			end = a.Engine().Now()
-		})
+		}))
 		a.Engine().Run()
 		return end - start
 	}
@@ -338,12 +346,12 @@ func TestMigrateSameFIMMNoOp(t *testing.T) {
 	}
 	src, _ := a.FTL().Lookup(0)
 	called := false
-	a.MigratePage(0, src.FIMMID(), true, func(err error) {
+	a.MigratePage(0, src.FIMMID(), true, migratedFunc(func(err error) {
 		called = true
 		if err != nil {
 			t.Errorf("no-op migration errored: %v", err)
 		}
-	})
+	}))
 	if !called {
 		t.Error("no-op migration did not complete synchronously")
 	}
@@ -355,9 +363,67 @@ func TestMigrateSameFIMMNoOp(t *testing.T) {
 func TestMigrateUnmapped(t *testing.T) {
 	a, _ := New(testConfig())
 	var got error
-	a.MigratePage(7, topo.FIMMID{}, true, func(err error) { got = err })
+	a.MigratePage(7, topo.FIMMID{}, true, migratedFunc(func(err error) { got = err }))
 	if !errors.Is(got, ErrUnmapped) {
 		t.Errorf("err = %v, want ErrUnmapped", got)
+	}
+}
+
+// TestMigratePageReportsFailures drives the MigratePage reports no
+// other test reaches. Each row must call done exactly once with its
+// error, then the array must drain (Run's drain checks count every
+// move that never reported) with every pooled object returned, and
+// stay consistent.
+func TestMigratePageReportsFailures(t *testing.T) {
+	dst := topo.FIMMID{ClusterID: topo.ClusterID{Switch: 0, Cluster: 1}, FIMM: 0}
+	cases := []struct {
+		name  string
+		want  string
+		start func(a *Array, src topo.PPN, done Migrated)
+	}{
+		{"unplaceable destination", "unplaceable", func(a *Array, _ topo.PPN, done Migrated) {
+			a.ArmFaults()
+			a.Health().SetCluster(dst.ClusterID, topo.ClusterDegraded)
+			a.MigratePage(3, dst, false, done)
+		}},
+		{"source read fails", "migration read", func(a *Array, src topo.PPN, done Migrated) {
+			a.Endpoint(src.ClusterID()).FIMM(src.FIMMSlot()).Kill()
+			a.MigratePage(3, dst, false, done)
+		}},
+		{"allocation fails", "migration allocation", func(a *Array, _ topo.PPN, done Migrated) {
+			a.MigratePage(3, dst, false, done)
+			a.FTL().DropMapping(3) // dropped during the source read
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a, err := New(testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.ensureMapped(3); err != nil {
+				t.Fatal(err)
+			}
+			src, _ := a.FTL().Lookup(3)
+			if src.FIMMID() == dst {
+				t.Fatal("test picked the source FIMM")
+			}
+			snap := simx.SnapshotLedger()
+			var errs []error
+			c.start(a, src, migratedFunc(func(err error) { errs = append(errs, err) }))
+			if _, err := a.Run(nil); err != nil {
+				t.Fatal(err)
+			}
+			if len(errs) != 1 || errs[0] == nil || !strings.Contains(errs[0].Error(), c.want) {
+				t.Fatalf("done called with %v, want once with an error containing %q", errs, c.want)
+			}
+			if err := simx.AssertDrained(snap); err != nil {
+				t.Error(err)
+			}
+			if err := a.CheckConsistency(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
@@ -368,7 +434,7 @@ func TestCrossSwitchMigrationViaRC(t *testing.T) {
 	}
 	dst := topo.FIMMID{ClusterID: topo.ClusterID{Switch: 1, Cluster: 0}, FIMM: 0}
 	var migErr error
-	a.MigratePage(0, dst, true, func(err error) { migErr = err })
+	a.MigratePage(0, dst, true, migratedFunc(func(err error) { migErr = err }))
 	a.Engine().Run()
 	if migErr != nil {
 		t.Fatalf("cross-switch migration: %v", migErr)

@@ -57,11 +57,11 @@ func TestConsistencyAfterMigrations(t *testing.T) {
 			ClusterID: topo.ClusterID{Switch: int(lpn) % 2, Cluster: int(lpn) % 2},
 			FIMM:      int(lpn) % 2,
 		}
-		a.MigratePage(lpn, dst, lpn%2 == 0, func(err error) {
+		a.MigratePage(lpn, dst, lpn%2 == 0, migratedFunc(func(err error) {
 			if err != nil {
 				t.Errorf("migrate %d: %v", lpn, err)
 			}
-		})
+		}))
 	}
 	a.Engine().Run()
 	if err := a.CheckConsistency(); err != nil {
@@ -89,7 +89,7 @@ func TestPropertyConsistencyUnderChaos(t *testing.T) {
 				a.Submit(trace.Request{Op: trace.Write, LPN: lpn, Pages: 1})
 			case 2:
 				dst := topo.FIMMFromFlat(cfg.Geometry, rng.Intn(cfg.Geometry.TotalFIMMs()))
-				a.MigratePage(lpn, dst, rng.Bool(0.5), func(error) {})
+				a.MigratePage(lpn, dst, rng.Bool(0.5), migratedFunc(func(error) {}))
 			case 3:
 				a.Engine().RunFor(simx.Time(rng.Intn(200)) * simx.Microsecond)
 			}

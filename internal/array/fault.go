@@ -88,9 +88,6 @@ func (a *Array) SetFaultRecovery(on bool) {
 	}
 }
 
-// FaultRecovery reports whether degraded-mode recovery is enabled.
-func (a *Array) FaultRecovery() bool { return a.recoverFaults }
-
 // EPLinks returns a cluster's fabric links (down toward the endpoint,
 // up toward the switch) — the injector's target for link degradation.
 func (a *Array) EPLinks(id topo.ClusterID) (down, up *pcie.Link) {

@@ -9,150 +9,138 @@ import (
 	"triplea/internal/topo"
 )
 
-// startGC launches a background garbage-collection worker for a FIMM if
-// one is not already running. The worker relocates the victim's valid
-// pages (device reads and programs that contend with host traffic, as
-// real GC does), erases the victim, and repeats while pressure remains.
-func (a *Array) startGC(id topo.FIMMID) {
-	flat := id.Flat(&a.cfg.Geometry)
-	if a.gcActive[flat] {
-		return
-	}
-	a.gcActive[flat] = true
-	a.gcStep(id)
+// gcWorker is one FIMM's background garbage collector. It relocates
+// the victim's valid pages one at a time (device reads and programs
+// that contend with host traffic, as real GC does), erases the victim,
+// and repeats while pressure remains. New preallocates one per FIMM;
+// the worker is the typed receiver of every step of its rounds.
+type gcWorker struct {
+	arr    *Array
+	id     topo.FIMMID
+	active bool
+	// plan is the round in flight, until its erase ends; gcVeto keeps
+	// the emergency path off its victim.
+	plan *ftl.GCPlan
+	move int              // index into plan.Moves of the move in flight
+	prog *cluster.Command // relocation program parked at its block's gate
 }
 
-func (a *Array) gcStep(id topo.FIMMID) {
-	flat := id.Flat(&a.cfg.Geometry)
-	if a.gcHalted(id) {
-		a.gcActive[flat] = false
+// startGC launches the FIMM's background collector if it is not
+// already running.
+func (a *Array) startGC(id topo.FIMMID) {
+	w := &a.gc[id.Flat(&a.cfg.Geometry)]
+	if w.active {
 		return
 	}
-	if !a.ftl.GCPressure(id) {
-		a.gcActive[flat] = false
+	w.active = true
+	w.step()
+}
+
+// step starts the next round, or stops the worker once the FIMM is
+// halted, unpressured or has no victim.
+func (w *gcWorker) step() {
+	a := w.arr
+	if a.gcHalted(w.id) || !a.ftl.GCPressure(w.id) {
+		w.active = false
 		return
 	}
 	// Opportunistic scheduling: while the cluster is serving host
 	// traffic, postpone collection to an idle window — unless a unit is
 	// about to run dry, in which case reclaim immediately.
-	if a.cfg.OpportunisticGC && a.ftl.MinFreeBlocks(id) > 1 &&
-		a.clusterBusUtil(id.ClusterID) > 0.5 {
+	if a.cfg.OpportunisticGC && a.ftl.MinFreeBlocks(w.id) > 1 &&
+		a.clusterBusUtil(w.id.ClusterID) > 0.5 {
 		a.gcDeferrals++
-		a.eng.ScheduleEvent(utilWindow, a, uint64(flat))
+		a.eng.ScheduleEvent(utilWindow, w, 0)
 		return
 	}
-	plan, ok := a.ftl.PlanGC(id, a.gcVeto)
+	plan, ok := a.ftl.PlanGC(w.id, a.gcVeto)
 	if !ok {
-		a.gcActive[flat] = false
+		w.active = false
 		return
 	}
-	a.gcRound[flat] = plan
-	a.execGCMoves(plan, 0, func() {
-		a.eraseVictim(plan, func() {
-			a.gcRound[flat] = nil
-			a.gcRounds++
-			a.gcStep(id) // keep collecting while pressured
-		})
-	})
+	w.plan, w.move = plan, 0
+	w.nextMove()
 }
 
-// OnEvent implements simx.Handler for the opportunistic-GC deferral
-// timer: arg is the flat index of the FIMM whose round was postponed.
-func (a *Array) OnEvent(arg uint64) {
-	a.gcStep(topo.FIMMFromFlat(a.cfg.Geometry, int(arg)))
-}
+// OnEvent implements simx.Handler: the postponed round retries.
+func (w *gcWorker) OnEvent(uint64) { w.step() }
 
-// execGCMoves relocates plan.Moves[i:] one at a time, then calls done.
-func (a *Array) execGCMoves(plan *ftl.GCPlan, i int, done func()) {
-	if i >= len(plan.Moves) {
-		done()
+// nextMove reads the source of plan.Moves[move], or erases the victim
+// once every move is done.
+func (w *gcWorker) nextMove() {
+	a := w.arr
+	if w.move >= len(w.plan.Moves) {
+		victim := w.plan.Victim
+		a.Endpoint(victim.ClusterID()).Submit(a.command(cluster.OpErase, victim, w))
 		return
 	}
-	move := plan.Moves[i]
-	next := func() { a.execGCMoves(plan, i+1, done) }
+	src := w.plan.Moves[w.move].Src
+	a.Endpoint(src.ClusterID()).Submit(a.command(cluster.OpRead, src, w))
+}
 
-	ep := a.Endpoint(move.Src.ClusterID())
-	readCmd := a.cmdPool.Get()
-	readCmd.Op = cluster.OpRead
-	readCmd.FIMM, readCmd.Pkg = move.Src.FIMMSlot(), move.Src.Pkg()
-	readCmd.SetPageAddr(move.Src.NandAddr(&a.cfg.Geometry))
-	readCmd.Background = true
-	readCmd.OnComplete = func(c *cluster.Command) {
-		if c.Result.Err != nil {
-			a.gcFaultErr("GC read", c.Result.Err)
-			// The victim page is unreadable; abandon this move.
-			a.cmdPool.Put(c)
-			next()
-			return
-		}
+// OnCommandDone implements cluster.DoneH for the round's read, program
+// and erase commands. A read or program ends its move, however it went.
+func (w *gcWorker) OnCommandDone(c *cluster.Command) {
+	a := w.arr
+	err := c.Result.Err
+	switch c.Op {
+	case cluster.OpRead:
 		a.cmdPool.Put(c) // background reads retire at completion
-		wa, err := a.ftl.AllocateGCMove(move)
 		if err != nil {
-			// A host write moved the page since planning; skip it.
-			next()
-			return
+			// The victim page is unreadable; abandon this move.
+			a.gcFaultErr("GC read", err)
+			break
+		}
+		wa, err := a.ftl.AllocateGCMove(w.plan.Moves[w.move])
+		if err != nil {
+			break // a host write moved the page since planning; skip it
 		}
 		a.markStaleDevice(wa.Old)
-		a.backgroundProgram(wa.New, next)
+		w.prog = a.command(cluster.OpWrite, wa.New, w)
+		a.launchProgram(a.trackFlush(wa.New, w.prog), w)
+		return
+	case cluster.OpWrite:
+		// The flush retirement (OnCommandFlushed) recycles the command.
+		// Fault-caused program failures are tolerated: the flush
+		// retirement drops the mapping, and the round continues.
+		if err != nil {
+			a.gcFaultErr("background program", err)
+		}
+	case cluster.OpErase:
+		a.cmdPool.Put(c) // erases retire at completion
+		if err != nil {
+			// A fault-caused erase failure abandons the round.
+			a.gcFaultErr("GC erase", err)
+			a.retireUnerasable(w.plan.Victim, err)
+		} else if err := a.ftl.CompleteGCErase(w.plan); err != nil {
+			panic(fmt.Sprintf("array: GC bookkeeping: %v", err))
+		}
+		w.plan = nil
+		a.gcRounds++
+		w.step() // keep collecting while pressured
+		return
 	}
-	ep.Submit(readCmd)
+	w.move++
+	w.nextMove()
+}
+
+// launch implements launcher: the block's gate lets the relocation
+// program go.
+func (w *gcWorker) launch() {
+	cmd := w.prog
+	w.prog = nil
+	w.arr.Endpoint(cmd.FlushPPN.ClusterID()).Submit(cmd)
 }
 
 // gcVeto excludes from victim selection blocks with buffered
 // (unflushed) programs and the victim of the FIMM's background round
 // in flight, which the emergency path must not erase under it.
 func (a *Array) gcVeto(victim topo.PPN) bool {
-	if r := a.gcRound[victim.FIMMID().Flat(&a.cfg.Geometry)]; r != nil && r.Victim == victim {
+	if p := a.gc[victim.FIMMID().Flat(&a.cfg.Geometry)].plan; p != nil && p.Victim == victim {
 		return true
 	}
 	b := a.bufs[victim.BlockKey()]
 	return b != nil && b.pending > 0
-}
-
-// backgroundProgram writes one page at ppn via the endpoint write path.
-func (a *Array) backgroundProgram(ppn topo.PPN, done func()) {
-	ep := a.Endpoint(ppn.ClusterID())
-	cmd := a.cmdPool.Get()
-	cmd.Op = cluster.OpWrite
-	cmd.FIMM, cmd.Pkg = ppn.FIMMSlot(), ppn.Pkg()
-	cmd.SetPageAddr(ppn.NandAddr(&a.cfg.Geometry))
-	cmd.Background = true
-	// The flush retirement (OnCommandFlushed) recycles the command;
-	// OnComplete only chains the GC state machine.
-	cmd.OnComplete = func(c *cluster.Command) {
-		if c.Result.Err != nil {
-			// Fault-caused program failures are tolerated: the flush
-			// retirement drops the mapping, and the chain continues.
-			a.gcFaultErr("background program", c.Result.Err)
-		}
-		done()
-	}
-	a.launchProgram(a.trackFlush(ppn, cmd), funcLauncher(func() { ep.Submit(cmd) }))
-}
-
-// eraseVictim erases the plan's victim block and completes the plan.
-func (a *Array) eraseVictim(plan *ftl.GCPlan, done func()) {
-	cmd := a.cmdPool.Get()
-	cmd.Op = cluster.OpErase
-	cmd.FIMM, cmd.Pkg = plan.Victim.FIMMSlot(), plan.Victim.Pkg()
-	cmd.SetPageAddr(plan.Victim.NandAddr(&a.cfg.Geometry))
-	cmd.Background = true
-	cmd.OnComplete = func(c *cluster.Command) {
-		err := c.Result.Err
-		a.cmdPool.Put(c) // erases retire at completion
-		if err != nil {
-			// A fault-caused erase failure abandons the round.
-			a.gcFaultErr("GC erase", err)
-			a.retireUnerasable(plan.Victim, err)
-			done()
-			return
-		}
-		if err := a.ftl.CompleteGCErase(plan); err != nil {
-			panic(fmt.Sprintf("array: GC bookkeeping: %v", err))
-		}
-		done()
-	}
-	a.Endpoint(plan.Victim.ClusterID()).Submit(cmd)
 }
 
 // runGCNow is the emergency out-of-space path: it reclaims one block

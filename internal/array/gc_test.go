@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"triplea/internal/cluster"
-	"triplea/internal/ftl"
 	"triplea/internal/nand"
 	"triplea/internal/simx"
 	"triplea/internal/topo"
@@ -135,9 +134,9 @@ func TestEmergencyGCSparesInFlightVictim(t *testing.T) {
 		if !a.eng.Step() {
 			t.Fatal("the run ended before a background GC round began")
 		}
-		flat = slices.IndexFunc(a.gcRound, func(p *ftl.GCPlan) bool { return p != nil })
+		flat = slices.IndexFunc(a.gc, func(w gcWorker) bool { return w.plan != nil })
 	}
-	victim := a.gcRound[flat].Victim
+	victim := a.gc[flat].plan.Victim
 	if !a.gcVeto(victim) {
 		t.Fatalf("in-flight victim %v not vetoed", victim)
 	}
@@ -172,6 +171,11 @@ func TestGCVetoProtectsPendingBlocks(t *testing.T) {
 	}
 }
 
+// launchFunc adapts a function to launcher.
+type launchFunc func()
+
+func (f launchFunc) launch() { f() }
+
 // TestWriteBufferRecord follows one block's write-buffer record through
 // two programs, with a stale-mark deferred on the first: reads see the
 // buffer until each page flushes, the deferred mark reaches the device
@@ -205,7 +209,7 @@ func TestWriteBufferRecord(t *testing.T) {
 		cmd := a.cmdPool.Get()
 		cmd.Background = true
 		cmds = append(cmds, cmd)
-		a.launchProgram(a.trackFlush(ppn, cmd), funcLauncher(func() { launched = append(launched, ppn) }))
+		a.launchProgram(a.trackFlush(ppn, cmd), launchFunc(func() { launched = append(launched, ppn) }))
 	}
 	if len(launched) != 1 || launched[0] != first {
 		t.Fatalf("launched %v before any flush, want only %v", launched, first)

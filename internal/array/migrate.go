@@ -28,100 +28,120 @@ var ErrUnmapped = errors.New("array: migrate of unmapped LPN")
 // Cross-cluster moves travel the PCI-E fabric as peer-to-peer writes
 // through the shared switch, contending with host traffic; intra-cluster
 // moves (reshaping) stay on the cluster's local resources.
-func (a *Array) MigratePage(lpn int64, dst topo.FIMMID, shadow bool, done func(error)) {
-	if done == nil {
-		done = func(error) {}
-	}
+//
+// done hears the outcome exactly once, synchronously when the move is
+// refused or needs nothing.
+func (a *Array) MigratePage(lpn int64, dst topo.FIMMID, shadow bool, done Migrated) {
 	src, ok := a.ftl.Lookup(lpn)
 	if !ok {
-		done(ErrUnmapped)
+		done.OnMigrated(lpn, ErrUnmapped)
 		return
 	}
 	if src.FIMMID() == dst {
-		done(nil) // already there
+		done.OnMigrated(lpn, nil) // already there
 		return
 	}
 	if a.faultsArmed && !a.health.Placeable(dst) {
 		// Refuse before Relocate: allocating on faulted hardware would
 		// lose the page when its flush fails.
-		done(fmt.Errorf("array: migrate of %d to unplaceable %v", lpn, dst))
+		done.OnMigrated(lpn, fmt.Errorf("array: migrate of %d to unplaceable %v", lpn, dst))
 		return
 	}
 
-	transfer := func() { a.transferPage(lpn, src, dst, done) }
+	m := &migration{arr: a, lpn: lpn, src: src, dst: dst, done: done}
+	a.moving++
 	if shadow || a.buffered(src) {
 		// Shadow cloning, or the page's data is still buffered in the
 		// source endpoint: either way no device read is needed.
-		transfer()
+		m.transfer()
 		return
 	}
 	// Naive migration: read the source page from flash first.
-	ep := a.Endpoint(src.ClusterID())
-	readCmd := a.cmdPool.Get()
-	readCmd.Op = cluster.OpRead
-	readCmd.FIMM, readCmd.Pkg = src.FIMMSlot(), src.Pkg()
-	readCmd.SetPageAddr(src.NandAddr(&a.cfg.Geometry))
-	readCmd.Background = true
-	readCmd.OnComplete = func(c *cluster.Command) {
-		err := c.Result.Err
-		a.cmdPool.Put(c) // background reads retire at completion
-		if err != nil {
-			done(fmt.Errorf("array: migration read: %w", err))
-			return
-		}
-		transfer()
-	}
-	ep.Submit(readCmd)
+	a.Endpoint(src.ClusterID()).Submit(a.command(cluster.OpRead, src, m))
 }
 
-// transferPage relocates the mapping and moves the staged data to dst.
-func (a *Array) transferPage(lpn int64, src topo.PPN, dst topo.FIMMID, done func(error)) {
-	wa, err := a.ftl.Relocate(lpn, dst)
+// Migrated receives the outcome of a MigratePage call.
+type Migrated interface {
+	OnMigrated(lpn int64, err error)
+}
+
+// migration is one page move past MigratePage's synchronous checks: the
+// typed receiver of its source read and destination program.
+type migration struct {
+	arr  *Array
+	lpn  int64
+	src  topo.PPN
+	dst  topo.FIMMID
+	done Migrated
+	prog *cluster.Command // destination program parked at its block's gate
+}
+
+// OnCommandDone implements cluster.DoneH for the source read and the
+// destination program.
+func (m *migration) OnCommandDone(c *cluster.Command) {
+	err := c.Result.Err
+	if c.Op == cluster.OpRead {
+		m.arr.cmdPool.Put(c) // background reads retire at completion
+		if err != nil {
+			m.report(fmt.Errorf("array: migration read: %w", err))
+			return
+		}
+		m.transfer()
+		return
+	}
+	// The destination program; OnCommandFlushed recycles the command.
+	if err != nil {
+		m.report(fmt.Errorf("array: migration write: %w", err))
+		return
+	}
+	m.arr.migrations++
+	m.report(nil)
+}
+
+// report ends the move.
+func (m *migration) report(err error) {
+	m.arr.moving--
+	m.done.OnMigrated(m.lpn, err)
+}
+
+// transfer relocates the mapping and moves the staged data to dst.
+func (m *migration) transfer() {
+	a := m.arr
+	wa, err := a.ftl.Relocate(m.lpn, m.dst)
 	if errors.Is(err, ftl.ErrNoSpace) {
-		a.runGCNow(dst)
-		wa, err = a.ftl.Relocate(lpn, dst)
+		a.runGCNow(m.dst)
+		wa, err = a.ftl.Relocate(m.lpn, m.dst)
 	}
 	if err != nil {
-		done(fmt.Errorf("array: migration allocation: %w", err))
+		m.report(fmt.Errorf("array: migration allocation: %w", err))
 		return
 	}
 	a.markStaleDevice(wa.Old)
+	m.prog = a.command(cluster.OpWrite, wa.New, m)
+	a.launchProgram(a.trackFlush(wa.New, m.prog), m)
+}
 
-	finish := func(c *cluster.Command) {
-		if c.Result.Err != nil {
-			done(fmt.Errorf("array: migration write: %w", c.Result.Err))
-			return
-		}
-		a.migrations++
-		done(nil)
-	}
-	writeCmd := a.cmdPool.Get()
-	writeCmd.Op = cluster.OpWrite
-	writeCmd.FIMM, writeCmd.Pkg = wa.New.FIMMSlot(), wa.New.Pkg()
-	writeCmd.SetPageAddr(wa.New.NandAddr(&a.cfg.Geometry))
-	writeCmd.Background = true
-	// OnCommandFlushed recycles the command; OnComplete only reports.
-	writeCmd.OnComplete = finish
-	buf := a.trackFlush(wa.New, writeCmd)
-
-	if src.ClusterID() == wa.New.ClusterID() {
+// launch implements launcher: the destination block's gate lets the
+// program go.
+func (m *migration) launch() {
+	a := m.arr
+	cmd := m.prog
+	m.prog = nil
+	dst := cmd.FlushPPN.ClusterID()
+	if m.src.ClusterID() == dst {
 		// Reshaping within the cluster: the data never leaves the
 		// endpoint; the write path (bus + program) is the whole cost.
-		a.launchProgram(buf, funcLauncher(func() {
-			a.Endpoint(wa.New.ClusterID()).Submit(writeCmd)
-		}))
+		a.Endpoint(dst).Submit(cmd)
 		return
 	}
 	// Peer-to-peer clone across the fabric: the cloned page rides a
 	// posted write from the source endpoint to the destination cluster,
 	// sharing links and switch buffers with host traffic. The clone
 	// packet recycles on arrival at the destination endpoint.
-	a.launchProgram(buf, funcLauncher(func() {
-		pkt := a.pktPool.Get()
-		pkt.Kind = pcie.MemWrite
-		pkt.Addr = routeAddr(wa.New.ClusterID())
-		pkt.Payload = a.cfg.Geometry.Nand.PageSizeBytes
-		pkt.Meta = writeCmd
-		a.Endpoint(src.ClusterID()).Forward(pkt)
-	}))
+	pkt := a.pktPool.Get()
+	pkt.Kind = pcie.MemWrite
+	pkt.Addr = routeAddr(dst)
+	pkt.Payload = a.cfg.Geometry.Nand.PageSizeBytes
+	pkt.Meta = cmd
+	a.Endpoint(m.src.ClusterID()).Forward(pkt)
 }

@@ -162,17 +162,17 @@ type Command struct {
 	AckResult OpResult
 	Meta      any // the array's request object, echoed in completions
 
-	// OnComplete fires when the endpoint finishes the command (data
+	// Done receives the command when the endpoint finishes it (data
 	// staged for reads, buffer accepted for writes, program completed
 	// for background writes, block erased for erases). Completion
 	// packets to the host are separate and flow through the fabric.
-	// Cold paths only: the hot host path communicates through
-	// completion packets and Flushed.
-	OnComplete func(*Command)
+	// Background work (GC, migration) continues here; the host path
+	// communicates through completion packets and Flushed.
+	Done DoneH
 	// Flushed fires for host writes when the background flush has
 	// programmed the page (or failed); the array uses it to retire
 	// write-buffer bookkeeping. FlushPPN is opaque cargo echoed back so
-	// the receiver needs no per-command closure state.
+	// the receiver needs no per-command state.
 	Flushed  FlushedH
 	FlushPPN topo.PPN
 	// RetireMark coordinates the two retirement events of a pooled host
@@ -196,15 +196,19 @@ type Command struct {
 	ck      simx.PoolCheck
 }
 
-// complete runs the command's OnComplete continuation, if any.
+// complete hands the command to its Done receiver, if any.
 func (cmd *Command) complete() {
-	if cmd.OnComplete != nil {
-		cmd.OnComplete(cmd)
+	if cmd.Done != nil {
+		cmd.Done.OnCommandDone(cmd)
 	}
 }
 
-// FlushedH receives write-flush retirements (the typed counterpart of a
-// per-command closure).
+// DoneH receives command completions.
+type DoneH interface {
+	OnCommandDone(c *Command)
+}
+
+// FlushedH receives write-flush retirements.
 type FlushedH interface {
 	OnCommandFlushed(c *Command)
 }
@@ -665,8 +669,8 @@ func (ep *Endpoint) accountRead(cmd *Command) {
 }
 
 // finishRead releases staging and emits the completion: a data-bearing
-// completion packet for host reads, or the callback for background
-// reads (whose data stays in the endpoint for cloning).
+// completion packet for host reads, or Done for background reads
+// (whose data stays in the endpoint for cloning).
 func (ep *Endpoint) finishRead(cmd *Command) {
 	if cmd.Background || ep.up == nil {
 		ep.staging.Release()

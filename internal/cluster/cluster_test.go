@@ -74,7 +74,7 @@ func TestReadCompletesWithTiming(t *testing.T) {
 	var done *Command
 	start := eng.Now()
 	ep.Submit(&Command{Op: OpRead, FIMM: 0, Pkg: 0, Addrs: []nand.Addr{a},
-		OnComplete: func(c *Command) { done = c }})
+		Done: doneFunc(func(c *Command) { done = c })})
 	eng.Run()
 
 	if done == nil {
@@ -113,9 +113,9 @@ func TestFIMMQueueDepthCausesEPWait(t *testing.T) {
 
 	var first, second *Command
 	ep.Submit(&Command{Op: OpRead, FIMM: 0, Pkg: 0, Addrs: []nand.Addr{a0},
-		OnComplete: func(c *Command) { first = c }})
+		Done: doneFunc(func(c *Command) { first = c })})
 	ep.Submit(&Command{Op: OpRead, FIMM: 0, Pkg: 0, Addrs: []nand.Addr{a1},
-		OnComplete: func(c *Command) { second = c }})
+		Done: doneFunc(func(c *Command) { second = c })})
 	if got := ep.StalledPerFIMM(); got[0] != 1 || got[1] != 0 {
 		t.Errorf("StalledPerFIMM = %v, want [1 0]", got)
 	}
@@ -149,9 +149,9 @@ func TestIndependentFIMMsDontQueue(t *testing.T) {
 
 	var r0, r1 *Command
 	ep.Submit(&Command{Op: OpRead, FIMM: 0, Pkg: 0, Addrs: []nand.Addr{a},
-		OnComplete: func(c *Command) { r0 = c }})
+		Done: doneFunc(func(c *Command) { r0 = c })})
 	ep.Submit(&Command{Op: OpRead, FIMM: 1, Pkg: 0, Addrs: []nand.Addr{a},
-		OnComplete: func(c *Command) { r1 = c }})
+		Done: doneFunc(func(c *Command) { r1 = c })})
 	eng.Run()
 	if r0.Result.EPWait != 0 || r1.Result.EPWait != 0 {
 		t.Errorf("EPWaits = %v, %v; different FIMMs should not queue on each other",
@@ -169,7 +169,7 @@ func TestWriteEarlyAck(t *testing.T) {
 	ep := New(eng, id0(), p)
 	var ackAt simx.Time = -1
 	ep.Submit(&Command{Op: OpWrite, FIMM: 0, Pkg: 0, Addrs: []nand.Addr{{}},
-		OnComplete: func(c *Command) { ackAt = eng.Now() }})
+		Done: doneFunc(func(c *Command) { ackAt = eng.Now() })})
 	eng.Run()
 	if ackAt != 0 {
 		t.Errorf("write acked at %v, want immediate (buffered)", ackAt)
@@ -192,7 +192,7 @@ func TestWriteBufferStall(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		a := nand.Addr{Page: i}
 		ep.Submit(&Command{Op: OpWrite, FIMM: 0, Pkg: 0, Addrs: []nand.Addr{a},
-			OnComplete: func(c *Command) { acks = append(acks, eng.Now()) }})
+			Done: doneFunc(func(c *Command) { acks = append(acks, eng.Now()) })})
 	}
 	eng.Run()
 	if len(acks) != 3 {
@@ -215,7 +215,7 @@ func TestBackgroundWriteCompletesAfterProgram(t *testing.T) {
 	ep := New(eng, id0(), p)
 	var doneAt simx.Time = -1
 	ep.Submit(&Command{Op: OpWrite, FIMM: 0, Pkg: 0, Addrs: []nand.Addr{{}}, Background: true,
-		OnComplete: func(c *Command) { doneAt = eng.Now() }})
+		Done: doneFunc(func(c *Command) { doneAt = eng.Now() })})
 	eng.Run()
 	if doneAt <= 0 {
 		t.Errorf("background write completed at %v, want after program", doneAt)
@@ -253,7 +253,7 @@ func TestErase(t *testing.T) {
 	ep := New(eng, id0(), testParams())
 	var done *Command
 	ep.Submit(&Command{Op: OpErase, Addrs: []nand.Addr{{}}, Background: true,
-		OnComplete: func(c *Command) { done = c }})
+		Done: doneFunc(func(c *Command) { done = c })})
 	eng.Run()
 	if done == nil || done.Result.Err != nil {
 		t.Fatalf("erase: done=%v", done)
@@ -270,7 +270,7 @@ func TestErase(t *testing.T) {
 	}
 	done = nil
 	ep.Submit(&Command{Op: OpErase, FIMM: 9, Addrs: []nand.Addr{{}}, Background: true,
-		OnComplete: func(c *Command) { done = c }})
+		Done: doneFunc(func(c *Command) { done = c })})
 	if done == nil || done.Result.Err == nil {
 		t.Error("out-of-range erase accepted")
 	}
@@ -281,8 +281,8 @@ func TestSubmitValidation(t *testing.T) {
 	ep := New(eng, id0(), testParams())
 	var errs []error
 	collect := func(c *Command) { errs = append(errs, c.Result.Err) }
-	ep.Submit(&Command{Op: OpRead, FIMM: 9, Addrs: []nand.Addr{{}}, OnComplete: collect})
-	ep.Submit(&Command{Op: OpRead, FIMM: 0, OnComplete: collect})
+	ep.Submit(&Command{Op: OpRead, FIMM: 9, Addrs: []nand.Addr{{}}, Done: doneFunc(collect)})
+	ep.Submit(&Command{Op: OpRead, FIMM: 0, Done: doneFunc(collect)})
 	eng.Run()
 	if len(errs) != 2 || errs[0] == nil || errs[1] == nil {
 		t.Fatalf("validation errors = %v", errs)
@@ -302,9 +302,9 @@ func TestReadErrorReleasesSlot(t *testing.T) {
 	// First read hits an erased page (error), second is fine; the error
 	// must release the FIMM slot so the second can issue.
 	ep.Submit(&Command{Op: OpRead, FIMM: 0, Pkg: 0, Addrs: []nand.Addr{{Page: 3}},
-		OnComplete: func(c *Command) { bad = c }})
+		Done: doneFunc(func(c *Command) { bad = c })})
 	ep.Submit(&Command{Op: OpRead, FIMM: 0, Pkg: 0, Addrs: []nand.Addr{{}},
-		OnComplete: func(c *Command) { good = c }})
+		Done: doneFunc(func(c *Command) { good = c })})
 	eng.Run()
 	if bad == nil || bad.Result.Err == nil {
 		t.Fatal("expected first read to fail")
@@ -343,6 +343,11 @@ func TestUpstreamCompletionPacket(t *testing.T) {
 	}
 }
 
+// doneFunc adapts a function to DoneH.
+type doneFunc func(*Command)
+
+func (f doneFunc) OnCommandDone(c *Command) { f(c) }
+
 // recvFunc adapts a function to pcie.Receiver.
 type recvFunc func(*pcie.Packet, *pcie.Link)
 
@@ -357,7 +362,7 @@ func TestReceiveFromLink(t *testing.T) {
 	ingress := pcie.NewLink(eng, "in", 4_000_000_000, 100, 2, ep)
 	var done *Command
 	cmd := &Command{Op: OpRead, FIMM: 0, Pkg: 0, Addrs: []nand.Addr{{}},
-		OnComplete: func(c *Command) { done = c }}
+		Done: doneFunc(func(c *Command) { done = c })}
 	ingress.Send(&pcie.Packet{Kind: pcie.MemRead, Meta: cmd}, nil)
 	eng.Run()
 	if done == nil || done.Result.Err != nil {
@@ -398,8 +403,8 @@ func TestHostPriorityScheduling(t *testing.T) {
 		submit := func(label string, page int, bg bool) {
 			ep.Submit(&Command{
 				Op: OpRead, FIMM: 0, Pkg: 0, Background: bg,
-				Addrs:      []nand.Addr{{Page: page}},
-				OnComplete: func(*Command) { order = append(order, label) },
+				Addrs: []nand.Addr{{Page: page}},
+				Done:  doneFunc(func(*Command) { order = append(order, label) }),
 			})
 		}
 		// First read occupies the FIMM; then two background reads queue,
@@ -486,7 +491,7 @@ func TestServeBufferHit(t *testing.T) {
 	// A buffer-hit read completes without any device page existing.
 	ep.Submit(&Command{Op: OpRead, FIMM: 0, Pkg: 0, Addrs: []nand.Addr{{}},
 		BufferHit: true, Background: true,
-		OnComplete: func(c *Command) { done = c }})
+		Done: doneFunc(func(c *Command) { done = c })})
 	eng.Run()
 	if done == nil || done.Result.Err != nil {
 		t.Fatalf("buffer hit: %+v", done)

@@ -33,7 +33,7 @@ func (p *CommandPool) Put(c *Command) {
 		panic("cluster: Put of nil command")
 	}
 	c.ck.Release("cluster.Command")
-	c.Meta, c.OnComplete, c.Flushed = nil, nil, nil
+	c.Meta, c.Done, c.Flushed = nil, nil, nil
 	c.Addrs = nil
 	c.ep, c.from = nil, nil
 	c.next = p.free

@@ -588,13 +588,17 @@ func (m *Manager) startMove(lpn int64, dst topo.FIMMID, canShadow bool) {
 	if shadow {
 		m.stats.ShadowClones++
 	}
-	m.arr.MigratePage(lpn, dst, shadow, func(err error) {
-		delete(m.migrating, lpn)
-		m.inflight--
-		if err != nil {
-			m.stats.MigrationErrors++
-		}
-	})
+	m.arr.MigratePage(lpn, dst, shadow, m)
+}
+
+// OnMigrated implements array.Migrated: a page move started by
+// startMove ended.
+func (m *Manager) OnMigrated(lpn int64, err error) {
+	delete(m.migrating, lpn)
+	m.inflight--
+	if err != nil {
+		m.stats.MigrationErrors++
+	}
 }
 
 var _ array.Hooks = (*Manager)(nil)

@@ -112,15 +112,6 @@ func faultRowCells(r FaultRow) []string {
 	}
 }
 
-// faultTable renders the degraded-array study.
-func faultTable(rows []FaultRow) *report.Table {
-	t := newFaultTable()
-	for _, r := range rows {
-		t.AddRow(faultRowCells(r)...)
-	}
-	return t
-}
-
 // WearResult quantifies Section 6.5's wear analysis on a write-heavy
 // workload: migration-induced extra writes and the implied lifetime
 // reduction (paper worst case: 34% extra writes, 23% lifetime loss).

@@ -300,19 +300,22 @@ func (e *evac) startOne(lpn int64) {
 	dst := e.targets[e.next%len(e.targets)]
 	e.next++
 	e.outstanding++
-	a.MigratePage(lpn, dst, false, func(err error) {
-		e.outstanding--
-		switch {
-		case err == nil:
-			e.inj.stats.Evacuated++
-			e.evacuated++
-		case errors.Is(err, array.ErrUnmapped):
-			// Dropped or overwritten mid-move — nothing left to save.
-		default:
-			e.inj.stats.EvacErrors++
-		}
-		e.pump()
-	})
+	a.MigratePage(lpn, dst, false, e)
+}
+
+// OnMigrated implements array.Migrated: one evacuation move ended.
+func (e *evac) OnMigrated(_ int64, err error) {
+	e.outstanding--
+	switch {
+	case err == nil:
+		e.inj.stats.Evacuated++
+		e.evacuated++
+	case errors.Is(err, array.ErrUnmapped):
+		// Dropped or overwritten mid-move — nothing left to save.
+	default:
+		e.inj.stats.EvacErrors++
+	}
+	e.pump()
 }
 
 // finish re-scans for stragglers and, once the cluster is truly empty,

@@ -21,9 +21,6 @@ var ErrDead = errors.New("fimm: module dead")
 // in-progress silicon state.
 func (f *FIMM) Kill() { f.dead = true }
 
-// Alive reports whether the module still accepts operations.
-func (f *FIMM) Alive() bool { return !f.dead }
-
 // SetChannelScale stretches every channel transfer by s (>1 models
 // degraded ONFI lanes — e.g. a 16-pin channel trained down to 8 pins
 // at s=2). Zero restores the nominal rate.

@@ -61,10 +61,6 @@ type Health struct {
 	g        Geometry
 	clusters []ClusterState
 	fimms    []FIMMState
-
-	// notOnline counts entries away from their healthy state, so the
-	// unfaulted fast path is a single comparison.
-	notOnline int
 }
 
 // NewHealth returns an all-online registry for the geometry.
@@ -76,11 +72,6 @@ func NewHealth(g Geometry) *Health {
 	}
 }
 
-// AllOnline reports whether every cluster and FIMM is healthy — the
-// fast path every per-page availability check takes on an unfaulted
-// array.
-func (h *Health) AllOnline() bool { return h == nil || h.notOnline == 0 }
-
 // Cluster reports a cluster's state.
 func (h *Health) Cluster(id ClusterID) ClusterState {
 	if h == nil {
@@ -91,13 +82,7 @@ func (h *Health) Cluster(id ClusterID) ClusterState {
 
 // SetCluster records a cluster state transition.
 func (h *Health) SetCluster(id ClusterID, s ClusterState) {
-	flat := id.Flat(&h.g)
-	if h.clusters[flat] == ClusterOnline && s != ClusterOnline {
-		h.notOnline++
-	} else if h.clusters[flat] != ClusterOnline && s == ClusterOnline {
-		h.notOnline--
-	}
-	h.clusters[flat] = s
+	h.clusters[id.Flat(&h.g)] = s
 }
 
 // FIMM reports a module's state.
@@ -110,23 +95,7 @@ func (h *Health) FIMM(id FIMMID) FIMMState {
 
 // SetFIMM records a module state transition.
 func (h *Health) SetFIMM(id FIMMID, s FIMMState) {
-	flat := id.Flat(&h.g)
-	if h.fimms[flat] == FIMMOnline && s != FIMMOnline {
-		h.notOnline++
-	} else if h.fimms[flat] != FIMMOnline && s == FIMMOnline {
-		h.notOnline--
-	}
-	h.fimms[flat] = s
-}
-
-// Readable reports whether data resident on the FIMM can be read: the
-// module is alive and its cluster is reachable (online or degraded —
-// a degraded cluster keeps serving while it evacuates).
-func (h *Health) Readable(id FIMMID) bool {
-	if h == nil {
-		return true
-	}
-	return h.FIMM(id) == FIMMOnline && h.Cluster(id.ClusterID) != ClusterOffline
+	h.fimms[id.Flat(&h.g)] = s
 }
 
 // Placeable reports whether new data may be placed on the FIMM: the
@@ -141,9 +110,4 @@ func (h *Health) Placeable(id FIMMID) bool {
 // ClusterPlaceable reports whether a cluster accepts new data.
 func (h *Health) ClusterPlaceable(id ClusterID) bool {
 	return h == nil || h.Cluster(id) == ClusterOnline
-}
-
-// ClusterReadable reports whether a cluster still serves I/O.
-func (h *Health) ClusterReadable(id ClusterID) bool {
-	return h == nil || h.Cluster(id) != ClusterOffline
 }

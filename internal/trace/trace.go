@@ -58,6 +58,8 @@ func (r Request) Validate() error {
 	switch {
 	case r.Arrival < 0:
 		return fmt.Errorf("trace: negative arrival %v", r.Arrival)
+	case r.Op != Read && r.Op != Write:
+		return fmt.Errorf("trace: unknown op %d", r.Op)
 	case r.LPN < 0:
 		return fmt.Errorf("trace: negative LPN %d", r.LPN)
 	case r.Pages < 1:

@@ -37,6 +37,8 @@ func TestRequestValidate(t *testing.T) {
 		{Arrival: -1, Pages: 1},
 		{LPN: -1, Pages: 1},
 		{Pages: 0},
+		{Op: Write + 1, Pages: 1},
+		{Op: Op(7), Pages: 1},
 	} {
 		if bad.Validate() == nil {
 			t.Errorf("invalid request %+v accepted", bad)
