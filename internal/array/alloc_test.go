@@ -58,9 +58,9 @@ func allocScenarios() []allocScenario {
 	return []allocScenario{
 		{name: "baseline-read", cfg: small, profile: workload.MicroRead(0, 0, 150_000), measured: 0.02},
 		{name: "baseline-write", cfg: small, profile: workload.MicroWrite(0, 0, 150_000), measured: 0.03},
-		{name: "triplea-read", cfg: small, profile: hotRead, manager: true, measured: 0.39},
-		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 0.75},
-		{name: "fault-recovery", cfg: small, profile: mixed, manager: true, faults: true, measured: 0.42},
+		{name: "triplea-read", cfg: small, profile: hotRead, manager: true, measured: 0.34},
+		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 0.51},
+		{name: "fault-recovery", cfg: small, profile: mixed, manager: true, faults: true, measured: 0.34},
 	}
 }
 

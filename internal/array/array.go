@@ -73,6 +73,7 @@ type Array struct {
 	nextReqID   uint64
 	inFlight    int
 	gc          []gcWorker // per flat FIMM id
+	gcNow       ftl.GCPlan // runGCNow's plan, refilled each call
 	gcRounds    uint64
 	gcDeferrals uint64
 	migrations  uint64
@@ -279,7 +280,7 @@ func (a *Array) Prepare(reqs []trace.Request) error {
 			continue
 		}
 		for p := int64(0); p < r.Pages.Int64(); p++ {
-			if err := a.ensureMapped(r.LPN + p); err != nil {
+			if _, err := a.ensureMapped(r.LPN + p); err != nil {
 				return err
 			}
 		}
@@ -287,22 +288,21 @@ func (a *Array) Prepare(reqs []trace.Request) error {
 	return nil
 }
 
-// ensureMapped prepopulates one LPN if needed. When the FTL fell back
-// to dynamic allocation (the dense home block was consumed), the
-// device populate must respect the block's program order — it goes
-// through the same per-block gate in-flight writes use, completing
-// instantly when its turn comes.
-func (a *Array) ensureMapped(lpn int64) error {
+// ensureMapped prepopulates one LPN if needed and reports its PPN.
+// When the FTL fell back to dynamic allocation (the dense home block
+// was consumed), the device populate must respect the block's program
+// order — it goes through the same per-block gate in-flight writes
+// use, completing instantly when its turn comes.
+func (a *Array) ensureMapped(lpn int64) (topo.PPN, error) {
 	ppn, need, err := a.ftl.Prepopulate(lpn)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if !need {
-		return nil
+	if need {
+		b := a.buffer(ppn)
+		a.launchProgram(b, &populate{arr: a, ppn: ppn, buf: b})
 	}
-	b := a.buffer(ppn)
-	a.launchProgram(b, &populate{arr: a, ppn: ppn, buf: b})
-	return nil
+	return ppn, nil
 }
 
 // populate is a prepopulated page parked at its block's gate.
@@ -503,10 +503,12 @@ func (a *Array) retryRead(ref *pageRef) {
 		// Under a fault plan a mapping can legitimately vanish mid-read
 		// (its page was destroyed); restore it from the shadow clone and
 		// retry against the new location.
-		if !a.faultsArmed || !a.restoreLostRead(ref) {
+		if a.faultsArmed {
+			ppn, ok = a.restoreLostRead(ref)
+		}
+		if !ok {
 			panic(fmt.Sprintf("array: raced read of LPN %d lost its mapping", ref.lpn))
 		}
-		ppn, _ = a.ftl.Lookup(ref.lpn)
 	}
 	a.readRetries++
 	cmd := a.command(cluster.OpRead, ppn, nil)
@@ -563,10 +565,10 @@ func (a *Array) admitPage(ref *pageRef) {
 
 	switch req.op {
 	case trace.Read:
-		if err := a.ensureMapped(lpn); err != nil {
+		var err error
+		if ppn, err = a.ensureMapped(lpn); err != nil {
 			panic(fmt.Sprintf("array: read mapping: %v", err))
 		}
-		ppn, _ = a.ftl.Lookup(lpn)
 		kind, op = pcie.MemRead, cluster.OpRead
 		bufferHit = a.buffered(ppn)
 	case trace.Write:

@@ -274,7 +274,7 @@ func (f migratedFunc) OnMigrated(_ int64, err error) { f(err) }
 
 func TestMigratePageMovesData(t *testing.T) {
 	a, _ := New(testConfig())
-	if err := a.ensureMapped(3); err != nil {
+	if _, err := a.ensureMapped(3); err != nil {
 		t.Fatal(err)
 	}
 	src, _ := a.FTL().Lookup(3)
@@ -314,7 +314,7 @@ func TestMigratePageMovesData(t *testing.T) {
 func TestShadowCloningFasterThanNaive(t *testing.T) {
 	measure := func(shadow bool) simx.Time {
 		a, _ := New(testConfig())
-		if err := a.ensureMapped(3); err != nil {
+		if _, err := a.ensureMapped(3); err != nil {
 			t.Fatal(err)
 		}
 		dst := topo.FIMMID{ClusterID: topo.ClusterID{Switch: 0, Cluster: 1}, FIMM: 0}
@@ -341,7 +341,7 @@ func TestShadowCloningFasterThanNaive(t *testing.T) {
 
 func TestMigrateSameFIMMNoOp(t *testing.T) {
 	a, _ := New(testConfig())
-	if err := a.ensureMapped(0); err != nil {
+	if _, err := a.ensureMapped(0); err != nil {
 		t.Fatal(err)
 	}
 	src, _ := a.FTL().Lookup(0)
@@ -360,12 +360,17 @@ func TestMigrateSameFIMMNoOp(t *testing.T) {
 	}
 }
 
+// TestMigrateUnmapped covers a never-written LPN and both LPNs just
+// outside the array: each reports ErrUnmapped, synchronously.
 func TestMigrateUnmapped(t *testing.T) {
 	a, _ := New(testConfig())
-	var got error
-	a.MigratePage(7, topo.FIMMID{}, true, migratedFunc(func(err error) { got = err }))
-	if !errors.Is(got, ErrUnmapped) {
-		t.Errorf("err = %v, want ErrUnmapped", got)
+	total := a.Config().Geometry.TotalPages().Int64()
+	for _, lpn := range []int64{7, -1, total} {
+		var got error
+		a.MigratePage(lpn, topo.FIMMID{}, true, migratedFunc(func(err error) { got = err }))
+		if !errors.Is(got, ErrUnmapped) {
+			t.Errorf("MigratePage(%d) err = %v, want ErrUnmapped", lpn, got)
+		}
 	}
 }
 
@@ -401,7 +406,7 @@ func TestMigratePageReportsFailures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := a.ensureMapped(3); err != nil {
+			if _, err := a.ensureMapped(3); err != nil {
 				t.Fatal(err)
 			}
 			src, _ := a.FTL().Lookup(3)
@@ -429,7 +434,7 @@ func TestMigratePageReportsFailures(t *testing.T) {
 
 func TestCrossSwitchMigrationViaRC(t *testing.T) {
 	a, _ := New(testConfig())
-	if err := a.ensureMapped(0); err != nil { // home: sw0/cl0
+	if _, err := a.ensureMapped(0); err != nil { // home: sw0/cl0
 		t.Fatal(err)
 	}
 	dst := topo.FIMMID{ClusterID: topo.ClusterID{Switch: 1, Cluster: 0}, FIMM: 0}
@@ -518,7 +523,7 @@ func TestGCRaceRetry(t *testing.T) {
 	// remap + erase the old block before the packet reaches the device.
 	cfg := testConfig()
 	a, _ := New(cfg)
-	if err := a.ensureMapped(0); err != nil {
+	if _, err := a.ensureMapped(0); err != nil {
 		t.Fatal(err)
 	}
 	old, _ := a.FTL().Lookup(0)

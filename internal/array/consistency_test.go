@@ -48,7 +48,7 @@ func TestConsistencyAfterGC(t *testing.T) {
 func TestConsistencyAfterMigrations(t *testing.T) {
 	a, _ := New(testConfig())
 	for lpn := int64(0); lpn < 16; lpn++ {
-		if err := a.ensureMapped(lpn); err != nil {
+		if _, err := a.ensureMapped(lpn); err != nil {
 			t.Fatal(err)
 		}
 	}

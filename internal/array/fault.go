@@ -152,26 +152,25 @@ func (a *Array) failFlushedWrite(ppn topo.PPN) {
 // restoreLostRead re-resolves a read whose mapping a fault destroyed:
 // the page's pre-existing data is restored out-of-place from the
 // host's shadow clone (zero simulated cost, like Prepare) and the read
-// retries against the new location.
-func (a *Array) restoreLostRead(ref *pageRef) bool {
-	if err := a.ensureMapped(ref.lpn); err != nil {
-		return false
+// retries against the new location, which it reports.
+func (a *Array) restoreLostRead(ref *pageRef) (topo.PPN, bool) {
+	ppn, err := a.ensureMapped(ref.lpn)
+	if err != nil {
+		return 0, false
 	}
 	a.faultCtrs.readsRemapped.Inc()
 	if rec := a.decisions; rec != nil {
 		// The restoration had exactly one viable placement (the shadow
 		// clone's new home); record it so remapping activity shows up in
 		// the Restore family's choice distribution.
-		if ppn, ok := a.ftl.Lookup(ref.lpn); ok {
-			g := &a.cfg.Geometry
-			c := ppn.ClusterID().Flat(g)
-			f := int64(ppn.FIMMID().Flat(g))
-			rec.Begin(decision.Restore, c, a.eng.Now())
-			rec.Candidate(f, 0, decision.Eligible)
-			rec.Commit(f, 0, c)
-		}
+		g := &a.cfg.Geometry
+		c := ppn.ClusterID().Flat(g)
+		f := int64(ppn.FIMMID().Flat(g))
+		rec.Begin(decision.Restore, c, a.eng.Now())
+		rec.Candidate(f, 0, decision.Eligible)
+		rec.Commit(f, 0, c)
 	}
-	return true
+	return ppn, true
 }
 
 // redirectWrite steers a host write off faulted hardware when recovery

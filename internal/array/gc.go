@@ -18,11 +18,13 @@ type gcWorker struct {
 	arr    *Array
 	id     topo.FIMMID
 	active bool
-	// plan is the round in flight, until its erase ends; gcVeto keeps
-	// the emergency path off its victim.
-	plan *ftl.GCPlan
-	move int              // index into plan.Moves of the move in flight
-	prog *cluster.Command // relocation program parked at its block's gate
+	// plan is the round in flight while inRound, until its erase ends;
+	// gcVeto keeps the emergency path off its victim. Each round refills
+	// it, reusing its Moves backing array.
+	plan    ftl.GCPlan
+	inRound bool
+	move    int              // index into plan.Moves of the move in flight
+	prog    *cluster.Command // relocation program parked at its block's gate
 }
 
 // startGC launches the FIMM's background collector if it is not
@@ -53,12 +55,11 @@ func (w *gcWorker) step() {
 		a.eng.ScheduleEvent(utilWindow, w, 0)
 		return
 	}
-	plan, ok := a.ftl.PlanGC(w.id, a.gcVeto)
-	if !ok {
+	if !a.ftl.PlanGCInto(&w.plan, w.id, a.gcVeto) {
 		w.active = false
 		return
 	}
-	w.plan, w.move = plan, 0
+	w.inRound, w.move = true, 0
 	w.nextMove()
 }
 
@@ -112,10 +113,10 @@ func (w *gcWorker) OnCommandDone(c *cluster.Command) {
 			// A fault-caused erase failure abandons the round.
 			a.gcFaultErr("GC erase", err)
 			a.retireUnerasable(w.plan.Victim, err)
-		} else if err := a.ftl.CompleteGCErase(w.plan); err != nil {
+		} else if err := a.ftl.CompleteGCErase(&w.plan); err != nil {
 			panic(fmt.Sprintf("array: GC bookkeeping: %v", err))
 		}
-		w.plan = nil
+		w.inRound = false
 		a.gcRounds++
 		w.step() // keep collecting while pressured
 		return
@@ -136,7 +137,7 @@ func (w *gcWorker) launch() {
 // (unflushed) programs and the victim of the FIMM's background round
 // in flight, which the emergency path must not erase under it.
 func (a *Array) gcVeto(victim topo.PPN) bool {
-	if p := a.gc[victim.FIMMID().Flat(&a.cfg.Geometry)].plan; p != nil && p.Victim == victim {
+	if w := &a.gc[victim.FIMMID().Flat(&a.cfg.Geometry)]; w.inRound && w.plan.Victim == victim {
 		return true
 	}
 	b := a.bufs[victim.BlockKey()]
@@ -148,8 +149,8 @@ func (a *Array) gcVeto(victim topo.PPN) bool {
 // Measured experiments are sized so this never fires; it exists to keep
 // pathological configurations (tiny FIMMs, reshaping pile-ups) live.
 func (a *Array) runGCNow(id topo.FIMMID) {
-	plan, ok := a.ftl.PlanGC(id, a.gcVeto)
-	if !ok {
+	plan := &a.gcNow
+	if !a.ftl.PlanGCInto(plan, id, a.gcVeto) {
 		return
 	}
 	g := &a.cfg.Geometry

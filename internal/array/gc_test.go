@@ -134,7 +134,7 @@ func TestEmergencyGCSparesInFlightVictim(t *testing.T) {
 		if !a.eng.Step() {
 			t.Fatal("the run ended before a background GC round began")
 		}
-		flat = slices.IndexFunc(a.gc, func(w gcWorker) bool { return w.plan != nil })
+		flat = slices.IndexFunc(a.gc, func(w gcWorker) bool { return w.inRound })
 	}
 	victim := a.gc[flat].plan.Victim
 	if !a.gcVeto(victim) {

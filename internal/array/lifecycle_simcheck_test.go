@@ -32,7 +32,7 @@ import (
 func TestGCRaceRetryRecyclesPools(t *testing.T) {
 	cfg := testConfig()
 	a, _ := New(cfg)
-	if err := a.ensureMapped(0); err != nil {
+	if _, err := a.ensureMapped(0); err != nil {
 		t.Fatal(err)
 	}
 	old, _ := a.FTL().Lookup(0)

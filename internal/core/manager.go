@@ -16,6 +16,8 @@
 package core
 
 import (
+	"slices"
+
 	"triplea/internal/array"
 	"triplea/internal/cluster"
 	"triplea/internal/decision"
@@ -123,6 +125,9 @@ type Manager struct {
 	// the data its stalled requests want), fueling batch reshaping.
 	// Indexed by flat FIMM id; nil until the FIMM serves a page.
 	recent []*lpnRing
+	// recentScratch backs the snapshot reshapeBatch iterates, so
+	// reshaping allocates nothing per batch. Valid until the next batch.
+	recentScratch []int64
 
 	// laggardScratch backs detectLaggards, which runs on every page
 	// completion and every write-target decision; reusing one buffer
@@ -153,19 +158,18 @@ func (r *lpnRing) add(lpn int64) {
 	}
 }
 
-// snapshot lists the ring's contents, most recent first, deduplicated.
-func (r *lpnRing) snapshot() []int64 {
+// snapshot appends the ring's contents to dst[:0], most recent first,
+// deduplicated, and returns it. The ring is a few dozen LPNs, so a
+// linear scan of what is already out finds duplicates.
+func (r *lpnRing) snapshot(dst []int64) []int64 {
 	n := r.next
 	if r.full {
 		n = len(r.buf)
 	}
-	seen := make(map[int64]bool, n)
-	out := make([]int64, 0, n)
+	out := dst[:0]
 	for i := 0; i < n; i++ {
 		idx := (r.next - 1 - i + len(r.buf)) % len(r.buf)
-		lpn := r.buf[idx]
-		if !seen[lpn] {
-			seen[lpn] = true
+		if lpn := r.buf[idx]; !slices.Contains(out, lpn) {
 			out = append(out, lpn)
 		}
 	}
@@ -202,6 +206,7 @@ func Attach(a *array.Array, opt Options) *Manager {
 	if opt.ReshapeBatch <= 0 {
 		m.opt.ReshapeBatch = DefaultOptions().ReshapeBatch
 	}
+	m.recentScratch = make([]int64, 0, 4*m.opt.ReshapeBatch)
 	m.dec = a.Decisions()
 	a.SetHooks(m)
 	return m
@@ -318,7 +323,8 @@ func (m *Manager) reshapeBatch(pc array.PageComplete, laggards []bool) {
 	}
 	ep := m.arr.Endpoint(pc.Cluster)
 	moved := 0
-	for _, lpn := range ring.snapshot() {
+	m.recentScratch = ring.snapshot(m.recentScratch)
+	for _, lpn := range m.recentScratch {
 		if moved >= m.opt.ReshapeBatch {
 			break
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"triplea/internal/array"
@@ -435,30 +436,28 @@ func TestDegradedFIMMReshapedAway(t *testing.T) {
 
 func TestLPNRing(t *testing.T) {
 	r := newLPNRing(4)
-	if got := r.snapshot(); len(got) != 0 {
+	// The scratch starts dirty: snapshot must overwrite it from index 0
+	// and keep its backing array.
+	scratch := []int64{9, 9, 9, 9, 9}
+	if got := r.snapshot(scratch); len(got) != 0 {
 		t.Errorf("empty ring snapshot = %v", got)
 	}
 	r.add(1)
 	r.add(2)
 	r.add(3)
-	got := r.snapshot()
-	if len(got) != 3 || got[0] != 3 || got[2] != 1 {
+	if got := r.snapshot(scratch); !slices.Equal(got, []int64{3, 2, 1}) {
 		t.Errorf("snapshot = %v, want [3 2 1]", got)
 	}
-	// Wrap and dedup.
+	// Wrap and dedup: the ring holds 4 4 2 3, most recent first.
 	r.add(2)
 	r.add(4)
 	r.add(4)
-	got = r.snapshot()
-	if got[0] != 4 {
-		t.Errorf("most recent = %v", got)
+	got := r.snapshot(scratch)
+	if !slices.Equal(got, []int64{4, 2, 3}) {
+		t.Errorf("snapshot = %v, want [4 2 3]", got)
 	}
-	seen := map[int64]bool{}
-	for _, v := range got {
-		if seen[v] {
-			t.Errorf("duplicate %d in %v", v, got)
-		}
-		seen[v] = true
+	if &got[0] != &scratch[0] {
+		t.Error("snapshot did not reuse the scratch slice")
 	}
 }
 

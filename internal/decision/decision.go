@@ -79,7 +79,7 @@ const (
 	// WriteRedirect: core.Manager redirected an incoming write away
 	// from a contended or degraded home slot.
 	WriteRedirect
-	// GCVictim: ftl.PlanGC chose a victim block for garbage
+	// GCVictim: ftl.PlanGCInto chose a victim block for garbage
 	// collection.
 	GCVictim
 	// Evacuation: the fault injector chose an evacuation destination

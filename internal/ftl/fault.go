@@ -53,24 +53,22 @@ func (f *FTL) FallbackFIMM(lpn int64) (topo.FIMMID, bool) {
 // destroyed by a fault. The LPN joins the lost set, so a later read
 // re-prepopulates it out-of-place (the workload's pre-existing data is
 // recoverable from the host's shadow clone, paper Section 5) and a
-// later write simply maps fresh. It reports the PPN that was lost.
+// later write simply maps fresh. It reports the PPN that was lost; an
+// unmapped or out-of-range LPN reports false.
 func (f *FTL) DropMapping(lpn int64) (topo.PPN, bool) {
-	ppn, ok := f.pageMap[lpn]
+	s := f.pages.find(lpn)
+	ppn, ok := mappedAt(s)
 	if !ok {
 		return 0, false
 	}
 	f.unlink(lpn, ppn)
-	delete(f.pageMap, lpn)
-	if f.lost == nil {
-		f.lost = make(map[int64]bool)
-	}
-	f.lost[lpn] = true
+	f.pages.drop(s)
 	return ppn, true
 }
 
 // LostPages reports how many LPNs currently have no translation because
 // a fault destroyed their physical page.
-func (f *FTL) LostPages() int { return len(f.lost) }
+func (f *FTL) LostPages() int { return f.pages.lost }
 
 // MappedMatching lists, in ascending LPN order, every mapped LPN whose
 // current physical page satisfies pred. Cold path: fault handling only.

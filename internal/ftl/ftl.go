@@ -15,7 +15,6 @@ package ftl
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"triplea/internal/decision"
 	"triplea/internal/simx"
@@ -119,21 +118,24 @@ type FTL struct {
 	unitsPerFIMM int
 	ids          []topo.FIMMID // flat FIMM id -> FIMMID
 
-	// pageMap stays a map: the LPN space is the whole array (2^32 pages
-	// at the default geometry), far too large for a dense table. The
-	// reverse direction lives in the blocks (blockInfo.lpns).
-	pageMap map[int64]topo.PPN // lpn -> current ppn
+	// pages translates LPN -> current PPN. The LPN space is the whole
+	// array (2^32 pages at the default geometry), so it is a radix table
+	// whose nodes exist only under the LPN ranges a trace touches
+	// (pagetable.go). Each FTL call walks it once and then works on the
+	// LPN's slot. The reverse direction lives in the blocks
+	// (blockInfo.lpns).
+	pages pageTable
 
 	fimms []*fimmAlloc // flat FIMM id -> allocator state, nil until touched
 
-	// Fault state (fault.go). health is nil in unfaulted arrays; lost
-	// holds LPNs whose physical page was destroyed by a fault, so
-	// Prepopulate must not hand back their (unreadable) dense home.
+	// Fault state (fault.go). health is nil in unfaulted arrays. LPNs
+	// whose physical page a fault destroyed are marked in their pages
+	// slot (slotLost), so Prepopulate does not hand back their
+	// (unreadable) dense home.
 	health *topo.Health
-	lost   map[int64]bool
 
 	// Decision flight recorder (nil when recording is off) and its
-	// clock source, injected by the array at build time so PlanGC can
+	// clock source, injected by the array at build time so PlanGCInto can
 	// timestamp victim selections without the FTL knowing the engine.
 	dec    *decision.Recorder
 	decNow func() simx.Time
@@ -164,7 +166,7 @@ func New(geom topo.Geometry, opts ...Option) *FTL {
 		pagesPerFIMM: geom.PagesPerFIMM().Int64(),
 		unitsPerFIMM: geom.ParallelUnitsPerFIMM(),
 		ids:          make([]topo.FIMMID, geom.TotalFIMMs()),
-		pageMap:      make(map[int64]topo.PPN),
+		pages:        newPageTable(geom.TotalPages().Int64()),
 		fimms:        make([]*fimmAlloc, geom.TotalFIMMs()),
 	}
 	for flat := range f.ids {
@@ -178,7 +180,7 @@ func New(geom topo.Geometry, opts ...Option) *FTL {
 
 // SetDecisions attaches the decision flight recorder plus a clock
 // source for timestamping GC victim selections. A nil recorder (the
-// off backend) keeps PlanGC's recording hooks at a single nil check.
+// off backend) keeps PlanGCInto's recording hooks at a single nil check.
 func (f *FTL) SetDecisions(d *decision.Recorder, now func() simx.Time) {
 	f.dec = d
 	f.decNow = now
@@ -194,21 +196,12 @@ func (f *FTL) Layout() Layout { return f.layout }
 func (f *FTL) Stats() Stats { return f.stats }
 
 // MappedPages reports how many LPNs currently have a translation.
-func (f *FTL) MappedPages() int { return len(f.pageMap) }
+func (f *FTL) MappedPages() int { return f.pages.mapped }
 
 // ForEachMapping visits every (LPN, PPN) translation in ascending LPN
 // order; returning false stops the walk.
 func (f *FTL) ForEachMapping(visit func(lpn int64, ppn topo.PPN) bool) {
-	lpns := make([]int64, 0, len(f.pageMap))
-	for lpn := range f.pageMap {
-		lpns = append(lpns, lpn)
-	}
-	slices.Sort(lpns)
-	for _, lpn := range lpns {
-		if !visit(lpn, f.pageMap[lpn]) {
-			return
-		}
-	}
+	f.pages.walk(visit)
 }
 
 func (f *FTL) checkLPN(lpn int64) error {
@@ -243,16 +236,21 @@ func (f *FTL) HomeFIMM(lpn int64) topo.FIMMID {
 // HomeCluster reports the LPN's static home cluster.
 func (f *FTL) HomeCluster(lpn int64) topo.ClusterID { return f.HomeFIMM(lpn).ClusterID }
 
-// Lookup reports the LPN's current physical page, if mapped.
+// Lookup reports the LPN's current physical page, if mapped. An LPN
+// outside the array is not mapped.
 func (f *FTL) Lookup(lpn int64) (topo.PPN, bool) {
-	ppn, ok := f.pageMap[lpn]
-	return ppn, ok
+	return mappedAt(f.pages.find(lpn))
 }
 
 // ResidentFIMM reports where the LPN currently lives: its mapped
 // location, or its home if never written.
 func (f *FTL) ResidentFIMM(lpn int64) topo.FIMMID {
-	if ppn, ok := f.pageMap[lpn]; ok {
+	return f.residentAt(f.pages.find(lpn), lpn)
+}
+
+// residentAt is ResidentFIMM for lpn's slot s (nil if it has none).
+func (f *FTL) residentAt(s *uint64, lpn int64) topo.FIMMID {
+	if ppn, ok := mappedAt(s); ok {
 		return ppn.FIMMID()
 	}
 	return f.HomeFIMM(lpn)
@@ -324,23 +322,24 @@ func (f *FTL) Prepopulate(lpn int64) (topo.PPN, bool, error) {
 	if err := f.checkLPN(lpn); err != nil {
 		return 0, false, err
 	}
-	if ppn, ok := f.pageMap[lpn]; ok {
+	s := f.pages.slot(lpn)
+	if ppn, ok := mappedAt(s); ok {
 		return ppn, false, nil
 	}
 	fimmFlat, fp := f.home(lpn)
-	if !f.lost[lpn] && f.placeableFlat(fimmFlat) {
+	if *s != slotLost && f.placeableFlat(fimmFlat) {
 		ppn := f.densePPN(fimmFlat, fp)
 		fa := f.fimmAllocFor(fimmFlat)
 		if fa.claimDense(f, ppn) {
-			f.pageMap[lpn] = ppn
+			f.pages.set(s, ppn)
 			f.stats.Prepopulated++
 			return ppn, true, nil
 		}
 	}
-	// Dense slot unavailable (its block was dynamically allocated, the
+	// Dense page unavailable (its block was dynamically allocated, the
 	// page was lost to a fault, or the home FIMM is faulted out): fall
 	// back to out-of-place allocation, home FIMM first.
-	wa, err := f.allocateFallback(lpn, fimmFlat)
+	wa, err := f.allocateFallback(s, lpn, fimmFlat)
 	if err != nil {
 		return 0, false, err
 	}
@@ -352,8 +351,8 @@ func (f *FTL) Prepopulate(lpn int64) (topo.PPN, bool, error) {
 // allocateFallback allocates an out-of-place page for lpn, trying the
 // home FIMM first and rotating through the remaining placeable FIMMs in
 // flat order — a deterministic spill used when the home location is
-// consumed or faulted out.
-func (f *FTL) allocateFallback(lpn int64, homeFlat int) (WriteAlloc, error) {
+// consumed or faulted out. s is lpn's slot.
+func (f *FTL) allocateFallback(s *uint64, lpn int64, homeFlat int) (WriteAlloc, error) {
 	n := len(f.ids)
 	var lastErr error
 	// Home first, then an LPN-keyed rotation over the rest so a faulted
@@ -367,7 +366,7 @@ func (f *FTL) allocateFallback(lpn int64, homeFlat int) (WriteAlloc, error) {
 		if !f.placeableFlat(flat) {
 			continue
 		}
-		wa, err := f.allocate(lpn, f.ids[flat], WriteHost)
+		wa, err := f.allocate(s, lpn, f.ids[flat], WriteHost)
 		if err == nil {
 			return wa, nil
 		}
@@ -386,7 +385,8 @@ func (f *FTL) AllocateWrite(lpn int64) (WriteAlloc, error) {
 	if err := f.checkLPN(lpn); err != nil {
 		return WriteAlloc{}, err
 	}
-	return f.allocate(lpn, f.ResidentFIMM(lpn), WriteHost)
+	s := f.pages.slot(lpn)
+	return f.allocate(s, lpn, f.residentAt(s, lpn), WriteHost)
 }
 
 // AllocateWriteAt allocates a host write on an explicit FIMM — the
@@ -395,7 +395,7 @@ func (f *FTL) AllocateWriteAt(lpn int64, target topo.FIMMID) (WriteAlloc, error)
 	if err := f.checkLPN(lpn); err != nil {
 		return WriteAlloc{}, err
 	}
-	return f.allocate(lpn, target, WriteHost)
+	return f.allocate(f.pages.slot(lpn), lpn, target, WriteHost)
 }
 
 // Relocate allocates a migration write moving the LPN's current data to
@@ -406,25 +406,28 @@ func (f *FTL) Relocate(lpn int64, target topo.FIMMID) (WriteAlloc, error) {
 	if err := f.checkLPN(lpn); err != nil {
 		return WriteAlloc{}, err
 	}
-	if _, ok := f.pageMap[lpn]; !ok {
+	s := f.pages.find(lpn)
+	if _, ok := mappedAt(s); !ok {
 		return WriteAlloc{}, fmt.Errorf("ftl: relocate of unmapped LPN %d", lpn)
 	}
-	return f.allocate(lpn, target, WriteMigration)
+	return f.allocate(s, lpn, target, WriteMigration)
 }
 
-func (f *FTL) allocate(lpn int64, target topo.FIMMID, kind WriteKind) (WriteAlloc, error) {
+// allocate places lpn's next version on target and installs it in the
+// LPN's slot s, unlinking the page s held. A fresh mapping also
+// resurrects a fault-lost LPN.
+func (f *FTL) allocate(s *uint64, lpn int64, target topo.FIMMID, kind WriteKind) (WriteAlloc, error) {
 	fa := f.fimmAllocFor(target.Flat(&f.geom))
 	ppn, err := fa.allocPage(f, target, lpn)
 	if err != nil {
 		return WriteAlloc{}, err
 	}
 	wa := WriteAlloc{LPN: lpn, New: ppn}
-	if old, ok := f.pageMap[lpn]; ok {
+	if old, ok := mappedAt(s); ok {
 		wa.Old, wa.HasOld = old, true
 		f.unlink(lpn, old)
 	}
-	f.pageMap[lpn] = ppn
-	delete(f.lost, lpn) // a fresh mapping resurrects a fault-lost LPN
+	f.pages.set(s, ppn)
 	if simcheckEnabled {
 		f.ckMapped(lpn, ppn)
 	}

@@ -26,6 +26,18 @@ func tinyGeometry() topo.Geometry {
 	}
 }
 
+// paperGeometry is the paper's default array: 4 switches x 16 clusters
+// x 4 FIMMs x 8 packages, 2^32 pages.
+func paperGeometry() topo.Geometry {
+	return topo.Geometry{
+		Switches:          4,
+		ClustersPerSwitch: 16,
+		FIMMsPerCluster:   4,
+		PackagesPerFIMM:   8,
+		Nand:              nand.DefaultParams(),
+	}
+}
+
 func TestLayoutStrings(t *testing.T) {
 	if LayoutClustered.String() != "clustered" || LayoutStriped.String() != "striped" ||
 		Layout(9).String() != "unknown" {
@@ -64,23 +76,58 @@ func TestHomeStriped(t *testing.T) {
 	}
 }
 
+// TestLPNRangeChecked pins the answers every LPN-taking call gives for
+// an LPN outside [0, TotalPages), on the tiny geometry and on the
+// default one, whose TotalPages is a whole number of radix root slots:
+// allocations report an error, queries report not mapped, and the
+// calls that need a home FIMM panic.
 func TestLPNRangeChecked(t *testing.T) {
-	f := New(tinyGeometry())
-	if _, err := f.AllocateWrite(-1); err == nil {
-		t.Error("negative LPN accepted")
-	}
-	if _, err := f.AllocateWrite(f.Geometry().TotalPages().Int64()); err == nil {
-		t.Error("LPN beyond capacity accepted")
-	}
-	if _, _, err := f.Prepopulate(-5); err == nil {
-		t.Error("Prepopulate of negative LPN accepted")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("HomeFIMM out of range did not panic")
+	for _, g := range []topo.Geometry{tinyGeometry(), paperGeometry()} {
+		total := g.TotalPages().Int64()
+		for _, lpn := range []int64{-1, -5, total, total + 1, -1 << 62} {
+			f := New(g)
+			if _, err := f.AllocateWrite(lpn); err == nil {
+				t.Errorf("AllocateWrite(%d) of %d pages accepted", lpn, total)
+			}
+			if _, err := f.AllocateWriteAt(lpn, topo.FIMMID{}); err == nil {
+				t.Errorf("AllocateWriteAt(%d) of %d pages accepted", lpn, total)
+			}
+			if _, err := f.Relocate(lpn, topo.FIMMID{}); err == nil {
+				t.Errorf("Relocate(%d) of %d pages accepted", lpn, total)
+			}
+			if _, _, err := f.Prepopulate(lpn); err == nil {
+				t.Errorf("Prepopulate(%d) of %d pages accepted", lpn, total)
+			}
+			if ppn, ok := f.Lookup(lpn); ok || ppn != 0 {
+				t.Errorf("Lookup(%d) of %d pages = %v,%t, want 0,false", lpn, total, ppn, ok)
+			}
+			if ppn, ok := f.DropMapping(lpn); ok || ppn != 0 {
+				t.Errorf("DropMapping(%d) of %d pages = %v,%t, want 0,false", lpn, total, ppn, ok)
+			}
+			if _, err := f.AllocateGCMove(GCMove{LPN: lpn}); err == nil {
+				t.Errorf("AllocateGCMove of LPN %d of %d pages accepted", lpn, total)
+			}
+			if _, ok := f.FallbackFIMM(lpn); ok {
+				t.Errorf("FallbackFIMM(%d) of %d pages found a FIMM", lpn, total)
+			}
+			for _, c := range []struct {
+				name string
+				call func(int64) topo.FIMMID
+			}{{"HomeFIMM", f.HomeFIMM}, {"ResidentFIMM", f.ResidentFIMM}} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s(%d) of %d pages did not panic", c.name, lpn, total)
+						}
+					}()
+					c.call(lpn)
+				}()
+			}
+			if f.MappedPages() != 0 || f.LostPages() != 0 {
+				t.Errorf("LPN %d of %d pages left %d mapped, %d lost", lpn, total, f.MappedPages(), f.LostPages())
+			}
 		}
-	}()
-	f.HomeFIMM(-1)
+	}
 }
 
 func TestPrepopulateDense(t *testing.T) {

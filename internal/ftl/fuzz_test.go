@@ -11,10 +11,44 @@ import (
 // fuzzMaxOps caps the operations one input decodes to.
 const fuzzMaxOps = 400
 
-// fuzzLPNs is the logical pages a fuzz run touches: 64 LPNs strided
-// across the tiny geometry, so every FIMM holds some and the byte
-// alphabet repeats them often enough for overwrites and GC.
+// fuzzLPNs is how many logical pages a fuzz run touches, few enough
+// that the byte alphabet repeats them often enough for overwrites and
+// GC.
 const fuzzLPNs = 64
+
+// fuzzGeometry is one array FuzzFTLOps runs every input on, with the
+// LPNs its selector bytes pick.
+type fuzzGeometry struct {
+	name string
+	g    topo.Geometry
+	lpns []int64 // fuzzLPNs of them
+}
+
+// fuzzGeometries are the tiny geometry, its 512 pages strided so every
+// FIMM holds some LPNs and GC runs often, and wideGeometry, whose LPNs
+// hug the page table's node boundaries: the first two and last two
+// pages, and two on each side of 15 leaf, inner-node and root-slot
+// boundaries.
+func fuzzGeometries() []fuzzGeometry {
+	tiny := tinyGeometry()
+	stride := tiny.TotalPages().Int64() / fuzzLPNs
+	var strided []int64
+	for i := int64(0); i < fuzzLPNs; i++ {
+		strided = append(strided, i*stride)
+	}
+	wide := wideGeometry()
+	total := wide.TotalPages().Int64()
+	const leaf, inner, root = radixFan, 1 << (2 * radixBits), 1 << rootShift
+	edges := []int64{0, 1, total - 2, total - 1}
+	for _, b := range []int64{
+		leaf, 2 * leaf, inner - leaf, inner, inner + leaf, 2 * inner,
+		root / 2, root - inner, root - leaf, root, root + leaf, root + inner,
+		total - inner, total - 2*leaf, total - leaf,
+	} {
+		edges = append(edges, b-2, b-1, b, b+1)
+	}
+	return []fuzzGeometry{{"tiny", tiny, strided}, {"wide", wide, edges}}
+}
 
 // ftlModel is the oracle FuzzFTLOps checks the FTL against: a plain
 // map of the current translations and every physical page the FTL has
@@ -22,15 +56,15 @@ const fuzzLPNs = 64
 // not find an LPN there.
 type ftlModel struct {
 	g       topo.Geometry
+	lpns    []int64 // the LPNs selector bytes pick
+	plan    GCPlan  // refilled by every round, as the array's GC workers do
 	mapped  map[int64]topo.PPN
 	seen    []topo.PPN        // in first-allocation order
 	known   map[topo.PPN]bool // the pages in seen
 	retired map[topo.PPN]bool // block keys retired by the run
 }
 
-func (m *ftlModel) lpn(b byte) int64 {
-	return int64(b%fuzzLPNs) * (m.g.TotalPages().Int64() / fuzzLPNs)
-}
+func (m *ftlModel) lpn(b byte) int64 { return m.lpns[b%fuzzLPNs] }
 
 func (m *ftlModel) fimm(b byte) topo.FIMMID {
 	return topo.FIMMFromFlat(m.g, int(b)%m.g.TotalFIMMs())
@@ -115,8 +149,8 @@ func (m *ftlModel) check(t *testing.T, f *FTL, step int) {
 // and relocation, so that move must come back stale.
 func (m *ftlModel) gcRound(t *testing.T, f *FTL, id topo.FIMMID, race bool) {
 	t.Helper()
-	plan, ok := f.PlanGC(id, nil)
-	if !ok {
+	plan := &m.plan
+	if !f.PlanGCInto(plan, id, nil) {
 		return
 	}
 	var planned []int64
@@ -160,10 +194,11 @@ func (m *ftlModel) gcRound(t *testing.T, f *FTL, id topo.FIMMID, race bool) {
 	}
 }
 
-// FuzzFTLOps decodes its input into a sequence of FTL calls on the tiny
-// geometry and checks each one, and the whole translation state after
-// it, against ftlModel. Each operation takes three bytes: the opcode,
-// an LPN selector and a FIMM or block selector.
+// FuzzFTLOps decodes its input into a sequence of FTL calls, runs it on
+// each of fuzzGeometries, and checks each call, and the whole
+// translation state after it, against ftlModel. Each operation takes
+// three bytes: the opcode, an LPN selector and a FIMM or block
+// selector.
 func FuzzFTLOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 0, 1, 0, 0, 1, 0})                            // overwrite one LPN
@@ -188,81 +223,89 @@ func FuzzFTLOps(f *testing.F) {
 		mixed[i] = byte(i*131 + i/3)
 	}
 	f.Add(mixed)
+	geoms := fuzzGeometries()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g := tinyGeometry()
-		fl := New(g, WithGCThreshold(4)) // every touched unit wants GC
-		m := &ftlModel{g: g, mapped: map[int64]topo.PPN{}, known: map[topo.PPN]bool{}, retired: map[topo.PPN]bool{}}
-		for step := 0; step < fuzzMaxOps && 3*step+2 < len(data); step++ {
-			op, a, b := data[3*step], data[3*step+1], data[3*step+2]
-			lpn, id := m.lpn(a), m.fimm(b)
-			switch op % 7 {
-			case 0:
-				if wa, err := fl.AllocateWrite(lpn); err == nil {
-					m.wrote(t, "AllocateWrite", lpn, wa)
-				} else if !errors.Is(err, ErrNoSpace) {
-					t.Fatalf("AllocateWrite(%d): %v", lpn, err)
-				}
-			case 1:
-				if wa, err := fl.AllocateWriteAt(lpn, id); err == nil {
-					m.wrote(t, "AllocateWriteAt", lpn, wa)
-				} else if !errors.Is(err, ErrNoSpace) {
-					t.Fatalf("AllocateWriteAt(%d, %v): %v", lpn, id, err)
-				}
-			case 2:
-				_, mapped := m.mapped[lpn]
-				wa, err := fl.Relocate(lpn, id)
-				switch {
-				case err == nil && !mapped:
-					t.Fatalf("Relocate of unmapped LPN %d succeeded", lpn)
-				case err == nil:
-					m.wrote(t, "Relocate", lpn, wa)
-				case mapped && !errors.Is(err, ErrNoSpace):
-					t.Fatalf("Relocate(%d, %v): %v", lpn, id, err)
-				}
-			case 3:
-				old, mapped := m.mapped[lpn]
-				ppn, need, err := fl.Prepopulate(lpn)
-				switch {
-				case err != nil:
-					if mapped || !errors.Is(err, ErrNoSpace) {
-						t.Fatalf("Prepopulate(%d): %v", lpn, err)
-					}
-				case mapped && (need || ppn != old):
-					t.Fatalf("Prepopulate of mapped LPN %d = %v,%t; model %v", lpn, ppn, need, old)
-				case !mapped:
-					m.wrote(t, "Prepopulate", lpn, WriteAlloc{LPN: lpn, New: ppn})
-				}
-			case 4:
-				m.gcRound(t, fl, id, b%3 == 0)
-			case 5:
-				old, mapped := m.mapped[lpn]
-				if ppn, ok := fl.DropMapping(lpn); ok != mapped || ppn != old {
-					t.Fatalf("DropMapping(%d) = %v,%t; model %v,%t", lpn, ppn, ok, old, mapped)
-				}
-				delete(m.mapped, lpn)
-			case 6:
-				// A mapped LPN's block, or a block picked by the selector.
-				ppn, ok := m.mapped[lpn]
-				if !ok || b%2 == 0 {
-					blocks := g.Nand.BlocksPerPlane.Int() * g.Nand.PlanesPerDie
-					ppn = topo.PackPPN(id.Switch, id.Cluster, id.FIMM, int(b/8)%g.PackagesPerFIMM, 0, int(b/16)%blocks, 0)
-				}
-				bk := ppn.BlockKey()
-				fl.RetireBlock(bk)
-				m.retired[bk] = true
-				if b%4 < 2 {
-					// Drop the block's data, as the fault injector does.
-					lpns := fl.BlockLPNs(bk)
-					if want := m.inBlock(bk); !slices.Equal(lpns, want) {
-						t.Fatalf("BlockLPNs(%v) = %v; model %v", bk, lpns, want)
-					}
-					for _, l := range lpns {
-						fl.DropMapping(l)
-						delete(m.mapped, l)
-					}
-				}
-			}
-			m.check(t, fl, step)
+		for _, fg := range geoms {
+			t.Run(fg.name, func(t *testing.T) { fuzzFTLOps(t, fg, data) })
 		}
 	})
+}
+
+// fuzzFTLOps runs one FuzzFTLOps input on one geometry.
+func fuzzFTLOps(t *testing.T, fg fuzzGeometry, data []byte) {
+	g := fg.g
+	fl := New(g, WithGCThreshold(g.Nand.BlocksPerPlane)) // every touched unit wants GC
+	m := &ftlModel{g: g, lpns: fg.lpns, mapped: map[int64]topo.PPN{}, known: map[topo.PPN]bool{}, retired: map[topo.PPN]bool{}}
+	for step := 0; step < fuzzMaxOps && 3*step+2 < len(data); step++ {
+		op, a, b := data[3*step], data[3*step+1], data[3*step+2]
+		lpn, id := m.lpn(a), m.fimm(b)
+		switch op % 7 {
+		case 0:
+			if wa, err := fl.AllocateWrite(lpn); err == nil {
+				m.wrote(t, "AllocateWrite", lpn, wa)
+			} else if !errors.Is(err, ErrNoSpace) {
+				t.Fatalf("AllocateWrite(%d): %v", lpn, err)
+			}
+		case 1:
+			if wa, err := fl.AllocateWriteAt(lpn, id); err == nil {
+				m.wrote(t, "AllocateWriteAt", lpn, wa)
+			} else if !errors.Is(err, ErrNoSpace) {
+				t.Fatalf("AllocateWriteAt(%d, %v): %v", lpn, id, err)
+			}
+		case 2:
+			_, mapped := m.mapped[lpn]
+			wa, err := fl.Relocate(lpn, id)
+			switch {
+			case err == nil && !mapped:
+				t.Fatalf("Relocate of unmapped LPN %d succeeded", lpn)
+			case err == nil:
+				m.wrote(t, "Relocate", lpn, wa)
+			case mapped && !errors.Is(err, ErrNoSpace):
+				t.Fatalf("Relocate(%d, %v): %v", lpn, id, err)
+			}
+		case 3:
+			old, mapped := m.mapped[lpn]
+			ppn, need, err := fl.Prepopulate(lpn)
+			switch {
+			case err != nil:
+				if mapped || !errors.Is(err, ErrNoSpace) {
+					t.Fatalf("Prepopulate(%d): %v", lpn, err)
+				}
+			case mapped && (need || ppn != old):
+				t.Fatalf("Prepopulate of mapped LPN %d = %v,%t; model %v", lpn, ppn, need, old)
+			case !mapped:
+				m.wrote(t, "Prepopulate", lpn, WriteAlloc{LPN: lpn, New: ppn})
+			}
+		case 4:
+			m.gcRound(t, fl, id, b%3 == 0)
+		case 5:
+			old, mapped := m.mapped[lpn]
+			if ppn, ok := fl.DropMapping(lpn); ok != mapped || ppn != old {
+				t.Fatalf("DropMapping(%d) = %v,%t; model %v,%t", lpn, ppn, ok, old, mapped)
+			}
+			delete(m.mapped, lpn)
+		case 6:
+			// A mapped LPN's block, or a block picked by the selector.
+			ppn, ok := m.mapped[lpn]
+			if !ok || b%2 == 0 {
+				blocks := g.Nand.BlocksPerPlane.Int() * g.Nand.PlanesPerDie
+				ppn = topo.PackPPN(id.Switch, id.Cluster, id.FIMM, int(b/8)%g.PackagesPerFIMM, 0, int(b/16)%blocks, 0)
+			}
+			bk := ppn.BlockKey()
+			fl.RetireBlock(bk)
+			m.retired[bk] = true
+			if b%4 < 2 {
+				// Drop the block's data, as the fault injector does.
+				lpns := fl.BlockLPNs(bk)
+				if want := m.inBlock(bk); !slices.Equal(lpns, want) {
+					t.Fatalf("BlockLPNs(%v) = %v; model %v", bk, lpns, want)
+				}
+				for _, l := range lpns {
+					fl.DropMapping(l)
+					delete(m.mapped, l)
+				}
+			}
+		}
+		m.check(t, fl, step)
+	}
 }

@@ -60,15 +60,26 @@ func (f *FTL) MinFreeBlocks(id topo.FIMMID) units.Blocks {
 	return min
 }
 
-// PlanGC picks a victim block on the FIMM (greedy: fewest valid pages
-// in the most pressured unit) and lists the moves needed. It reports
-// false when no unit is under pressure or no reclaimable block exists.
-// A non-nil veto excludes candidate victim blocks (identified by their
-// page-0 PPN) — the array vetoes blocks with in-flight buffered writes.
+// PlanGC is PlanGCInto on a fresh plan.
 func (f *FTL) PlanGC(id topo.FIMMID, veto func(topo.PPN) bool) (*GCPlan, bool) {
+	plan := new(GCPlan)
+	if !f.PlanGCInto(plan, id, veto) {
+		return nil, false
+	}
+	return plan, true
+}
+
+// PlanGCInto picks a victim block on the FIMM (greedy: fewest valid
+// pages in the most pressured unit) and fills plan with it and the
+// moves needed, reusing plan's Moves backing array. It reports false,
+// leaving plan as it was, when no unit is under pressure or no
+// reclaimable block exists. A non-nil veto excludes candidate victim
+// blocks (identified by their page-0 PPN) — the array vetoes blocks
+// with in-flight buffered writes.
+func (f *FTL) PlanGCInto(plan *GCPlan, id topo.FIMMID, veto func(topo.PPN) bool) bool {
 	fa := f.fimms[id.Flat(&f.geom)]
 	if fa == nil {
-		return nil, false
+		return false
 	}
 	g := &f.geom
 
@@ -84,7 +95,7 @@ func (f *FTL) PlanGC(id topo.FIMMID, veto func(topo.PPN) bool) (*GCPlan, bool) {
 		}
 	}
 	if unitIdx < 0 {
-		return nil, false
+		return false
 	}
 	u := fa.units[unitIdx]
 
@@ -148,7 +159,7 @@ func (f *FTL) PlanGC(id topo.FIMMID, veto func(topo.PPN) bool) (*GCPlan, bool) {
 	}
 	if victimBlock < 0 {
 		rec.Cancel()
-		return nil, false
+		return false
 	}
 	if rec != nil {
 		dieBlock := victimBlock*g.Nand.PlanesPerDie + plane
@@ -157,10 +168,9 @@ func (f *FTL) PlanGC(id topo.FIMMID, veto func(topo.PPN) bool) (*GCPlan, bool) {
 	}
 
 	dieBlock := victimBlock*g.Nand.PlanesPerDie + plane
-	plan := &GCPlan{
-		FIMM:   id,
-		Victim: topo.PackPPN(id.Switch, id.Cluster, id.FIMM, pkg, die, dieBlock, 0),
-	}
+	plan.FIMM = id
+	plan.Victim = topo.PackPPN(id.Switch, id.Cluster, id.FIMM, pkg, die, dieBlock, 0)
+	plan.Moves = plan.Moves[:0]
 	bi := u.touched[victimBlock]
 	for page := 0; page < g.Nand.PagesPerBlock.Int(); page++ {
 		if !bi.isValid(page) {
@@ -170,19 +180,19 @@ func (f *FTL) PlanGC(id topo.FIMMID, veto func(topo.PPN) bool) (*GCPlan, bool) {
 		plan.Moves = append(plan.Moves, GCMove{LPN: f.lpnAt(bi, src), Src: src})
 	}
 	f.stats.GCPlans++
-	return plan, true
+	return true
 }
 
 // AllocateGCMove allocates the destination for one GC move, on the same
 // FIMM the victim lives on.
 func (f *FTL) AllocateGCMove(m GCMove) (WriteAlloc, error) {
-	cur, ok := f.pageMap[m.LPN]
-	if !ok || cur != m.Src {
+	s := f.pages.find(m.LPN)
+	if cur, ok := mappedAt(s); !ok || cur != m.Src {
 		// The page moved (e.g. a host write landed) since planning; the
 		// move is obsolete.
 		return WriteAlloc{}, fmt.Errorf("ftl: GC move of %d is stale", m.LPN)
 	}
-	return f.allocate(m.LPN, m.Src.FIMMID(), WriteGC)
+	return f.allocate(s, m.LPN, m.Src.FIMMID(), WriteGC)
 }
 
 // CompleteGCErase finalises a plan after the device erased the victim:

@@ -22,7 +22,7 @@ type ckState struct {
 // ckMapped validates the pair allocate just linked, and periodically
 // re-proves bijectivity of the whole translation state.
 func (f *FTL) ckMapped(lpn int64, ppn topo.PPN) {
-	if got, ok := f.pageMap[lpn]; !ok || got != ppn {
+	if got, ok := f.Lookup(lpn); !ok || got != ppn {
 		panic(fmt.Sprintf("simcheck: mapping %d -> %v not installed (found %v, %t)", lpn, ppn, got, ok))
 	}
 	if back, ok := f.LPNOf(ppn); !ok || back != lpn {

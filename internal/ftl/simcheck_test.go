@@ -75,7 +75,7 @@ func TestSimcheckDetectsDoubleMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.pageMap[4] = wa.New // second LPN claims the same page
+	f.pages.set(f.pages.slot(4), wa.New) // second LPN claims the same page
 	if err := f.VerifyBijective(); err == nil {
 		t.Fatal("VerifyBijective accepted two LPNs on one page")
 	}

@@ -16,20 +16,27 @@ import (
 // Tests call it directly; builds with -tags simcheck also run it
 // periodically from the allocation path.
 func (f *FTL) VerifyBijective() error {
-	seen := make(map[topo.PPN]int64, len(f.pageMap))
-	//simlint:ordered order-independent validation scan
-	for lpn, ppn := range f.pageMap {
+	seen := make(map[topo.PPN]int64, f.pages.mapped)
+	var err error
+	f.pages.walk(func(lpn int64, ppn topo.PPN) bool {
 		if prev, dup := seen[ppn]; dup {
-			return fmt.Errorf("ftl: LPNs %d and %d both map to %v", prev, lpn, ppn)
+			err = fmt.Errorf("ftl: LPNs %d and %d both map to %v", prev, lpn, ppn)
+			return false
 		}
 		seen[ppn] = lpn
 		back, ok := f.LPNOf(ppn)
 		if !ok {
-			return fmt.Errorf("ftl: mapping %d -> %v lands on a page that is not valid", lpn, ppn)
+			err = fmt.Errorf("ftl: mapping %d -> %v lands on a page that is not valid", lpn, ppn)
+			return false
 		}
 		if back != lpn {
-			return fmt.Errorf("ftl: mapping %d -> %v reversed to %d", lpn, ppn, back)
+			err = fmt.Errorf("ftl: mapping %d -> %v reversed to %d", lpn, ppn, back)
+			return false
 		}
+		return true
+	})
+	if err != nil {
+		return err
 	}
 	valid := 0
 	for _, fa := range f.fimms {
@@ -44,8 +51,8 @@ func (f *FTL) VerifyBijective() error {
 			}
 		}
 	}
-	if valid != len(f.pageMap) {
-		return fmt.Errorf("ftl: %d valid pages but %d mappings", valid, len(f.pageMap))
+	if valid != f.pages.mapped {
+		return fmt.Errorf("ftl: %d valid pages but %d mappings", valid, f.pages.mapped)
 	}
 	return nil
 }

@@ -44,11 +44,37 @@ func (s PageState) String() string {
 }
 
 // blockState is allocated lazily: a 16 TB array has billions of pages
-// and only the touched blocks may cost host memory.
+// and only the touched blocks may cost host memory. Page states pack
+// 2 bits each, pagesPerWord to a word.
 type blockState struct {
 	eraseCount int
 	nextPage   int // sequential-program pointer
-	state      []PageState
+	states     []uint64
+}
+
+const (
+	pageStateBits = 2
+	pageStateMask = 1<<pageStateBits - 1
+	pagesPerWord  = 64 / pageStateBits
+)
+
+// state reports the page's PageState.
+func (bs *blockState) state(page int) PageState {
+	return PageState(bs.states[page/pagesPerWord] >> (page % pagesPerWord * pageStateBits) & pageStateMask)
+}
+
+// setState records the page's PageState.
+func (bs *blockState) setState(page int, s PageState) {
+	w := &bs.states[page/pagesPerWord]
+	shift := page % pagesPerWord * pageStateBits
+	*w = *w&^(pageStateMask<<shift) | uint64(s)<<shift
+}
+
+// erase resets every page to PageErased and counts the wear.
+func (bs *blockState) erase() {
+	bs.eraseCount++
+	bs.nextPage = 0
+	clear(bs.states)
 }
 
 // Op identifies a NAND command class for statistics.
@@ -275,7 +301,7 @@ func (pk *Package) block(a Addr) *blockState {
 	}
 	bs := d.blocks[a.Block]
 	if bs == nil {
-		bs = &blockState{state: make([]PageState, pk.params.PagesPerBlock)}
+		bs = &blockState{states: make([]uint64, (pk.params.PagesPerBlock.Int()+pagesPerWord-1)/pagesPerWord)}
 		d.blocks[a.Block] = bs
 	}
 	return bs
@@ -299,7 +325,7 @@ func (pk *Package) PageStateAt(a Addr) PageState {
 	if bs == nil {
 		return PageErased
 	}
-	return bs.state[a.Page]
+	return bs.state(a.Page)
 }
 
 // EraseCount reports the wear of the addressed block.
@@ -347,10 +373,10 @@ func (pk *Package) ForcePopulate(a Addr) error {
 		return err
 	}
 	bs := pk.block(a)
-	if bs.state[a.Page] != PageErased {
+	if bs.state(a.Page) != PageErased {
 		return fmt.Errorf("nand: ForcePopulate of programmed page %v", a)
 	}
-	bs.state[a.Page] = PageValid
+	bs.setState(a.Page, PageValid)
 	if a.Page >= bs.nextPage {
 		bs.nextPage = a.Page + 1
 	}
@@ -365,12 +391,7 @@ func (pk *Package) ForceErase(a Addr) error {
 	if err := pk.checkAddr(a); err != nil {
 		return err
 	}
-	bs := pk.block(a)
-	bs.eraseCount++
-	bs.nextPage = 0
-	for i := range bs.state {
-		bs.state[i] = PageErased
-	}
+	pk.block(a).erase()
 	pk.stats.Erases++
 	return nil
 }
@@ -382,10 +403,10 @@ func (pk *Package) MarkStale(a Addr) error {
 		return err
 	}
 	bs := pk.block(a)
-	if bs.state[a.Page] != PageValid {
+	if bs.state(a.Page) != PageValid {
 		return fmt.Errorf("nand: MarkStale on non-valid page %v", a)
 	}
-	bs.state[a.Page] = PageStale
+	bs.setState(a.Page, PageStale)
 	return nil
 }
 
@@ -452,7 +473,7 @@ func (pk *Package) checkState(op Op, addrs []Addr) error {
 	case OpProgram:
 		for _, a := range addrs {
 			bs := pk.block(a)
-			if bs.state[a.Page] != PageErased {
+			if bs.state(a.Page) != PageErased {
 				return fmt.Errorf("nand: program of non-erased page %v", a)
 			}
 			if a.Page != bs.nextPage {
@@ -462,7 +483,7 @@ func (pk *Package) checkState(op Op, addrs []Addr) error {
 	case OpRead:
 		for _, a := range addrs {
 			bs := pk.touched(a)
-			if bs == nil || bs.state[a.Page] == PageErased {
+			if bs == nil || bs.state(a.Page) == PageErased {
 				return fmt.Errorf("nand: read of erased page %v", a)
 			}
 		}
@@ -512,19 +533,14 @@ func (pk *Package) commit(op Op, addrs []Addr, d *die) {
 		pk.stats.Programs += uint64(len(addrs))
 		for _, a := range addrs {
 			bs := pk.block(a)
-			bs.state[a.Page] = PageValid
+			bs.setState(a.Page, PageValid)
 			bs.nextPage = a.Page + 1
 		}
 		d.cacheTag = -1
 	case OpErase:
 		pk.stats.Erases += uint64(len(addrs))
 		for _, a := range addrs {
-			bs := pk.block(a)
-			bs.eraseCount++
-			bs.nextPage = 0
-			for i := range bs.state {
-				bs.state[i] = PageErased
-			}
+			pk.block(a).erase()
 		}
 		d.cacheTag = -1
 	}

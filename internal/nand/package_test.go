@@ -416,3 +416,50 @@ func TestForcePopulateAndErase(t *testing.T) {
 		t.Error("Params accessor mismatch")
 	}
 }
+
+// TestPageStatesPacked walks a 70-page block, whose packed states span
+// three words with the last one partly used, through every state
+// change the package makes, and checks that each write moves exactly
+// its own page: ForcePopulate, MarkStale and PageStateAt address one
+// page's 2-bit field, and ForceErase clears them all.
+func TestPageStatesPacked(t *testing.T) {
+	p := testParams()
+	p.PagesPerBlock = 70
+	pk := NewPackage(simx.NewEngine(), p)
+	want := make([]PageState, p.PagesPerBlock)
+	addr := func(page int) Addr { return Addr{Die: 0, Plane: 1, Block: 3, Page: page} }
+	check := func(step string) {
+		t.Helper()
+		for page, w := range want {
+			if got := pk.PageStateAt(addr(page)); got != w {
+				t.Fatalf("%s: page %d is %v, want %v", step, page, got, w)
+			}
+		}
+	}
+	check("untouched")
+	// Programs in order, each followed by a stale-mark of every third
+	// page, so neighbouring fields on both sides of each word boundary
+	// hold different states.
+	for page := range want {
+		if err := pk.ForcePopulate(addr(page)); err != nil {
+			t.Fatal(err)
+		}
+		want[page] = PageValid
+		check("populate")
+		if page%3 == 1 {
+			if err := pk.MarkStale(addr(page)); err != nil {
+				t.Fatal(err)
+			}
+			want[page] = PageStale
+			check("stale")
+		}
+	}
+	if err := pk.ForceErase(addr(0)); err != nil {
+		t.Fatal(err)
+	}
+	clear(want)
+	check("erase")
+	if got := pk.EraseCount(addr(0)); got != 1 {
+		t.Errorf("EraseCount = %d, want 1", got)
+	}
+}
