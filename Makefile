@@ -35,6 +35,9 @@ simcheck:
 # checks random sequences of FTL calls against a plain map model of the
 # translation. FuzzDecode (internal/trace) checks that trace decoding
 # never panics and that an accepted trace survives Encode then Decode.
+# FuzzAdmission (internal/array) checks RC admission on a 1x1 array:
+# every request finishes exactly once, writes are admitted in (request,
+# page) order, and no RC stall is negative.
 # Plain `go test` runs their seed corpora; this mutates beyond them. A failing input is written to the package's
 # testdata/fuzz/ — commit it, and it joins the corpus every `go test`
 # replays.
@@ -43,6 +46,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/simx
 	$(GO) test -run '^$$' -fuzz '^FuzzFTLOps$$' -fuzztime $(FUZZTIME) ./internal/ftl
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzAdmission$$' -fuzztime $(FUZZTIME) ./internal/array
 
 $(SIMLINT): $(shell find cmd/simlint internal/lint -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o $(SIMLINT) ./cmd/simlint

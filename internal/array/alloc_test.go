@@ -186,8 +186,8 @@ func setupScenarios() []setupScenario {
 	paper := array.DefaultConfig()
 	paper.Metrics = metrics.Exact
 	return []setupScenario{
-		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 1.20},
-		{name: "paper-cfs", cfg: paper, profile: cfs, measured: 2.99},
+		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 0.77},
+		{name: "paper-cfs", cfg: paper, profile: cfs, measured: 2.30},
 	}
 }
 

@@ -61,7 +61,6 @@ type Array struct {
 	recoverFaults bool
 	faultCtrs     faultCounters // registry-backed (fault.go)
 
-	rcSlots  *simx.Resource // RC queue entries (admission control)
 	recorder *metrics.Recorder
 	// decisions is the autonomic decision flight recorder; nil unless
 	// Config.Decisions selects the ring backend (decision hooks are
@@ -92,6 +91,13 @@ type Array struct {
 	busUtilSnap []simx.Time
 	busUtilLast []float64
 
+	// RC admission (the RC stall of Figure 15): rcFree counts free RC
+	// queue entries, one per admitted page command. Pages that find none
+	// wait FIFO as runs of consecutive pages of one request.
+	rcFree   int
+	waitHead *waitRun
+	waitTail *waitRun
+
 	// Steady-state object pools (single-threaded free-lists). Packets
 	// and commands are shared with the endpoints so completions recycle
 	// what the host retires.
@@ -99,6 +105,7 @@ type Array struct {
 	cmdPool cluster.CommandPool
 	freeReq *request
 	freeRef *pageRef
+	freeRun *waitRun
 }
 
 // New builds an array on a fresh engine.
@@ -119,7 +126,7 @@ func New(cfg Config) (*Array, error) {
 		ftl:         ftl.New(cfg.Geometry, ftl.WithLayout(cfg.Layout), ftl.WithGCThreshold(cfg.GCThreshold)),
 		recorder:    recorder,
 		faultCtrs:   newFaultCounters(recorder.Registry()),
-		rcSlots:     simx.NewResource(eng, "rc-queue", cfg.RCQueueEntries),
+		rcFree:      cfg.RCQueueEntries,
 		gc:          make([]gcWorker, cfg.Geometry.TotalFIMMs()),
 		bufs:        make(map[topo.PPN]*blockBuf),
 		busUtilAt:   make([]simx.Time, cfg.Geometry.TotalClusters()),
@@ -289,20 +296,30 @@ func (a *Array) Prepare(reqs []trace.Request) error {
 }
 
 // ensureMapped prepopulates one LPN if needed and reports its PPN.
-// When the FTL fell back to dynamic allocation (the dense home block
-// was consumed), the device populate must respect the block's program
-// order — it goes through the same per-block gate in-flight writes
-// use, completing instantly when its turn comes.
+// The device populate must respect its block's program order: when
+// programs of the block are in flight (the FTL placed the page
+// dynamically, in a block still being written), it waits at the
+// per-block gate those programs hold, completing instantly when its
+// turn comes. Otherwise it completes in place.
 func (a *Array) ensureMapped(lpn int64) (topo.PPN, error) {
 	ppn, need, err := a.ftl.Prepopulate(lpn)
-	if err != nil {
-		return 0, err
+	if err != nil || !need {
+		return ppn, err
 	}
-	if need {
-		b := a.buffer(ppn)
-		a.launchProgram(b, &populate{arr: a, ppn: ppn, buf: b})
+	if b := a.bufs[ppn.BlockKey()]; b != nil && b.busy {
+		a.launchProgram(a.buffer(ppn), &populate{arr: a, ppn: ppn, buf: b})
+	} else {
+		a.forcePopulate(ppn)
 	}
 	return ppn, nil
+}
+
+// forcePopulate programs a prepopulated page on its device at no
+// simulated cost.
+func (a *Array) forcePopulate(ppn topo.PPN) {
+	if err := a.pkgAt(ppn).ForcePopulate(ppn.NandAddr(&a.cfg.Geometry)); err != nil {
+		panic(fmt.Sprintf("array: prepopulate: %v", err))
+	}
 }
 
 // populate is a prepopulated page parked at its block's gate.
@@ -316,9 +333,7 @@ type populate struct {
 // instantly.
 func (p *populate) launch() {
 	a := p.arr
-	if err := a.pkgAt(p.ppn).ForcePopulate(p.ppn.NandAddr(&a.cfg.Geometry)); err != nil {
-		panic(fmt.Sprintf("array: prepopulate: %v", err))
-	}
+	a.forcePopulate(p.ppn)
 	if p.buf.flushed(p.ppn.Page()) {
 		a.staleDeviceNow(p.ppn)
 	}
@@ -394,22 +409,22 @@ func (f *arrivalFeeder) OnEvent(arg uint64) {
 }
 
 // request tracks one host request across its page commands. Requests
-// are pooled; the node recycles when its last page completes. The
-// simx.Handler implementation serves the host-DRAM-hit path: each hit
-// page schedules one event that retires it after the hit latency.
+// are pooled; a node is drawn when the request's first page is
+// admitted or hits the host DRAM cache, and recycles when its last page
+// completes. The simx.Handler implementation serves the host-DRAM-hit
+// path: each hit page schedules one event that retires it after the
+// hit latency.
 type request struct {
-	arr      *Array
-	id       uint64
-	op       trace.Op
-	lpn      int64
-	pages    units.Pages
-	submit   simx.Time
-	remain   units.Pages
-	agg      metrics.Breakdown
-	maxAdmit simx.Time // latest page admission (RC stall reference)
-	failed   bool      // a page command was terminated by a fault
-	next     *request  // free-list link
-	ck       simx.PoolCheck
+	arr    *Array
+	id     uint64
+	pages  units.Pages
+	submit simx.Time
+	remain units.Pages
+	agg    metrics.Breakdown
+	op     trace.Op
+	failed bool     // a page command was terminated by a fault
+	next   *request // free-list link
+	ck     simx.PoolCheck
 }
 
 // OnEvent implements simx.Handler: a host-DRAM cache hit completes.
@@ -417,10 +432,11 @@ func (req *request) OnEvent(arg uint64) {
 	req.arr.finishPage(req, metrics.Breakdown{})
 }
 
-// pageRef links a page command back to its request and downstream
-// packet. Refs are pooled per-page continuations: they queue for an RC
-// slot (simx.Grantee), launch through the per-block program gate
-// (launcher), and observe their packet's RC acceptance (pcie.Accepted).
+// pageRef links an admitted page command back to its request and
+// downstream packet. Refs are pooled per-page continuations: one is
+// drawn when its page takes an RC queue entry, launches through the
+// per-block program gate (launcher), and observes its packet's RC
+// acceptance (pcie.Accepted).
 type pageRef struct {
 	arr          *Array
 	req          *request
@@ -431,13 +447,6 @@ type pageRef struct {
 	retries      int
 	next         *pageRef // free-list link
 	ck           simx.PoolCheck
-}
-
-// OnGrant implements simx.Grantee: an RC queue entry is ours; waiting
-// for it is the RC stall of Figure 15.
-func (ref *pageRef) OnGrant(arg uint64, waited simx.Time) {
-	ref.admitWait = waited
-	ref.arr.admitPage(ref)
 }
 
 // launch implements launcher: inject the page's packet at the RC.
@@ -451,7 +460,24 @@ func (ref *pageRef) OnLinkAccepted(pkt *pcie.Packet) {
 	ref.rcInjectWait = pkt.QueueWait
 }
 
-func (a *Array) newReq() *request {
+// waitRun is a run of consecutive pages of one host request waiting
+// for RC queue entries. A request that finds the RC queue full queues
+// one run, or one per stretch of cache misses when host DRAM hits
+// split it. The run carries what it takes to draw the request when its
+// first page is admitted.
+type waitRun struct {
+	req    *request // nil until a page of the request is admitted or hits
+	id     uint64
+	submit simx.Time // a page's RC stall is its admission time minus this
+	pages  units.Pages
+	lpn    int64 // the run's next page
+	left   int64 // pages of the run still waiting
+	op     trace.Op
+	ck     simx.PoolCheck // not last: a trailing zero-size field pads the record to 72 bytes
+	next   *waitRun       // queue or free-list link
+}
+
+func (a *Array) newReq(id uint64, op trace.Op, pages units.Pages, submit simx.Time) *request {
 	r := a.freeReq
 	if r != nil {
 		a.freeReq = r.next
@@ -461,6 +487,7 @@ func (a *Array) newReq() *request {
 		r = &request{arr: a}
 		r.ck.Fresh("array.request")
 	}
+	r.id, r.op, r.pages, r.submit, r.remain = id, op, pages, submit, pages
 	return r
 }
 
@@ -491,12 +518,59 @@ func (a *Array) recycleRef(ref *pageRef) {
 	a.freeRef = ref
 }
 
+// queueRun appends a run of request id (r, drawn as req if it exists)
+// starting at lpn to the RC wait queue.
+func (a *Array) queueRun(req *request, id uint64, r trace.Request, lpn int64) *waitRun {
+	w := a.freeRun
+	if w != nil {
+		a.freeRun = w.next
+		w.ck.Checkout("array.waitRun")
+		w.next = nil
+	} else {
+		w = &waitRun{}
+		w.ck.Fresh("array.waitRun")
+	}
+	w.req, w.id, w.op, w.pages, w.submit, w.lpn, w.left = req, id, r.Op, r.Pages, a.eng.Now(), lpn, 0
+	if a.waitTail == nil {
+		a.waitHead = w
+	} else {
+		a.waitTail.next = w
+	}
+	a.waitTail = w
+	return w
+}
+
+// releaseRC frees a finished page's RC queue entry. The oldest waiting
+// page takes it over and is admitted at once.
+func (a *Array) releaseRC() {
+	w := a.waitHead
+	if w == nil {
+		a.rcFree++
+		return
+	}
+	if w.req == nil {
+		w.req = a.newReq(w.id, w.op, w.pages, w.submit)
+	}
+	req, lpn, stall := w.req, w.lpn, a.eng.Now()-w.submit
+	w.lpn++
+	if w.left--; w.left == 0 {
+		if a.waitHead = w.next; a.waitHead == nil {
+			a.waitTail = nil
+		}
+		w.req = nil
+		w.ck.Release("array.waitRun")
+		w.next = a.freeRun
+		a.freeRun = w
+	}
+	a.admitPage(req, lpn, stall)
+}
+
 // maxReadRetries bounds GC-race re-resolution; more than a couple in a
 // row indicates a bookkeeping bug, not bad luck.
 const maxReadRetries = 4
 
 // retryRead re-resolves a raced read against the current mapping and
-// re-injects it, keeping its RC queue slot.
+// re-injects it, keeping its RC queue entry.
 func (a *Array) retryRead(ref *pageRef) {
 	ppn, ok := a.ftl.Lookup(ref.lpn)
 	if !ok {
@@ -521,42 +595,56 @@ func (a *Array) retryRead(ref *pageRef) {
 	a.rc.Inject(pkt, nil)
 }
 
-// Submit enters one host request at the current simulated time.
+// Submit enters one host request at the current simulated time. Each
+// page command takes one RC queue entry; a page that finds none waits
+// for one in arrival order, and that wait is the RC stall of Figure 15.
 func (a *Array) Submit(r trace.Request) {
 	if err := r.Validate(); err != nil {
 		panic(err)
 	}
 	a.nextReqID++
-	// Ownership passes to the per-page continuations minted below; the
-	// page loop runs at least once (Validate rejects Pages < 1).
-	req := a.newReq()
-
-	req.id = a.nextReqID
-	req.op, req.lpn, req.pages = r.Op, r.LPN, r.Pages
-	req.submit = a.eng.Now()
-	req.remain = r.Pages
 	a.inFlight++
+	id, now := a.nextReqID, a.eng.Now()
+	// req is drawn by the request's first admitted or hit page; run is
+	// the run its pages are queuing on, ended by a hit. Once one page
+	// waits, every later miss of the request waits too.
+	var req *request
+	var run *waitRun
 	for p := int64(0); p < r.Pages.Int64(); p++ {
 		lpn := r.LPN + p
-		if r.Op == trace.Read && a.cache.lookup(lpn) {
-			// Relocated host DRAM hit (Section 6.6): served at the
-			// management module, never entering the flash array network.
-			a.eng.ScheduleEvent(hostDRAMHitLatency, req, 0)
-			continue
-		}
+		// Relocated host DRAM hit (Section 6.6): served at the management
+		// module, never entering the flash array network.
+		hit := r.Op == trace.Read && a.cache.lookup(lpn)
 		if r.Op == trace.Write {
 			a.cache.install(lpn)
 		}
-		// One RC queue entry per page command; waiting for an entry is
-		// the RC stall of Figure 15.
-		a.rcSlots.AcquireG(a.newRef(req, lpn), 0)
+		if !hit && a.rcFree == 0 {
+			if run == nil {
+				run = a.queueRun(req, id, r, lpn)
+			}
+			run.left++
+			continue
+		}
+		if req == nil {
+			req = a.newReq(id, r.Op, r.Pages, now)
+			if run != nil {
+				run.req = req // a hit after waiting pages
+			}
+		}
+		if hit {
+			a.eng.ScheduleEvent(hostDRAMHitLatency, req, 0)
+			run = nil
+			continue
+		}
+		a.rcFree--
+		a.admitPage(req, lpn, 0)
 	}
 }
 
-// admitPage resolves the page's physical location and injects its
-// packet at the root complex. The ref's admitWait is already set.
-func (a *Array) admitPage(ref *pageRef) {
-	req, lpn := ref.req, ref.lpn
+// admitPage gives one page of req an RC queue entry after stall spent
+// waiting for it: it resolves the page's physical location and injects
+// its packet at the root complex.
+func (a *Array) admitPage(req *request, lpn int64, stall simx.Time) {
 	var ppn topo.PPN
 	var kind pcie.Kind
 	var payload units.Bytes
@@ -597,6 +685,8 @@ func (a *Array) admitPage(ref *pageRef) {
 		payload = a.cfg.Geometry.Nand.PageSizeBytes
 	}
 
+	ref := a.newRef(req, lpn)
+	ref.admitWait = stall
 	cmd := a.command(op, ppn, nil)
 	cmd.BufferHit = bufferHit
 	cmd.Meta = ref
@@ -830,13 +920,17 @@ func (a *Array) deliver(pkt *pcie.Packet) {
 		}
 		panic(fmt.Sprintf("array: device error on req %d: %v", req.id, res.Err))
 	}
-	a.rcSlots.Release()
-
-	down, up := ref.down, pkt
+	// The page is done with its ref: keep what the breakdown and the
+	// hook read, and recycle it before its RC entry admits the next
+	// waiting page, which draws a ref of its own.
+	lpn, down, up := ref.lpn, ref.down, pkt
 	var b metrics.Breakdown
 	b.RCStall = ref.admitWait + ref.rcInjectWait
 	b.SwitchStall = (down.QueueWait - ref.rcInjectWait) + down.CreditWait + down.WireWait +
 		up.QueueWait + up.CreditWait + up.WireWait
+	a.recycleRef(ref)
+	a.releaseRC()
+
 	b.EPWait = res.EPWait
 	b.StorageWait = res.StorageWait
 	b.LinkWait = res.LinkWait
@@ -859,11 +953,11 @@ func (a *Array) deliver(pkt *pcie.Packet) {
 	b.AttributeShare(share)
 
 	if req.op == trace.Read {
-		a.cache.install(ref.lpn)
+		a.cache.install(lpn)
 	}
 	if a.hooks != nil {
 		a.hooks.OnPageComplete(PageComplete{
-			LPN:     ref.lpn,
+			LPN:     lpn,
 			Op:      req.op,
 			Pages:   units.Page,
 			Cluster: clusterID,
@@ -872,9 +966,9 @@ func (a *Array) deliver(pkt *pcie.Packet) {
 		})
 	}
 	// Release points: both fabric packets are fully read (the breakdown
-	// above holds copies), as is the page ref. Read commands are done;
-	// a write command recycles here only if its flush already retired
-	// (RetireMark coordination with OnCommandFlushed).
+	// above holds copies). Read commands are done; a write command
+	// recycles here only if its flush already retired (RetireMark
+	// coordination with OnCommandFlushed).
 	a.pktPool.Put(down)
 	a.pktPool.Put(up)
 	if cmd.Op == cluster.OpRead || cmd.RetireMark {
@@ -882,7 +976,6 @@ func (a *Array) deliver(pkt *pcie.Packet) {
 	} else {
 		cmd.RetireMark = true
 	}
-	a.recycleRef(ref)
 	a.finishPage(req, b)
 }
 

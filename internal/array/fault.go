@@ -114,18 +114,18 @@ func isFaultError(err error) bool {
 // the page retires through the normal finishPage accounting (so the
 // request still drains and the run never sticks).
 func (a *Array) failPage(ref *pageRef, up *pcie.Packet, cmd *cluster.Command) {
-	req := ref.req
+	req, down := ref.req, ref.down
 	req.failed = true
 	a.faultCtrs.pagesFailed.Inc()
-	a.rcSlots.Release()
-	a.pktPool.Put(ref.down)
+	a.recycleRef(ref)
+	a.releaseRC()
+	a.pktPool.Put(down)
 	a.pktPool.Put(up)
 	if cmd.Op == cluster.OpRead || cmd.RetireMark {
 		a.cmdPool.Put(cmd)
 	} else {
 		cmd.RetireMark = true
 	}
-	a.recycleRef(ref)
 	a.finishPage(req, metrics.Breakdown{})
 }
 

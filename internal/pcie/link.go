@@ -55,8 +55,11 @@ type Link struct {
 	maxCred int
 	dst     Receiver
 
-	sendQ  []*pendingSend
-	freePS *pendingSend // recycled pendingSend nodes
+	// Credit-stalled sends, FIFO, linked through pendingSend.next.
+	sendHead *pendingSend
+	sendTail *pendingSend
+	sendLen  int
+	freePS   *pendingSend // recycled pendingSend nodes
 
 	// rateScale > 0 stretches serialisation time — an injected link
 	// degradation, e.g. lanes trained down after an error (fault.go).
@@ -79,7 +82,7 @@ type pendingSend struct {
 	queued   simx.Time
 	accepted Accepted
 	xfer     simx.Time
-	next     *pendingSend
+	next     *pendingSend // credit-wait queue or free-list link
 	ck       simx.PoolCheck
 }
 
@@ -189,19 +192,26 @@ func (l *Link) Send(pkt *Packet, accepted Accepted) {
 		l.transmit(ps)
 		return
 	}
-	l.sendQ = append(l.sendQ, ps)
-	if len(l.sendQ) > l.maxSendQ {
-		l.maxSendQ = len(l.sendQ)
+	if l.sendTail == nil {
+		l.sendHead = ps
+	} else {
+		l.sendTail.next = ps
+	}
+	l.sendTail = ps
+	l.sendLen++
+	if l.sendLen > l.maxSendQ {
+		l.maxSendQ = l.sendLen
 	}
 }
 
 // ReturnCredit hands one VC buffer entry back to the sender, releasing
 // the oldest stalled packet if any.
 func (l *Link) ReturnCredit() {
-	if len(l.sendQ) > 0 {
-		ps := l.sendQ[0]
-		copy(l.sendQ, l.sendQ[1:])
-		l.sendQ = l.sendQ[:len(l.sendQ)-1]
+	if ps := l.sendHead; ps != nil {
+		if l.sendHead = ps.next; l.sendHead == nil {
+			l.sendTail = nil
+		}
+		l.sendLen--
 		stalled := l.eng.Now() - ps.queued
 		ps.pkt.CreditWait += stalled
 		l.creditStall += stalled
@@ -227,7 +237,7 @@ func (l *Link) transmit(ps *pendingSend) {
 func (l *Link) CreditsAvailable() int { return l.credits }
 
 // PendingSends reports packets stalled for credits.
-func (l *Link) PendingSends() int { return len(l.sendQ) }
+func (l *Link) PendingSends() int { return l.sendLen }
 
 // Packets reports how many packets completed wire serialisation.
 func (l *Link) Packets() uint64 { return l.packets }
