@@ -12,10 +12,11 @@ build:
 test:
 	$(GO) test ./...
 
-# The race detector only has goroutines to watch inside the
-# orchestration scope (internal/sweep) and its consumer equivalence
-# tests — everything else is single-threaded by the isosafe/nospawn
-# contract, so racing the full suite would just slow CI down.
+# The race detector only has goroutines to watch inside the sweep pool
+# (internal/sweep) and its consumer equivalence tests. The experiments
+# tests drive every simulator package, so a goroutine started anywhere
+# they reach races here too; racing the full suite would only slow CI
+# down.
 race:
 	$(GO) test -race ./internal/sweep/ ./internal/experiments/
 
@@ -51,11 +52,11 @@ fuzz:
 $(SIMLINT): $(shell find cmd/simlint internal/lint -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o $(SIMLINT) ./cmd/simlint
 
-# simlint: the repository's determinism lint suite, run through go vet
-# so analysis units and caching come from the build system. Runs twice:
-# once over the default build and once with -tags simcheck, so the
-# invariant-checking file variants are linted too. See
-# docs/static-analysis.md.
+# simlint: the repository's two lint rules, units (unit conversions) and
+# exhaustive (enum switches), run through go vet so analysis units and
+# caching come from the build system. Runs twice: once over the default
+# build and once with -tags simcheck, so the invariant-checking file
+# variants are linted too. See docs/static-analysis.md.
 lint: $(SIMLINT)
 	$(GO) vet -vettool=$(SIMLINT) ./...
 	$(GO) vet -tags simcheck -vettool=$(SIMLINT) ./...

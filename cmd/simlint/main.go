@@ -1,5 +1,5 @@
-// Command simlint is the repository's determinism-and-correctness lint
-// suite, packaged as a `go vet` backend:
+// Command simlint runs the repository's two lint rules, units (unit
+// conversions) and exhaustive (enum switches), as a `go vet` backend:
 //
 //	go build -o bin/simlint ./cmd/simlint
 //	go vet -vettool=bin/simlint ./...

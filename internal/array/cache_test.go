@@ -68,6 +68,10 @@ func TestHostDRAMServesRepeatedReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// 64 MiB of 4 KiB pages: the capacity the DRAM study's sizing relies on.
+	if got := a.CacheStats().CapacityPages; got != 16384 {
+		t.Fatalf("cache capacity = %d pages, want 16384", got)
+	}
 	var reqs []trace.Request
 	for i := 0; i < 10; i++ {
 		// The same page read ten times: one miss, nine hits.

@@ -4,7 +4,8 @@ package cluster
 // objects, mirroring pcie.Pool for packets. The array layer draws one
 // command per page operation and returns it at the operation's single
 // release point (delivery for reads, flush retirement for writes).
-// Plain single-threaded state — not sync.Pool — per the nospawn rule.
+// Plain single-threaded state, not sync.Pool: the simulation runs on
+// one goroutine.
 type CommandPool struct {
 	free    *Command
 	freeLen int

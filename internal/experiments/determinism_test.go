@@ -48,9 +48,10 @@ func serializeRun(t *testing.T, seed uint64) string {
 	return b.String()
 }
 
-// TestDeterministicReplay is the repository's reproducibility contract
-// (the property the simlint rules police statically): the same seed
-// must yield a byte-identical run, and a different seed must not.
+// TestDeterministicReplay is the repository's reproducibility contract:
+// the same seed must yield a byte-identical run, and a different seed
+// must not. A wall clock, a global random draw or a map order reaching
+// the run fails it (docs/static-analysis.md, "Run-time gates").
 func TestDeterministicReplay(t *testing.T) {
 	first := serializeRun(t, 42)
 	second := serializeRun(t, 42)

@@ -14,18 +14,22 @@ import (
 	"triplea/internal/workload"
 )
 
-// This file is the bridge between the suite and the isosafe-certified
-// sweep pool (internal/sweep). The rules the analyzer enforces shape
-// the code: every closure handed to sweep.Map captures only registered
-// deep-copy-safe values (array.Config, core.Options, ints, seeds, and
-// effectively-const package vars like NetworkSizes — never the *Suite
-// itself), each point function builds its whole arena (workload,
-// array, manager, recorder) inside the call, and results come back as
-// JSON-encoded metric snapshots — exported registry values, never live
-// recorders — so the assembly side renders every row and the table is
-// byte-identical for any worker count (encoding/json round-trips
-// float64 exactly, so rendering from a decoded snapshot equals
-// rendering from the live recorder).
+// This file is the bridge between the suite and the sweep pool
+// (internal/sweep). Its isolation rules shape the code: every closure
+// handed to sweep.Map captures only values (array.Config, core.Options,
+// ints, seeds, and package vars no one writes, like NetworkSizes —
+// never the *Suite itself), each point function builds its whole arena
+// (workload, array, manager, recorder) inside the call, and results
+// come back as JSON-encoded metric snapshots — exported registry
+// values, never live recorders — so the assembly side renders every
+// row and the table is byte-identical for any worker count
+// (encoding/json round-trips float64 exactly, so rendering from a
+// decoded snapshot equals rendering from the live recorder).
+// TestParallelEquivalence checks all four sweep.Map sites (fig12,
+// fig13, fault, regret) at widths 1, 2 and 8, and `make race` runs it
+// under the race detector: a Fig 12 closure that bumped a captured
+// counter into its seed failed both (seed I2 in
+// docs/static-analysis.md).
 
 // workers reports how many pool workers the suite's sweeps may use.
 // Under -tags simcheck the leak ledger (simx.CheckActive) is

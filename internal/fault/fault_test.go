@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"slices"
 	"testing"
 
 	"triplea/internal/array"
@@ -83,6 +84,14 @@ func TestMaterializeDeterministic(t *testing.T) {
 		if i > 0 && a[i].At < a[i-1].At {
 			t.Fatalf("events out of order at %d: %v after %v", i, a[i].At, a[i-1].At)
 		}
+	}
+	// The test geometry has one die per package, so a die drawn from
+	// anything but the plan's seed would still agree there. The default
+	// geometry (2 dies, 2 planes, 8 packages) has a choice in every
+	// coordinate.
+	full := array.DefaultConfig().Geometry
+	if x, y := p.Materialize(full), p.Materialize(full); !slices.Equal(x, y) {
+		t.Fatal("same plan diverged on the default geometry")
 	}
 	p.Seed = 8
 	c := p.Materialize(g)

@@ -3,17 +3,15 @@
 // only the standard library.
 //
 // A testdata tree is laid out GOPATH-style under <dir>/src/<importpath>.
-// Imports are resolved inside the tree first — the tree carries small
-// fake stand-ins for the standard-library packages the fixtures touch
-// ("time", "math/rand", "fmt", ...), keeping tests hermetic and fast —
-// so fixture import paths mirror the real repository
+// Imports are resolved inside the tree only, keeping tests hermetic and
+// fast, so fixture import paths mirror the real repository
 // ("triplea/internal/simx", ...) and the analyzers' package matching
 // logic is exercised unchanged.
 //
 // Expected findings are declared in the fixture source with the
 // x/tools comment convention:
 //
-//	rand.Intn(6) // want `global rand\.Intn`
+//	_ = units.Bytes(4096) // want `bare numeric literal used as units\.Bytes`
 //
 // Each quoted string is a regexp that must match one diagnostic
 // reported on that line; diagnostics with no matching want, and wants

@@ -5,10 +5,3 @@ package topo
 type PPN uint64
 
 func (p PPN) Page() int { return int(p & 0xfff) }
-
-// Geometry mirrors the real topo.Geometry: a pure value struct, and
-// one of isosafe's registered deep-copy-safe capture types.
-type Geometry struct {
-	Switches          int
-	ClustersPerSwitch int
-}

@@ -27,10 +27,12 @@ import (
 //   - a bare numeric literal where a units type is expected hides its
 //     unit; write 4*units.KiB, not units.Bytes(4096).
 //
-// The 0 and -1 literal sentinels stay legal, test files are exempt,
-// and the packages defining the unit types (internal/units,
-// internal/simx, internal/topo) are exempt: the helpers themselves
-// must convert. An audited site is silenced with //simlint:units.
+// The 0 and -1 literal sentinels stay legal, and so does a bare
+// literal typed as simx.Time: a unit slip there moves the latencies
+// the seed-42 goldens pin. Test files are exempt, and so are the
+// packages defining the unit types (internal/units, internal/simx,
+// internal/topo): the helpers themselves must convert. An audited site
+// is silenced with //simlint:units.
 var Units = &analysis.Analyzer{
 	Name: "units",
 	Doc:  "flag cross-unit conversions, unit-erasing conversions, and bare literals around the internal/units quantity types",
@@ -56,7 +58,8 @@ func unitTypeName(t types.Type) (string, bool) {
 
 // isUnitsScalar reports whether t is one of the internal/units types
 // proper (excluding simx.Time and topo.PPN, whose erasures are legal:
-// simtime audits the Time boundary, and PPN address math needs ints).
+// latency reports need raw nanoseconds, and PPN address math needs
+// ints).
 func isUnitsScalar(t types.Type) bool {
 	name, ok := unitTypeName(t)
 	return ok && name != "simx.Time" && name != "topo.PPN"
@@ -139,7 +142,7 @@ func checkUnitsCall(pass *analysis.Pass, call *ast.CallExpr) {
 				"conversion of %s to %s erases the unit; use the %s accessor method",
 				argName, target.String(), accessorFor(target))
 		case targetIsUnit && targetName != "simx.Time":
-			// simtime owns the simx.Time literal rule.
+			// simx.Time literals are exempt (see Units).
 			reportUnitsLiteral(pass, arg, targetName, "conversion")
 		}
 		return
@@ -260,4 +263,30 @@ func intValueOf(pass *analysis.Pass, e ast.Expr) (int64, bool) {
 	}
 	v, exact := constant.Int64Val(constant.ToInt(tv.Value))
 	return v, exact
+}
+
+// literalOf unwraps e to a basic literal, tracking one leading minus.
+func literalOf(e ast.Expr) (*ast.BasicLit, bool) {
+	e = unparen(e)
+	neg := false
+	if u, ok := e.(*ast.UnaryExpr); ok {
+		if u.Op.String() != "-" {
+			return nil, false
+		}
+		neg = true
+		e = unparen(u.X)
+	}
+	lit, ok := e.(*ast.BasicLit)
+	if !ok {
+		return nil, false
+	}
+	return lit, neg
+}
+
+func typeAsSignature(t types.Type) (*types.Signature, bool) {
+	if t == nil {
+		return nil, false
+	}
+	sig, ok := t.Underlying().(*types.Signature)
+	return sig, ok
 }

@@ -1,60 +1,21 @@
-// Package analyzers implements simlint's simulator-specific rules.
-// Every rule serves one requirement from the paper's evaluation: a
-// simulation run must be fully reproducible for a given input, so the
-// figures and tables in EXPERIMENTS.md can be regenerated bit-for-bit.
+// Package analyzers implements simlint's two simulator-specific rules:
+// units (dimensional analysis around the internal/units quantity
+// types) and exhaustive (switches over simulator enums cover every
+// declared constant). Both guard defects that change no test output
+// until the day they matter. Same-seed reproducibility is checked at
+// run time instead, by the determinism and golden-replay tests,
+// TestParallelEquivalence, the race step and simcheck (see
+// docs/static-analysis.md).
 package analyzers
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"strings"
 
 	"triplea/internal/lint/analysis"
 )
-
-// simPackageSuffixes lists the packages forming the deterministic
-// simulation core. Wall-clock time is banned inside them (walltime)
-// and event-order hazards are policed there (maporder).
-var simPackageSuffixes = []string{
-	"internal/simx",
-	"internal/nand",
-	"internal/fimm",
-	"internal/cluster",
-	"internal/pcie",
-	"internal/ftl",
-	"internal/array",
-	"internal/core",
-	"internal/fault",
-}
-
-// isoStatePackageSuffixes extends the simulation core with its pure
-// data/support packages; isosafe's mutable-global rule covers all of
-// them, because a run is only repeatable if nothing it reads can be
-// written by a concurrent sibling run.
-var isoStatePackageSuffixes = append([]string{
-	"internal/topo",
-	"internal/workload",
-	"internal/metrics",
-	"internal/trace",
-	"internal/decision",
-}, simPackageSuffixes...)
-
-// orchestrationPackageSuffixes is the one scope where concurrency is
-// legal: nospawn skips it and isosafe certifies it under stricter,
-// capture- and handoff-aware rules.
-var orchestrationPackageSuffixes = []string{
-	"internal/sweep",
-}
-
-// floatPackageSuffixes lists the packages whose floating-point
-// arithmetic feeds reported numbers (floateq's scope).
-var floatPackageSuffixes = []string{
-	"internal/metrics",
-	"internal/cost",
-	"internal/experiments",
-}
 
 // hasPathSuffix reports whether the import path is exactly suffix or
 // ends in "/"+suffix (so "triplea/internal/simx" matches
@@ -72,29 +33,9 @@ func inPackageSet(path string, suffixes []string) bool {
 	return false
 }
 
-// isSimPackage reports whether pkg belongs to the simulation core.
-func isSimPackage(pkg *types.Package) bool {
-	return pkg != nil && inPackageSet(pkg.Path(), simPackageSuffixes)
-}
-
 // isTestFile reports whether pos sits in a _test.go file.
 func isTestFile(pass *analysis.Pass, pos token.Pos) bool {
 	return strings.HasSuffix(pass.Filename(pos), "_test.go")
-}
-
-// importedPackage resolves a selector base expression to the package
-// it names, if the expression is a package qualifier (e.g. the `time`
-// in `time.Now`).
-func importedPackage(info *types.Info, expr ast.Expr) (*types.Package, bool) {
-	id, ok := expr.(*ast.Ident)
-	if !ok {
-		return nil, false
-	}
-	pn, ok := info.Uses[id].(*types.PkgName)
-	if !ok {
-		return nil, false
-	}
-	return pn.Imported(), true
 }
 
 // namedType unwraps t (through pointers and aliases) to a named type,
@@ -132,74 +73,10 @@ func isSimxTime(t types.Type) bool {
 	return isNamed(t, "internal/simx", "Time") || isNamed(t, "simx", "Time")
 }
 
-// isDuration reports whether t is time.Duration.
-func isDuration(t types.Type) bool { return isNamed(t, "time", "Duration") }
-
-// ---- registration-table plumbing ----
-//
-// isosafe declares its policy as tables of {package-suffix, type-name}
-// pairs; the matching machinery below gives every row the same
-// meaning.
-
-// namedStrict is like isNamed but does NOT unwrap pointers:
-// *array.Config is a shared reference, not a registered value type.
-func namedStrict(t types.Type, pkgSuffix, name string) bool {
-	n, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Name() == name &&
-		hasPathSuffix(obj.Pkg().Path(), pkgSuffix)
-}
-
-// isRegisteredNamed reports whether t (without pointer unwrapping)
-// matches any {package-suffix, type-name} pair of a registry table.
-func isRegisteredNamed(t types.Type, table [][2]string) bool {
-	for _, r := range table {
-		if namedStrict(t, r[0], r[1]) {
-			return true
-		}
-	}
-	return false
-}
-
-// pkgLevelVar resolves the base of an lvalue chain (selectors, indexes,
-// derefs) to a package-level var, if that is what it roots in.
-func pkgLevelVar(info *types.Info, e ast.Expr) *types.Var {
-	for e != nil {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			if _, ok := importedPackage(info, x.X); ok {
-				e = x.Sel
-			} else {
-				e = x.X
-			}
-		case *ast.Ident:
-			v, ok := info.Uses[x].(*types.Var)
-			if ok && !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-				return v
-			}
-			return nil
-		default:
-			return nil
-		}
-	}
-	return nil
-}
-
 // suppressed reports whether the line holding pos, or the line just
 // above it, carries a "//simlint:<marker>" comment — the audited-site
 // escape hatch (see docs/static-analysis.md). The marker must end at a
-// token boundary, so "simlint:order" would not match "simlint:ordered".
+// token boundary, so "simlint:unit" would not match "simlint:units".
 func suppressed(pass *analysis.Pass, pos token.Pos, marker string) bool {
 	file := pass.FileAt(pos)
 	if file == nil {
@@ -243,11 +120,6 @@ func isIdentChar(c byte) bool {
 	return c == '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
 }
 
-// baseFilename reports the basename of the file holding pos.
-func baseFilename(pass *analysis.Pass, pos token.Pos) string {
-	return filepath.Base(pass.Filename(pos))
-}
-
 // unparen strips redundant parentheses.
 func unparen(e ast.Expr) ast.Expr {
 	for {
@@ -261,15 +133,5 @@ func unparen(e ast.Expr) ast.Expr {
 
 // All returns the full simlint analyzer suite in a stable order.
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		Walltime,
-		Globalrand,
-		Maporder,
-		Floateq,
-		Simtime,
-		Units,
-		Exhaustive,
-		Nospawn,
-		Isosafe,
-	}
+	return []*analysis.Analyzer{Units, Exhaustive}
 }

@@ -1,10 +1,8 @@
 package analyzers
 
-// Unit tests for the shared registration-table plumbing. The golden
-// analysistest packages exercise these helpers indirectly through every
-// analyzer; the tests here pin their contracts directly so a refactor
-// of one analyzer cannot silently shift the meaning of another's
-// registration table.
+// Unit tests for the helpers units and exhaustive share. The golden
+// analysistest packages exercise them indirectly through both
+// analyzers; the tests here pin their contracts directly.
 
 import (
 	"go/ast"
@@ -94,7 +92,7 @@ type Alias = Spec
 func vals() (Spec, *Spec, Alias, int) { return Spec{}, nil, Spec{}, 0 }
 `
 
-func TestNamedStrictAndRegistry(t *testing.T) {
+func TestIsNamed(t *testing.T) {
 	_, f, _, info := typecheck(t, namedSrc)
 	sig := lookupFunc(t, info, f, "vals").Type().(*types.Signature)
 	spec := sig.Results().At(0).Type()
@@ -102,91 +100,34 @@ func TestNamedStrictAndRegistry(t *testing.T) {
 	alias := sig.Results().At(2).Type()
 	basic := sig.Results().At(3).Type()
 
-	if !namedStrict(spec, "internal/demo", "Spec") {
-		t.Errorf("value type should match namedStrict")
+	if !isNamed(spec, "internal/demo", "Spec") {
+		t.Errorf("value type should match isNamed")
 	}
-	if namedStrict(ptr, "internal/demo", "Spec") {
-		t.Errorf("pointer type must NOT match namedStrict (shared reference)")
-	}
-	if !namedStrict(alias, "internal/demo", "Spec") {
-		t.Errorf("alias should resolve to its named type")
-	}
-	if namedStrict(basic, "internal/demo", "Spec") {
-		t.Errorf("basic type should not match")
-	}
-
-	table := [][2]string{{"internal/demo", "Spec"}}
-	if !isRegisteredNamed(spec, table) {
-		t.Errorf("registered value type should pass isRegisteredNamed")
-	}
-	if isRegisteredNamed(ptr, table) {
-		t.Errorf("pointer to a registered type should fail isRegisteredNamed")
-	}
-
-	// The pointer-unwrapping variant the type-keyed analyzers use.
 	if !isNamed(ptr, "internal/demo", "Spec") {
 		t.Errorf("isNamed should unwrap the pointer")
+	}
+	if !isNamed(alias, "internal/demo", "Spec") {
+		t.Errorf("alias should resolve to its named type")
+	}
+	if isNamed(basic, "internal/demo", "Spec") {
+		t.Errorf("basic type should not match")
+	}
+	if isNamed(spec, "internal/other", "Spec") {
+		t.Errorf("a type of another package should not match")
 	}
 	if n, ok := namedType(ptr); !ok || n.Obj().Name() != "Spec" {
 		t.Errorf("namedType should unwrap *Spec to Spec")
 	}
 }
 
-const pkgVarSrc = `package demo
-
-var Global = map[string]int{}
-var Counter int
-
-type box struct{ n int }
-
-func use() {
-	local := 0
-	local++
-	Counter++
-	Global["k"] = 1
-	b := box{}
-	b.n = 2
-	_ = local
-}
-`
-
-func TestPkgLevelVar(t *testing.T) {
-	_, f, _, info := typecheck(t, pkgVarSrc)
-	var names []string
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if v := pkgLevelVar(info, lhs); v != nil {
-					names = append(names, v.Name())
-				}
-			}
-		case *ast.IncDecStmt:
-			if v := pkgLevelVar(info, n.X); v != nil {
-				names = append(names, v.Name())
-			}
-		}
-		return true
-	})
-	want := []string{"Counter", "Global"}
-	if len(names) != len(want) {
-		t.Fatalf("package-level lvalue roots = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("root %d = %q, want %q", i, names[i], want[i])
-		}
-	}
-}
-
 const suppressSrc = `package demo
 
 func a() int {
-	return 1 //simlint:ordered audited example
+	return 1 //simlint:units audited example
 }
 
 func b() int {
-	//simlint:ordered the line above form
+	//simlint:units the line above form
 	return 2
 }
 
@@ -213,20 +154,20 @@ func TestSuppressed(t *testing.T) {
 	if len(rets) != 3 {
 		t.Fatalf("want 3 return statements, got %d", len(rets))
 	}
-	if !suppressed(pass, rets[0].Pos(), "ordered") {
+	if !suppressed(pass, rets[0].Pos(), "units") {
 		t.Errorf("same-line marker should suppress")
 	}
-	if !suppressed(pass, rets[1].Pos(), "ordered") {
+	if !suppressed(pass, rets[1].Pos(), "units") {
 		t.Errorf("line-above marker should suppress")
 	}
-	if suppressed(pass, rets[2].Pos(), "ordered") {
+	if suppressed(pass, rets[2].Pos(), "units") {
 		t.Errorf("unmarked line must not be suppressed")
 	}
-	if suppressed(pass, rets[0].Pos(), "shared") {
+	if suppressed(pass, rets[0].Pos(), "partial") {
 		t.Errorf("marker names a different rule; must not suppress")
 	}
-	if suppressed(pass, rets[0].Pos(), "order") {
-		t.Errorf("simlint:ordered must not satisfy a simlint:order marker")
+	if suppressed(pass, rets[0].Pos(), "unit") {
+		t.Errorf("simlint:units must not satisfy a simlint:unit marker")
 	}
 }
 
@@ -235,12 +176,12 @@ func TestMarkerAt(t *testing.T) {
 		text, want string
 		hit        bool
 	}{
-		{"simlint:order", "simlint:order", true},
-		{"simlint:ordered", "simlint:order", false},
-		{"simlint:ordered", "simlint:ordered", true},
-		{" simlint:order (sorted below)", "simlint:order", true},
-		{"simlint:ordered simlint:order", "simlint:order", true},
-		{"nothing here", "simlint:order", false},
+		{"simlint:unit", "simlint:unit", true},
+		{"simlint:units", "simlint:unit", false},
+		{"simlint:units", "simlint:units", true},
+		{" simlint:unit (audited below)", "simlint:unit", true},
+		{"simlint:units simlint:unit", "simlint:unit", true},
+		{"nothing here", "simlint:unit", false},
 	}
 	for _, c := range cases {
 		if got := markerAt(c.text, c.want); got != c.hit {

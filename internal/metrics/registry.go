@@ -13,7 +13,8 @@ import (
 
 // Metric is one named statistic held by a Registry. Implementations are
 // threadsafe by isolation: each lives inside exactly one single-threaded
-// simulation (the isosafe/nospawn contract), so they carry no locks.
+// simulation (parallel sweeps give every run its own; `make race`
+// checks it), so they carry no locks.
 // Every metric exports itself as one deterministic JSON value; the
 // unexported method keeps the implementation set closed to this
 // package, which is what lets the registry promise a stable export

@@ -7,8 +7,8 @@ import (
 // Snapshot is a recorder's summary statistics frozen into a plain
 // value: what figure/table rendering needs, with no reference to the
 // recorder or its samples. Snapshots are what parallel sweep workers
-// hand back across the worker boundary (JSON-encoded), which keeps the
-// isosafe handoff-by-value contract trivially true — and because
+// hand back across the worker boundary (JSON-encoded), so nothing a
+// worker still holds crosses it — and because
 // encoding/json round-trips float64 exactly (shortest-representation
 // encoding), a table rendered from a decoded snapshot is byte-identical
 // to one rendered from the live recorder.

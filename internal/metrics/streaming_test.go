@@ -308,7 +308,6 @@ func TestWindowedMatchesMapScan(t *testing.T) {
 		buckets[int64(clock/window)]++
 	}
 	best := 0
-	//simlint:ordered commutative max over buckets
 	for _, n := range buckets {
 		if n > best {
 			best = n

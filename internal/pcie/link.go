@@ -69,7 +69,6 @@ type Link struct {
 	packets     uint64
 	bytes       units.Bytes
 	creditStall simx.Time
-	maxSendQ    int
 }
 
 // pendingSend is the pooled per-packet transmission state: it queues
@@ -199,9 +198,6 @@ func (l *Link) Send(pkt *Packet, accepted Accepted) {
 	}
 	l.sendTail = ps
 	l.sendLen++
-	if l.sendLen > l.maxSendQ {
-		l.maxSendQ = l.sendLen
-	}
 }
 
 // ReturnCredit hands one VC buffer entry back to the sender, releasing

@@ -5,7 +5,7 @@ package pcie
 // instead of minting one per request, which is most of what the fabric
 // used to allocate. Like every pool in this repository it is plain
 // single-threaded state — the simulation runs on one goroutine, so
-// sync.Pool would only add cost (and is banned by the nospawn lint).
+// sync.Pool would only add cost.
 //
 // Ownership rule: whoever created a packet via Get decides the single
 // release point and calls Put exactly once after the last read of the

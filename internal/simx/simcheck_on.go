@@ -73,11 +73,11 @@ func (c *PoolCheck) InUse(what string) {
 
 // ckLedger counts, per pool name, the objects currently checked out of
 // (or never yet returned to) their free-list. The simulator is
-// single-threaded by construction, so a plain map suffices — and
-// because this is process-global, the sweep runner clamps its worker
-// pool to one whenever CheckActive reports the tag is on.
-//
-//simlint:shared process-wide leak ledger; parallel sweeps serialize under -tags simcheck (see CheckActive)
+// single-threaded by construction, so a plain map suffices. The ledger
+// is process-global, so the experiments suite runs its sweeps on one
+// worker whenever CheckActive reports the tag is on; two runs touching
+// it at once would be a concurrent map write, which the Go runtime
+// reports as a fatal error.
 var ckLedger = map[string]int{}
 
 // CheckActive reports whether the simcheck invariant checks (and their
@@ -90,7 +90,7 @@ func CheckActive() bool { return true }
 // Pools with a zero count are omitted.
 func SnapshotLedger() map[string]int {
 	snap := make(map[string]int, len(ckLedger))
-	for name, n := range ckLedger { //simlint:ordered copy into a map keyed by the same name; order-independent
+	for name, n := range ckLedger {
 		if n != 0 {
 			snap[name] = n
 		}
@@ -109,7 +109,7 @@ func PoolOutstanding(name string) int { return ckLedger[name] }
 // the same test process.
 func AssertDrained(snap map[string]int) error {
 	var leaks []string
-	for name, n := range ckLedger { //simlint:ordered leak lines are sorted before reporting
+	for name, n := range ckLedger {
 		if n > snap[name] {
 			leaks = append(leaks, fmt.Sprintf("%s: %d outstanding (was %d)", name, n, snap[name]))
 		}

@@ -5,30 +5,32 @@
 // any of the determinism budget the engine's single-threaded contract
 // buys.
 //
-// The package is the one place in the repository where concurrency is
-// legal, and it is certified rather than trusted: the `isosafe`
-// analyzer (see docs/static-analysis.md) statically proves that
+// The package is the one place in the repository that starts
+// goroutines. Its callers keep three rules:
 //
-//   - every worker closure captures only registered deep-copy-safe
-//     values (seeds, value-semantics config structs, the package's own
-//     channels) — never a live engine, an array, or a pool;
+//   - every worker closure captures only values (seeds, value-semantics
+//     config structs) — never a live engine, an array, a pool, or a
+//     variable another run writes;
 //   - the only values crossing the channel boundary are the immutable
 //     Spec and result types;
 //   - each run stays single-threaded: a RunFunc builds every engine,
 //     array, and recorder it needs inside the call, in its own arena.
 //
-// Because each run is a pure function of its spec, the assembled
-// output is byte-identical for any worker count — Map(1, ...) and
-// Map(8, ...) return the same bytes, which
-// internal/experiments/parallel_test.go pins.
+// Because each run is then a pure function of its spec, the assembled
+// output is byte-identical for any worker count. Two run-time gates
+// check that: TestParallelEquivalence (internal/experiments) renders
+// all four experiments that call Map (fig12, fig13, fault, regret) at
+// widths 1, 2 and 8 and requires the same bytes, and `make race` runs
+// it under the race detector. A closure that bumps a captured counter
+// and feeds it into its seed fails both (seed I2 in
+// docs/static-analysis.md).
 package sweep
 
 import "fmt"
 
 // Spec identifies one independent run of a sweep: a dense index used
 // for deterministic result reassembly, and the seed the run derives
-// every random draw from. Spec is a pure value and is registered with
-// isosafe as deep-copy-safe.
+// every random draw from. Spec is a pure value.
 type Spec struct {
 	Index int
 	Seed  uint64
@@ -38,14 +40,13 @@ type Spec struct {
 // (a report.Table rendering, encoded row cells, a metric snapshot).
 // Implementations must be self-contained: build the array, engine, and
 // recorders inside the call, return only bytes, and capture nothing
-// mutable — isosafe checks every function literal flowing into Map, so
-// a closure that captures a pointer, map, slice, or live engine is a
-// vet error, not a latent race.
+// mutable: a closure that shares a pointer, map, slice, counter or live
+// engine with another run is a data race.
 type RunFunc func(Spec) ([]byte, error)
 
 // result is the only type worker goroutines send back across the
-// channel boundary (isosafe's handoff-by-value rule): the spec's
-// index, the rendered bytes, and the run's error. Ownership of the
+// channel boundary: the spec's index, the rendered bytes, and the
+// run's error. Ownership of the
 // byte slice transfers with the send; the worker never touches it
 // again.
 type result struct {
@@ -110,8 +111,12 @@ func Map(workers int, specs []Spec, fn RunFunc) ([][]byte, error) {
 			}
 		}()
 	}
-	for _, sp := range specs {
-		feed <- sp
+	// Fed last spec first, the reverse of the serial loop: a RunFunc
+	// whose result depends on call order (a captured counter, say)
+	// then renders differently at any width above 1, every run, rather
+	// than only when the scheduler reorders the workers.
+	for i := len(specs) - 1; i >= 0; i-- {
+		feed <- specs[i]
 	}
 	close(feed)
 
