@@ -38,7 +38,9 @@ simcheck:
 # never panics and that an accepted trace survives Encode then Decode.
 # FuzzAdmission (internal/array) checks RC admission on a 1x1 array:
 # every request finishes exactly once, writes are admitted in (request,
-# page) order, and no RC stall is negative.
+# page) order, and no RC stall is negative. FuzzConfig (internal/array)
+# checks that a config Validate rejects fails New, and that one it
+# accepts builds and serves a few reads without an error or a panic.
 # Plain `go test` runs their seed corpora; this mutates beyond them. A failing input is written to the package's
 # testdata/fuzz/ — commit it, and it joins the corpus every `go test`
 # replays.
@@ -48,6 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFTLOps$$' -fuzztime $(FUZZTIME) ./internal/ftl
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzAdmission$$' -fuzztime $(FUZZTIME) ./internal/array
+	$(GO) test -run '^$$' -fuzz '^FuzzConfig$$' -fuzztime $(FUZZTIME) ./internal/array
 
 $(SIMLINT): $(shell find cmd/simlint internal/lint -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o $(SIMLINT) ./cmd/simlint

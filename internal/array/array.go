@@ -171,17 +171,18 @@ func (a *Array) build() {
 	g := cfg.Geometry
 
 	a.rc = pcie.NewRootComplex(a.eng, cfg.RCRouteLatency,
-		func(pkt *pcie.Packet) int { return addrSwitch(pkt.Addr) },
+		func(pkt *pcie.Packet) int { return topo.ClusterAt(pkt.Addr).Switch },
 		a.deliver)
 
 	for s := 0; s < g.Switches; s++ {
 		s := s
 		sw := pcie.NewSwitch(a.eng, fmt.Sprintf("sw%d", s), cfg.SwitchRouteLatency,
 			func(pkt *pcie.Packet) int {
-				if pkt.Kind == pcie.Completion || addrSwitch(pkt.Addr) != s {
+				id := topo.ClusterAt(pkt.Addr)
+				if pkt.Kind == pcie.Completion || id.Switch != s {
 					return pcie.Upstream
 				}
-				return addrCluster(pkt.Addr)
+				return id.Cluster
 			})
 		a.switches = append(a.switches, sw)
 
@@ -589,7 +590,7 @@ func (a *Array) retryRead(ref *pageRef) {
 	cmd.BufferHit = a.buffered(ppn)
 	cmd.Meta = ref
 	pkt := a.pktPool.Get()
-	pkt.ID, pkt.Kind, pkt.Addr = ref.req.id, pcie.MemRead, routeAddr(ppn.ClusterID())
+	pkt.ID, pkt.Kind, pkt.Addr = ref.req.id, pcie.MemRead, ppn.ClusterID().Addr()
 	pkt.Meta = cmd
 	ref.down = pkt
 	a.rc.Inject(pkt, nil)
@@ -695,7 +696,7 @@ func (a *Array) admitPage(req *request, lpn int64, stall simx.Time) {
 		buf = a.trackFlush(ppn, cmd)
 	}
 	pkt := a.pktPool.Get()
-	pkt.ID, pkt.Kind, pkt.Addr, pkt.Payload = req.id, kind, routeAddr(ppn.ClusterID()), payload
+	pkt.ID, pkt.Kind, pkt.Addr, pkt.Payload = req.id, kind, ppn.ClusterID().Addr(), payload
 	pkt.Meta = cmd
 	ref.down = pkt
 	if op == cluster.OpWrite {
@@ -941,7 +942,7 @@ func (a *Array) deliver(pkt *pcie.Packet) {
 	// Attribute the upstream backlog to its root cause: a saturated
 	// shared bus at the target cluster is link contention (the paper's
 	// classification); otherwise split by the device-side waits.
-	clusterID := topo.ClusterID{Switch: addrSwitch(up.Addr), Cluster: addrCluster(up.Addr)}
+	clusterID := topo.ClusterAt(up.Addr)
 	device := b.LinkWait + b.EPWait + b.StorageWait
 	share := 0.0
 	if device > 0 {

@@ -53,6 +53,12 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.RCQueueEntries = 0 },
 		func(c *Config) { c.SLA = 0 },
 		func(c *Config) { c.QueueEntries = 0 },
+		func(c *Config) { c.HALLatency = -1 },
+		func(c *Config) { c.LinkPropagation = -1 },
+		func(c *Config) { c.SwitchRouteLatency = -1 },
+		func(c *Config) { c.RCRouteLatency = -1 },
+		func(c *Config) { c.Geometry.Nand.TCmdOverhead = -1 },
+		func(c *Config) { c.Geometry.Nand.TECCPerPage = -1 },
 	} {
 		cfg := DefaultConfig()
 		mod(&cfg)
@@ -62,14 +68,6 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Error("New accepted bad config")
 		}
-	}
-}
-
-func TestRouteAddrRoundTrip(t *testing.T) {
-	id := topo.ClusterID{Switch: 3, Cluster: 15}
-	a := routeAddr(id)
-	if addrSwitch(a) != 3 || addrCluster(a) != 15 {
-		t.Errorf("routeAddr round trip failed: %x", a)
 	}
 }
 

@@ -48,7 +48,7 @@ func newDRAMCache(capacityPages units.Pages) *dramCache {
 	return &dramCache{
 		capacity: capacityPages,
 		lru:      list.New(),
-		index:    make(map[int64]*list.Element, capacityPages),
+		index:    make(map[int64]*list.Element),
 	}
 }
 

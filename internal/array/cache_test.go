@@ -1,11 +1,13 @@
 package array
 
 import (
+	"runtime"
 	"testing"
 
 	"triplea/internal/simx"
 	"triplea/internal/topo"
 	"triplea/internal/trace"
+	"triplea/internal/units"
 )
 
 func TestDRAMCacheLRU(t *testing.T) {
@@ -126,6 +128,32 @@ func TestCacheDisabledByDefault(t *testing.T) {
 	}
 	if cs := a.CacheStats(); cs.Hits != 0 || cs.CapacityPages != 0 {
 		t.Errorf("default config cached: %+v", cs)
+	}
+}
+
+// TestHostDRAMIndexLazy pins that New does not pay for the host DRAM
+// cache's capacity before any page is cached: 4 GiB of host DRAM is a
+// million 4 KiB pages, and an index presized to them costs tens of MiB
+// on an array whose flash holds 128 pages.
+func TestHostDRAMIndexLazy(t *testing.T) {
+	cfg := testConfig()
+	cfg.Geometry.Switches = 1
+	cfg.Geometry.ClustersPerSwitch = 1
+	cfg.Geometry.FIMMsPerCluster = 1
+	cfg.Geometry.PackagesPerFIMM = 1
+	cfg.HostDRAMBytes = 4 * units.GiB
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a, err := New(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.CacheStats().CapacityPages; got != units.BytesToPages(cfg.HostDRAMBytes, cfg.Geometry.Nand.PageSizeBytes) {
+		t.Fatalf("cache capacity = %d pages, want 4 GiB of pages", got)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("New with 4 GiB of host DRAM allocated %d B, want under 1 MiB", got)
 	}
 }
 

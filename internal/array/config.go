@@ -149,6 +149,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("array: RCQueueEntries %d must be >= 1", c.RCQueueEntries)
 	case c.SLA <= 0:
 		return fmt.Errorf("array: SLA %v must be positive", c.SLA)
+	case c.LinkPropagation < 0 || c.SwitchRouteLatency < 0 || c.RCRouteLatency < 0:
+		return fmt.Errorf("array: fabric latencies must not be negative")
 	}
 	return c.clusterParams().Validate()
 }
@@ -200,12 +202,3 @@ func (c Config) clusterParams() cluster.Params {
 // tDMA term of the paper's Equations 1-3, which the autonomic manager
 // needs for its detection thresholds.
 func (c Config) BusPageTime() simx.Time { return c.clusterParams().BusPageTime() }
-
-// routeAddr encodes a cluster's position into a fabric address.
-func routeAddr(id topo.ClusterID) uint64 {
-	return uint64(id.Switch)<<32 | uint64(id.Cluster)
-}
-
-// addrSwitch and addrCluster decode a fabric address.
-func addrSwitch(a uint64) int  { return int(a >> 32) }
-func addrCluster(a uint64) int { return int(a & 0xffffffff) }

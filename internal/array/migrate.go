@@ -140,7 +140,7 @@ func (m *migration) launch() {
 	// packet recycles on arrival at the destination endpoint.
 	pkt := a.pktPool.Get()
 	pkt.Kind = pcie.MemWrite
-	pkt.Addr = routeAddr(dst)
+	pkt.Addr = dst.Addr()
 	pkt.Payload = a.cfg.Geometry.Nand.PageSizeBytes
 	pkt.Meta = cmd
 	a.Endpoint(m.src.ClusterID()).Forward(pkt)

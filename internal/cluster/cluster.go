@@ -55,24 +55,6 @@ type Params struct {
 	HostPriority bool
 }
 
-// DefaultParams returns the paper's cluster: four 64 GiB FIMMs behind
-// one endpoint, a 16-pin 400 MHz DDR shared bus, and endpoint buffers
-// sized like a contemporary PLX part.
-func DefaultParams() Params {
-	return Params{
-		NumFIMMs:        4,
-		FIMM:            fimm.DefaultParams(),
-		BusPins:         16 * units.Lane,
-		BusMHz:          400,
-		BusDDR:          true,
-		QueueEntries:    64,
-		FIMMQueueDepth:  8,
-		WriteBufEntries: 64,
-		StagingEntries:  32,
-		HALLatency:      200 * simx.Nanosecond,
-	}
-}
-
 // Validate reports whether the parameters are usable.
 func (p Params) Validate() error {
 	switch {
@@ -90,6 +72,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("cluster: WriteBufEntries %d must be positive", p.WriteBufEntries)
 	case p.StagingEntries <= 0:
 		return fmt.Errorf("cluster: StagingEntries %d must be positive", p.StagingEntries)
+	case p.HALLatency < 0:
+		return fmt.Errorf("cluster: HALLatency %v must not be negative", p.HALLatency)
 	}
 	return p.FIMM.Validate()
 }
@@ -559,7 +543,7 @@ func (ep *Endpoint) fail(cmd *Command, err error) {
 	// read whose target block was garbage-collected in flight.
 	if !cmd.Background && ep.up != nil && cmd.Meta != nil {
 		pkt := ep.newPacket()
-		pkt.Kind, pkt.Addr, pkt.Meta = pcie.Completion, ep.routeAddr(), cmd
+		pkt.Kind, pkt.Addr, pkt.Meta = pcie.Completion, ep.id.Addr(), cmd
 		ep.up.Send(pkt, nil)
 	}
 	cmd.complete()
@@ -679,7 +663,7 @@ func (ep *Endpoint) finishRead(cmd *Command) {
 	}
 	pkt := ep.newPacket()
 	pkt.Kind = pcie.Completion
-	pkt.Addr = ep.routeAddr()
+	pkt.Addr = ep.id.Addr()
 	pkt.Payload = units.PagesToBytes(cmd.Pages(), ep.params.FIMM.Nand.PageSizeBytes)
 	pkt.Meta = cmd
 	ep.up.Send(pkt, ep)
@@ -703,7 +687,7 @@ func (ep *Endpoint) admitBufferedWrite(cmd *Command, bufWait simx.Time) {
 	cmd.AckResult = cmd.Result
 	if !cmd.Background && ep.up != nil {
 		ack := ep.newPacket()
-		ack.Kind, ack.Addr, ack.Meta = pcie.Completion, ep.routeAddr(), cmd
+		ack.Kind, ack.Addr, ack.Meta = pcie.Completion, ep.id.Addr(), cmd
 		ep.up.Send(ack, nil)
 	}
 	if !cmd.Background {
@@ -752,12 +736,6 @@ func (ep *Endpoint) finishFlush(cmd *Command, r fimm.Result) {
 	if cmd.Flushed != nil {
 		cmd.Flushed.OnCommandFlushed(cmd)
 	}
-}
-
-// routeAddr reports the fabric address identifying this cluster, used
-// on upstream packets so switches can route completions.
-func (ep *Endpoint) routeAddr() uint64 {
-	return uint64(ep.id.Switch)<<32 | uint64(ep.id.Cluster)
 }
 
 var (

@@ -4,14 +4,34 @@ import (
 	"strings"
 	"testing"
 
+	"triplea/internal/fimm"
 	"triplea/internal/nand"
 	"triplea/internal/pcie"
 	"triplea/internal/simx"
 	"triplea/internal/topo"
+	"triplea/internal/units"
 )
 
+// defaultParams is the cluster these tests start from: four 64 GiB
+// FIMMs behind one endpoint on a 16-pin 400 MHz DDR bus. Simulated
+// arrays take their clusters from array.DefaultConfig instead.
+func defaultParams() Params {
+	return Params{
+		NumFIMMs:        4,
+		FIMM:            fimm.DefaultParams(),
+		BusPins:         16 * units.Lane,
+		BusMHz:          400,
+		BusDDR:          true,
+		QueueEntries:    64,
+		FIMMQueueDepth:  8,
+		WriteBufEntries: 64,
+		StagingEntries:  32,
+		HALLatency:      200 * simx.Nanosecond,
+	}
+}
+
 func testParams() Params {
-	p := DefaultParams()
+	p := defaultParams()
 	p.NumFIMMs = 2
 	p.FIMM.NumPackages = 2
 	p.FIMM.Nand.BlocksPerPlane = 8
@@ -30,11 +50,11 @@ func populate(t *testing.T, ep *Endpoint, f, pkg int, a nand.Addr) {
 }
 
 func TestDefaultParamsValid(t *testing.T) {
-	if err := DefaultParams().Validate(); err != nil {
-		t.Fatalf("DefaultParams invalid: %v", err)
+	if err := defaultParams().Validate(); err != nil {
+		t.Fatalf("defaultParams invalid: %v", err)
 	}
 	// 16-pin 400 MHz DDR bus = 1.6 GB/s; 4 KiB page = 2560 ns.
-	if got := DefaultParams().BusPageTime(); got != 2560 {
+	if got := defaultParams().BusPageTime(); got != 2560 {
 		t.Errorf("BusPageTime = %v, want 2560ns", got)
 	}
 }
@@ -48,9 +68,10 @@ func TestParamsValidation(t *testing.T) {
 		func(p *Params) { p.FIMMQueueDepth = 0 },
 		func(p *Params) { p.WriteBufEntries = 0 },
 		func(p *Params) { p.StagingEntries = 0 },
+		func(p *Params) { p.HALLatency = -1 },
 		func(p *Params) { p.FIMM.NumPackages = 0 },
 	} {
-		p := DefaultParams()
+		p := defaultParams()
 		mod(&p)
 		if p.Validate() == nil {
 			t.Errorf("Validate accepted bad params")

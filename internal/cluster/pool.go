@@ -7,8 +7,7 @@ package cluster
 // Plain single-threaded state, not sync.Pool: the simulation runs on
 // one goroutine.
 type CommandPool struct {
-	free    *Command
-	freeLen int
+	free *Command
 }
 
 // Get pops a recycled command (zeroed) or allocates a fresh one.
@@ -20,7 +19,6 @@ func (p *CommandPool) Get() *Command {
 		return c
 	}
 	p.free = c.next
-	p.freeLen--
 	c.ck.Checkout("cluster.Command")
 	*c = Command{}
 	return c
@@ -39,8 +37,4 @@ func (p *CommandPool) Put(c *Command) {
 	c.ep, c.from = nil, nil
 	c.next = p.free
 	p.free = c
-	p.freeLen++
 }
-
-// Free reports how many recycled commands are idle in the pool.
-func (p *CommandPool) Free() int { return p.freeLen }

@@ -21,6 +21,7 @@ import (
 	"triplea/internal/array"
 	"triplea/internal/cluster"
 	"triplea/internal/decision"
+	"triplea/internal/nand"
 	"triplea/internal/simx"
 	"triplea/internal/topo"
 	"triplea/internal/trace"
@@ -67,12 +68,13 @@ type Options struct {
 	// central module knows every module's erase counts (Section 6.7),
 	// so reshaping doubles as global wear leveling.
 	WearAware bool
-	// ReshapeBatch is how many recently served pages of a laggard are
-	// reshaped per detection. The paper moves the data of all the
-	// stalled requests at once (Figure 8); the manager approximates
-	// their identity with the laggard's most recent working set.
-	ReshapeBatch int
 }
+
+// batchReshapePages is how many recently served pages of a laggard are
+// reshaped per detection. The paper moves the data of all the stalled
+// requests at once (Figure 8); the manager approximates their identity
+// with the laggard's most recent working set.
+const batchReshapePages = 8
 
 // DefaultOptions returns the full Triple-A configuration.
 func DefaultOptions() Options {
@@ -84,7 +86,6 @@ func DefaultOptions() Options {
 		UtilWindow:            200 * simx.Microsecond,
 		MaxInflightMigrations: 256,
 		WearAware:             true,
-		ReshapeBatch:          8,
 	}
 }
 
@@ -186,13 +187,12 @@ func Attach(a *array.Array, opt Options) *Manager {
 	if opt.MaxInflightMigrations <= 0 {
 		opt.MaxInflightMigrations = DefaultOptions().MaxInflightMigrations
 	}
-	n := cfg.Geometry.Nand
 	m := &Manager{
 		arr:       a,
 		opt:       opt,
 		geom:      &cfg.Geometry,
 		busTime:   cfg.BusPageTime(),
-		texeRead:  n.TCmdOverhead + n.TRead + n.TECCPerPage,
+		texeRead:  cfg.Geometry.Nand.NominalTime(nand.OpRead),
 		nFIMM:     cfg.Geometry.FIMMsPerCluster,
 		sla:       cfg.SLA,
 		utilAt:    make([]simx.Time, cfg.Geometry.TotalClusters()),
@@ -202,11 +202,8 @@ func Attach(a *array.Array, opt Options) *Manager {
 		recent:    make([]*lpnRing, cfg.Geometry.TotalFIMMs()),
 
 		laggardScratch: make([]bool, cfg.Geometry.FIMMsPerCluster),
+		recentScratch:  make([]int64, 0, 4*batchReshapePages),
 	}
-	if opt.ReshapeBatch <= 0 {
-		m.opt.ReshapeBatch = DefaultOptions().ReshapeBatch
-	}
-	m.recentScratch = make([]int64, 0, 4*m.opt.ReshapeBatch)
 	m.dec = a.Decisions()
 	a.SetHooks(m)
 	return m
@@ -237,7 +234,7 @@ func (m *Manager) rememberServed(pc array.PageComplete) {
 	flat := topo.FIMMID{ClusterID: pc.Cluster, FIMM: pc.FIMM}.Flat(m.geom)
 	r := m.recent[flat]
 	if r == nil {
-		r = newLPNRing(4 * m.opt.ReshapeBatch)
+		r = newLPNRing(4 * batchReshapePages)
 		m.recent[flat] = r
 	}
 	r.add(pc.LPN)
@@ -308,10 +305,10 @@ func (m *Manager) manageStorageContention(pc array.PageComplete) {
 	m.reshapeBatch(pc, laggards)
 }
 
-// reshapeBatch drains up to ReshapeBatch recent pages off the laggard.
-// It only runs while the cluster's shared bus has headroom: batch moves
-// need device reads, and burning a saturated bus on repair traffic
-// would convert storage contention into link contention.
+// reshapeBatch drains up to batchReshapePages recent pages off the
+// laggard. It only runs while the cluster's shared bus has headroom:
+// batch moves need device reads, and burning a saturated bus on repair
+// traffic would convert storage contention into link contention.
 func (m *Manager) reshapeBatch(pc array.PageComplete, laggards []bool) {
 	if m.utilization(pc.Cluster) > 0.5 {
 		return
@@ -325,7 +322,7 @@ func (m *Manager) reshapeBatch(pc array.PageComplete, laggards []bool) {
 	moved := 0
 	m.recentScratch = ring.snapshot(m.recentScratch)
 	for _, lpn := range m.recentScratch {
-		if moved >= m.opt.ReshapeBatch {
+		if moved >= batchReshapePages {
 			break
 		}
 		if lpn == pc.LPN || m.migrating[lpn] {

@@ -44,8 +44,8 @@ type ClusterCount struct {
 }
 
 // Summary is the bounded-size aggregate view of a run's decisions. It
-// is a plain value (fresh slices, no recorder pointers), so like
-// metrics.Snapshot it can cross the sweep worker boundary.
+// is a plain value (fresh slices, no recorder pointers): it stays valid
+// after the recorder and its run are gone.
 type Summary struct {
 	Decisions uint64          `json:"decisions"`
 	Families  []FamilySummary `json:"families,omitempty"`

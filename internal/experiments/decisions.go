@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -146,8 +145,8 @@ type RegretRow struct {
 // regretPoint runs one Table 1 workload on Triple-A with the flight
 // recorder on and reduces the run to its migration-regret summary. The
 // whole arena is built inside the call and the row crosses the worker
-// boundary as a JSON value, like every other sweep point.
-func regretPoint(cfg array.Config, opts core.Options, seed uint64, requests int, index int) ([]byte, error) {
+// boundary as a plain value, like every other sweep point.
+func regretPoint(cfg array.Config, opts core.Options, seed uint64, requests int, index int) (RegretRow, error) {
 	p := workload.Table1Profiles()[index]
 	if requests > 0 {
 		p.Requests = requests
@@ -155,7 +154,7 @@ func regretPoint(cfg array.Config, opts core.Options, seed uint64, requests int,
 	cfg.Decisions = decision.Ring
 	_, a, _, err := runOnePoint(cfg, seed, p, &opts)
 	if err != nil {
-		return nil, err
+		return RegretRow{}, err
 	}
 	sum := a.Decisions().Summary()
 	row := RegretRow{Name: p.Name, Decisions: sum.Decisions}
@@ -167,7 +166,7 @@ func regretPoint(cfg array.Config, opts core.Options, seed uint64, requests int,
 			row.P95Regret = f.RegretP95
 		}
 	}
-	return json.Marshal(row)
+	return row, nil
 }
 
 // RegretStudy ranks the Table 1 workloads by mean migration regret:
@@ -185,19 +184,11 @@ func (s *Suite) regretStudy() (*report.Table, error) {
 	cfg, opts := s.Config, s.Options
 	requests := s.Requests
 	n := len(workload.Table1Profiles())
-	outs, err := sweep.Map(s.workers(), sweep.Indexed(n, s.Seed), func(sp sweep.Spec) ([]byte, error) {
+	rows, err := sweep.Map(s.workers(), sweep.Indexed(n, s.Seed), func(sp sweep.Spec) (RegretRow, error) {
 		return regretPoint(cfg, opts, sp.Seed, requests, sp.Index)
 	})
 	if err != nil {
 		return nil, err
-	}
-	rows := make([]RegretRow, 0, len(outs))
-	for _, b := range outs {
-		var row RegretRow
-		if err := json.Unmarshal(b, &row); err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
 	}
 	sort.SliceStable(rows, func(i, j int) bool {
 		if rows[i].MeanRegret > rows[j].MeanRegret {

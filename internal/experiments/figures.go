@@ -166,23 +166,15 @@ func (s *Suite) fig12() (*report.Table, error) {
 		requests = s.Requests
 	}
 	cfg, opts := s.Config, s.Options
-	outs, err := sweep.Map(s.workers(), sweep.Indexed(points, s.Seed), func(sp sweep.Spec) ([]byte, error) {
-		r, err := runPair(cfg, opts, sp.Seed, microProfile(sp.Index+1, requests, 1.5))
-		if err != nil {
-			return nil, err
-		}
-		return encodePairPoint(r)
+	outs, err := sweep.Map(s.workers(), sweep.Indexed(points, s.Seed), func(sp sweep.Spec) (pairPoint, error) {
+		return pairSweepPoint(cfg, opts, sp.Seed, microProfile(sp.Index+1, requests, 1.5))
 	})
 	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable("Figure 12: hot-cluster sensitivity (read micro-benchmark)",
 		"hot", "base lat(us)", "base IOPS", "3A lat(us)", "3A IOPS")
-	for i, b := range outs {
-		pp, err := decodePairPoint(b)
-		if err != nil {
-			return nil, err
-		}
+	for i, pp := range outs {
 		t.AddRow(fig12Row(i+1, pp)...)
 	}
 	return t, nil

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"triplea/internal/array"
@@ -20,11 +19,9 @@ import (
 // ints, seeds, and package vars no one writes, like NetworkSizes —
 // never the *Suite itself), each point function builds its whole arena
 // (workload, array, manager, recorder) inside the call, and results
-// come back as JSON-encoded metric snapshots — exported registry
-// values, never live recorders — so the assembly side renders every
-// row and the table is byte-identical for any worker count
-// (encoding/json round-trips float64 exactly, so rendering from a
-// decoded snapshot equals rendering from the live recorder).
+// come back as plain values — metric snapshots and table rows, never
+// live recorders — so the assembly side renders every row and the
+// table is byte-identical for any worker count.
 // TestParallelEquivalence checks all four sweep.Map sites (fig12,
 // fig13, fault, regret) at widths 1, 2 and 8, and `make race` runs it
 // under the race detector: a Fig 12 closure that bumped a captured
@@ -46,21 +43,20 @@ func (s *Suite) workers() int {
 // baseline and Triple-A recorders frozen into snapshots, with sustained
 // throughput pre-computed over the standard window.
 type pairPoint struct {
-	Base metrics.Snapshot `json:"base"`
-	Auto metrics.Snapshot `json:"auto"`
+	Base, Auto metrics.Snapshot
 }
 
-func encodePairPoint(r *RunResult) ([]byte, error) {
-	return json.Marshal(pairPoint{
+// pairSweepPoint runs a profile on the baseline and on Triple-A and
+// freezes both recorders.
+func pairSweepPoint(cfg array.Config, opts core.Options, seed uint64, p workload.Profile) (pairPoint, error) {
+	r, err := runPair(cfg, opts, seed, p)
+	if err != nil {
+		return pairPoint{}, err
+	}
+	return pairPoint{
 		Base: r.Base.Snapshot(SustainedWindow),
 		Auto: r.Auto.Snapshot(SustainedWindow),
-	})
-}
-
-func decodePairPoint(b []byte) (pairPoint, error) {
-	var pp pairPoint
-	err := json.Unmarshal(b, &pp)
-	return pp, err
+	}, nil
 }
 
 // NormLatency mirrors RunResult.NormLatency on snapshot values.
@@ -200,24 +196,16 @@ func (s *Suite) networkPoints() ([]networkPoint, error) {
 		requests = s.Requests
 	}
 	cfg, opts := s.Config, s.Options
-	outs, err := sweep.Map(s.workers(), sweep.Indexed(len(NetworkSizes), s.Seed), func(sp sweep.Spec) ([]byte, error) {
+	outs, err := sweep.Map(s.workers(), sweep.Indexed(len(NetworkSizes), s.Seed), func(sp sweep.Spec) (pairPoint, error) {
 		c := cfg
 		c.Geometry.ClustersPerSwitch = NetworkSizes[sp.Index]
-		r, err := runPair(c, opts, sp.Seed, microProfile(4, requests, 1.5))
-		if err != nil {
-			return nil, err
-		}
-		return encodePairPoint(r)
+		return pairSweepPoint(c, opts, sp.Seed, microProfile(4, requests, 1.5))
 	})
 	if err != nil {
 		return nil, err
 	}
 	pts := make([]networkPoint, len(outs))
-	for i, b := range outs {
-		pp, err := decodePairPoint(b)
-		if err != nil {
-			return nil, err
-		}
+	for i, pp := range outs {
 		size := NetworkSizes[i]
 		pts[i] = networkPoint{
 			fig13:     fig13Row(size, pp),
@@ -233,9 +221,9 @@ func (s *Suite) networkPoints() ([]networkPoint, error) {
 // faultPoint runs one row of the degraded-array study: the full
 // arena — workload, fault plan, array, injector — is built inside the
 // call, so two rows can run on different workers without sharing
-// anything. The row crosses the worker boundary as a JSON value;
+// anything. The row crosses the worker boundary as a plain value;
 // rendering happens on the assembly side.
-func faultPoint(cfg array.Config, opts core.Options, seed uint64, requests int, autonomic bool) ([]byte, error) {
+func faultPoint(cfg array.Config, opts core.Options, seed uint64, requests int, autonomic bool) (FaultRow, error) {
 	p := microProfile(2, 20_000, 1.0)
 	p.Name = "fault-mixed"
 	p.ReadRatio = 0.6
@@ -245,7 +233,7 @@ func faultPoint(cfg array.Config, opts core.Options, seed uint64, requests int, 
 	}
 	reqs, _, err := workload.Generate(cfg.Geometry, p, seed)
 	if err != nil {
-		return nil, err
+		return FaultRow{}, err
 	}
 	span := reqs[len(reqs)-1].Arrival
 	plan := fault.ReferencePlan(cfg.Geometry, span)
@@ -260,7 +248,7 @@ func faultPoint(cfg array.Config, opts core.Options, seed uint64, requests int, 
 	}
 	a, err := array.New(cfg)
 	if err != nil {
-		return nil, err
+		return FaultRow{}, err
 	}
 	if autonomic {
 		core.Attach(a, opts)
@@ -268,7 +256,7 @@ func faultPoint(cfg array.Config, opts core.Options, seed uint64, requests int, 
 	inj := fault.Attach(a, plan, fault.Options{Recover: autonomic})
 	rec, err := a.Run(reqs)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: fault study %s: %w", name, err)
+		return FaultRow{}, fmt.Errorf("experiments: fault study %s: %w", name, err)
 	}
 	fs := a.FaultStats()
 	is := inj.Stats()
@@ -286,11 +274,5 @@ func faultPoint(cfg array.Config, opts core.Options, seed uint64, requests int, 
 	for _, r := range is.Recoveries {
 		row.TTR += r.TTR()
 	}
-	return json.Marshal(row)
-}
-
-func decodeFaultRow(b []byte) (FaultRow, error) {
-	var row FaultRow
-	err := json.Unmarshal(b, &row)
-	return row, err
+	return row, nil
 }

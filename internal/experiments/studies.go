@@ -92,7 +92,7 @@ func (s *Suite) FaultStudy() (*report.Table, error) {
 func (s *Suite) faultStudy() (*report.Table, error) {
 	cfg, opts := s.Config, s.Options
 	requests := s.Requests
-	outs, err := sweep.Map(s.workers(), sweep.Indexed(2, s.Seed), func(sp sweep.Spec) ([]byte, error) {
+	rows, err := sweep.Map(s.workers(), sweep.Indexed(2, s.Seed), func(sp sweep.Spec) (FaultRow, error) {
 		// Each row rebuilds its whole arena (workload, plan, array,
 		// injector) inside faultPoint, so off/on can run on different
 		// workers without sharing anything.
@@ -102,11 +102,7 @@ func (s *Suite) faultStudy() (*report.Table, error) {
 		return nil, err
 	}
 	t := newFaultTable()
-	for _, b := range outs {
-		row, err := decodeFaultRow(b)
-		if err != nil {
-			return nil, err
-		}
+	for _, row := range rows {
 		t.AddRow(faultRowCells(row)...)
 	}
 	return t, nil

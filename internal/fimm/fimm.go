@@ -58,16 +58,6 @@ func (p Params) Validate() error {
 	return p.Nand.Validate()
 }
 
-// CapacityBytes reports the module capacity.
-func (p Params) CapacityBytes() units.Bytes {
-	return units.Bytes(p.NumPackages) * p.Nand.BytesPerPackage()
-}
-
-// PageCount reports the number of pages on the module.
-func (p Params) PageCount() units.Pages {
-	return units.Pages(p.NumPackages) * p.Nand.PagesPerPackage()
-}
-
 // ChannelBytesPerSec reports the shared channel's raw bandwidth.
 func (p Params) ChannelBytesPerSec() units.BytesPerSec {
 	return units.BusBandwidth(p.ChannelPins, p.ChannelMHz, p.ChannelDDR)
@@ -95,13 +85,10 @@ func (r Result) Total() simx.Time {
 
 // Stats aggregates FIMM activity.
 type Stats struct {
-	Reads        uint64
-	Programs     uint64
-	Erases       uint64
-	BytesMoved   units.Bytes
-	ChannelBusy  simx.Time
-	TotalErases  uint64
-	MaxBlockWear int
+	Reads       uint64
+	Programs    uint64
+	Erases      uint64
+	ChannelBusy simx.Time
 }
 
 // Done receives the completion of a FIMM operation. Pooled
@@ -166,16 +153,15 @@ func (st *fop) OnNandDone(texe simx.Time, err error) {
 		}
 		// texe from nand includes die queueing; split out the nominal
 		// cell time so storage contention is visible separately.
-		st.wait, st.cell = splitDeviceTime(texe, f.cellTime(nand.OpRead, len(st.addrs)))
+		st.wait, st.cell = splitDeviceTime(texe, f.params.Nand.NominalTime(nand.OpRead))
 		f.channel.AcquireG(st, 0)
 	case nand.OpProgram:
 		if err != nil {
 			st.finish(Result{ChannelWait: st.chW, ChannelXfer: st.xfer, Err: err})
 			return
 		}
-		st.wait, st.cell = splitDeviceTime(texe, f.cellTime(nand.OpProgram, len(st.addrs)))
+		st.wait, st.cell = splitDeviceTime(texe, f.params.Nand.NominalTime(nand.OpProgram))
 		f.stats.Programs += uint64(len(st.addrs))
-		f.stats.BytesMoved += units.PagesToBytes(units.Pages(len(st.addrs)), f.params.Nand.PageSizeBytes)
 		st.finish(Result{
 			StorageWait: st.wait,
 			Texe:        st.cell,
@@ -187,7 +173,7 @@ func (st *fop) OnNandDone(texe simx.Time, err error) {
 			st.finish(Result{Err: err})
 			return
 		}
-		st.wait, st.cell = splitDeviceTime(texe, f.cellTime(nand.OpErase, len(st.addrs)))
+		st.wait, st.cell = splitDeviceTime(texe, f.params.Nand.NominalTime(nand.OpErase))
 		f.stats.Erases += uint64(len(st.addrs))
 		st.finish(Result{StorageWait: st.wait, Texe: st.cell})
 	}
@@ -206,7 +192,6 @@ func (st *fop) OnEvent(arg uint64) {
 	switch st.op {
 	case nand.OpRead:
 		f.stats.Reads += uint64(len(st.addrs))
-		f.stats.BytesMoved += units.PagesToBytes(units.Pages(len(st.addrs)), f.params.Nand.PageSizeBytes)
 		st.finish(Result{
 			StorageWait: st.wait,
 			Texe:        st.cell,
@@ -295,18 +280,10 @@ func (f *FIMM) ChannelUtilizationSince(since simx.Time, busyAtSince simx.Time) f
 	return f.channel.UtilizationSince(since, busyAtSince)
 }
 
-// Stats returns a snapshot of module activity, aggregating wear across
-// packages.
+// Stats returns a snapshot of module activity.
 func (f *FIMM) Stats() Stats {
 	s := f.stats
 	s.ChannelBusy = f.channel.BusyNS()
-	for _, pk := range f.packages {
-		ps := pk.Stats()
-		s.TotalErases += ps.Erases
-		if ps.MaxEraseWear > s.MaxBlockWear {
-			s.MaxBlockWear = ps.MaxEraseWear
-		}
-	}
 	return s
 }
 
@@ -374,18 +351,4 @@ func splitDeviceTime(observed, nominal simx.Time) (wait, cell simx.Time) {
 		return 0, observed
 	}
 	return observed - nominal, nominal
-}
-
-// cellTime reports the nominal (queue-free) cell time of an op.
-func (f *FIMM) cellTime(op nand.Op, n int) simx.Time {
-	p := &f.params.Nand
-	switch op {
-	case nand.OpRead:
-		return p.TCmdOverhead + p.TRead + p.TECCPerPage
-	case nand.OpProgram:
-		return p.TCmdOverhead + p.TProg + p.TECCPerPage
-	case nand.OpErase:
-		return p.TCmdOverhead + p.TErase
-	}
-	panic("fimm: unknown op")
 }

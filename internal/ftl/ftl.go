@@ -233,9 +233,6 @@ func (f *FTL) HomeFIMM(lpn int64) topo.FIMMID {
 	return f.ids[flat]
 }
 
-// HomeCluster reports the LPN's static home cluster.
-func (f *FTL) HomeCluster(lpn int64) topo.ClusterID { return f.HomeFIMM(lpn).ClusterID }
-
 // Lookup reports the LPN's current physical page, if mapped. An LPN
 // outside the array is not mapped.
 func (f *FTL) Lookup(lpn int64) (topo.PPN, bool) {

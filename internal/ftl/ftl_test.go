@@ -564,9 +564,6 @@ func TestAccessorsAndIteration(t *testing.T) {
 	if f.Layout() != LayoutStriped {
 		t.Errorf("Layout = %v", f.Layout())
 	}
-	if f.HomeCluster(0) != f.HomeFIMM(0).ClusterID {
-		t.Error("HomeCluster disagrees with HomeFIMM")
-	}
 	for lpn := int64(0); lpn < 5; lpn++ {
 		if _, err := f.AllocateWrite(lpn); err != nil {
 			t.Fatal(err)

@@ -17,10 +17,10 @@ import (
 //
 // The simulator's behavior forks on small closed enums everywhere —
 // trace.Op, cluster.Op, nand.Op, nand.PageState, pcie.Kind,
-// metrics.RequestKind, ftl.Layout, ftl.WriteKind, core.LaggardStrategy,
-// nand.TimingMode. Adding a constant to one of them (a new op kind, a
-// new write source) must break `go vet`, not fall silently into a
-// default arm that counts it as something else.
+// metrics.RequestKind, ftl.Layout, ftl.WriteKind, core.LaggardStrategy.
+// Adding a constant to one of them (a new op kind, a new write source)
+// must break `go vet`, not fall silently into a default arm that counts
+// it as something else.
 //
 // An enum, for this rule, is any named integer type defined in one of
 // the repository's internal packages with at least two package-level

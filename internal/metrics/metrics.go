@@ -72,17 +72,6 @@ func (b *Breakdown) AttributeShare(linkShare float64) {
 	b.StorageCause = upstream - b.LinkCause
 }
 
-// Attribute splits the upstream queueing proportionally to the
-// device-side waits that caused the backlog.
-func (b *Breakdown) Attribute() {
-	device := b.LinkWait + b.EPWait + b.StorageWait
-	if device <= 0 {
-		b.LinkCause, b.StorageCause = 0, 0
-		return
-	}
-	b.AttributeShare(float64(b.LinkWait) / float64(device))
-}
-
 // Total reports the sum of all components.
 func (b Breakdown) Total() simx.Time {
 	return b.RCStall + b.SwitchStall + b.EPWait + b.StorageWait +

@@ -202,6 +202,10 @@ func TestAttributeShare(t *testing.T) {
 	if b.LinkCause != 70 || b.StorageCause != 30 {
 		t.Errorf("70/30 split: link=%v storage=%v", b.LinkCause, b.StorageCause)
 	}
+	// LinkContention/StorageContention include the causes.
+	if b.LinkContention() != 80 || b.StorageContention() != 40 {
+		t.Errorf("contentions: %v/%v", b.LinkContention(), b.StorageContention())
+	}
 	// Clamping.
 	b.AttributeShare(1.5)
 	if b.LinkCause != 100 || b.StorageCause != 0 {
@@ -222,23 +226,6 @@ func TestAttributeShare(t *testing.T) {
 	u.AttributeShare(1)
 	if u.LinkCause != 0 {
 		t.Errorf("device-free attribution: %+v", u)
-	}
-}
-
-func TestAttributeProportional(t *testing.T) {
-	b := Breakdown{RCStall: 100, LinkWait: 30, EPWait: 10, StorageWait: 10}
-	b.Attribute()
-	if b.LinkCause != 60 || b.StorageCause != 40 {
-		t.Errorf("proportional split: %v/%v", b.LinkCause, b.StorageCause)
-	}
-	// LinkContention/StorageContention include the causes.
-	if b.LinkContention() != 90 || b.StorageContention() != 60 {
-		t.Errorf("contentions: %v/%v", b.LinkContention(), b.StorageContention())
-	}
-	z := Breakdown{RCStall: 100}
-	z.Attribute()
-	if z.LinkCause != 0 || z.StorageCause != 0 {
-		t.Errorf("zero-device Attribute: %+v", z)
 	}
 }
 

@@ -7,30 +7,27 @@ import (
 // Snapshot is a recorder's summary statistics frozen into a plain
 // value: what figure/table rendering needs, with no reference to the
 // recorder or its samples. Snapshots are what parallel sweep workers
-// hand back across the worker boundary (JSON-encoded), so nothing a
-// worker still holds crosses it — and because
-// encoding/json round-trips float64 exactly (shortest-representation
-// encoding), a table rendered from a decoded snapshot is byte-identical
-// to one rendered from the live recorder.
+// hand back across the worker boundary, so nothing a worker still
+// holds crosses it.
 type Snapshot struct {
-	Backend string `json:"backend"`
+	Backend string
 
-	Count  uint64 `json:"count"`
-	Reads  uint64 `json:"reads"`
-	Writes uint64 `json:"writes"`
-	Failed uint64 `json:"failed"`
+	Count  uint64
+	Reads  uint64
+	Writes uint64
+	Failed uint64
 
-	AvgLatency simx.Time `json:"avg_latency"`
-	MaxLatency simx.Time `json:"max_latency"`
-	P50        simx.Time `json:"p50"`
-	P95        simx.Time `json:"p95"`
-	P99        simx.Time `json:"p99"`
+	AvgLatency simx.Time
+	MaxLatency simx.Time
+	P50        simx.Time
+	P95        simx.Time
+	P99        simx.Time
 
-	IOPS            float64   `json:"iops"`
-	SustainedIOPS   float64   `json:"sustained_iops"`
-	SustainedWindow simx.Time `json:"sustained_window"`
+	IOPS            float64
+	SustainedIOPS   float64
+	SustainedWindow simx.Time
 
-	Sum Breakdown `json:"sum_breakdown"`
+	Sum Breakdown
 }
 
 // Snapshot freezes the recorder's summary statistics, computing

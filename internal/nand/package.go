@@ -227,7 +227,7 @@ func NewPackage(eng *simx.Engine, params Params) *Package {
 	}
 	for i := range pk.dies {
 		pk.dies[i] = &die{
-			res:      simx.NewResource(eng, fmt.Sprintf("die%d", i), 1),
+			res:      simx.NewResource(eng, "nand-die", 1),
 			cacheTag: -1,
 		}
 	}
@@ -504,20 +504,11 @@ func (pk *Package) execTime(op Op, addrs []Addr, d *die) simx.Time {
 
 func (pk *Package) baseExecTime(op Op, addrs []Addr, d *die) simx.Time {
 	p := &pk.params
-	base := p.TCmdOverhead
-	switch op {
-	case OpRead:
-		if p.CacheOK && len(addrs) == 1 && d.cacheTag == pk.flatPage(addrs[0]) {
-			pk.stats.CacheHits++
-			return base // data already latched in the cache register
-		}
-		return base + p.TRead + p.TECCPerPage
-	case OpProgram:
-		return base + p.TProg + p.TECCPerPage
-	case OpErase:
-		return base + p.TErase
+	if op == OpRead && p.CacheOK && len(addrs) == 1 && d.cacheTag == pk.flatPage(addrs[0]) {
+		pk.stats.CacheHits++
+		return p.TCmdOverhead // data already latched in the cache register
 	}
-	panic("nand: unknown op")
+	return p.NominalTime(op)
 }
 
 func (pk *Package) commit(op Op, addrs []Addr, d *die) {

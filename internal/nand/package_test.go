@@ -43,8 +43,8 @@ func TestParamsValidation(t *testing.T) {
 		{"planes", func(p *Params) { p.PlanesPerDie = 0 }},
 		{"dies", func(p *Params) { p.DiesPerPackage = 0 }},
 		{"tread", func(p *Params) { p.TRead = 0 }},
-		{"pins", func(p *Params) { p.IOPins = 12 }},
-		{"clock", func(p *Params) { p.BusMHz = 0 }},
+		{"cmd overhead", func(p *Params) { p.TCmdOverhead = -1 }},
+		{"ecc", func(p *Params) { p.TECCPerPage = -1 }},
 	}
 	for _, m := range mods {
 		p := DefaultParams()
@@ -61,25 +61,6 @@ func TestCapacityMath(t *testing.T) {
 	want := units.Bytes(4096) * 256 * 2048 * 2 * 2
 	if got := p.BytesPerPackage(); got != want {
 		t.Errorf("BytesPerPackage = %d, want %d", got, want)
-	}
-}
-
-func TestInterfaceBandwidth(t *testing.T) {
-	p := DefaultParams() // x8 at 400MHz DDR = 800 MB/s
-	if got := p.InterfaceBytesPerSec(); got != 800_000_000 {
-		t.Errorf("InterfaceBytesPerSec = %d, want 800e6", got)
-	}
-	// One 4KB page at 800 MB/s = 5120 ns.
-	if got := p.PageTransferTime(); got != 5120 {
-		t.Errorf("PageTransferTime = %v, want 5120ns", got)
-	}
-	p.IOPins = 16
-	if got := p.InterfaceBytesPerSec(); got != 1_600_000_000 {
-		t.Errorf("x16 InterfaceBytesPerSec = %d, want 1.6e9", got)
-	}
-	p.DDR = false
-	if got := p.InterfaceBytesPerSec(); got != 800_000_000 {
-		t.Errorf("SDR x16 InterfaceBytesPerSec = %d, want 800e6", got)
 	}
 }
 

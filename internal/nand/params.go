@@ -36,16 +36,13 @@ type Params struct {
 	TCmdOverhead simx.Time // command decode/protocol handling per op
 	TECCPerPage  simx.Time // ECC encode/decode per page
 
-	// I/O interface of this package (ONFI NV-DDR2).
-	IOPins  units.Lanes // data pins (x8 or x16)
-	BusMHz  int         // interface clock in MHz
-	DDR     bool        // double data rate
-	CacheOK bool        // cache-mode commands supported
+	CacheOK bool // cache-mode commands supported
 }
 
 // DefaultParams returns the 2013-era MLC package used throughout the
 // paper-scale experiments: 4 KB pages (the PCI-E 3.0 maximum payload the
-// workloads issue), 2 dies x 2 planes, ONFI 3.x NV-DDR2 at 400 MHz.
+// workloads issue), 2 dies x 2 planes. The package's I/O interface is
+// timed at the FIMM channel (fimm.Params), not here.
 func DefaultParams() Params {
 	return Params{
 		PageSizeBytes:  4 * units.KiB,
@@ -58,9 +55,6 @@ func DefaultParams() Params {
 		TErase:         3 * simx.Millisecond,
 		TCmdOverhead:   300 * simx.Nanosecond,
 		TECCPerPage:    2 * simx.Microsecond,
-		IOPins:         8 * units.Lane,
-		BusMHz:         400,
-		DDR:            true,
 		CacheOK:        true,
 	}
 }
@@ -80,10 +74,10 @@ func (p Params) Validate() error {
 		return fmt.Errorf("nand: DiesPerPackage %d must be positive", p.DiesPerPackage)
 	case p.TRead <= 0 || p.TProg <= 0 || p.TErase <= 0:
 		return fmt.Errorf("nand: cell timings must be positive")
-	case p.IOPins != 8*units.Lane && p.IOPins != 16*units.Lane:
-		return fmt.Errorf("nand: IOPins %d must be 8 or 16 (ONFI)", p.IOPins)
-	case p.BusMHz <= 0:
-		return fmt.Errorf("nand: BusMHz %d must be positive", p.BusMHz)
+	case p.TCmdOverhead < 0:
+		return fmt.Errorf("nand: TCmdOverhead %v must not be negative", p.TCmdOverhead)
+	case p.TECCPerPage < 0:
+		return fmt.Errorf("nand: TECCPerPage %v must not be negative", p.TECCPerPage)
 	}
 	return nil
 }
@@ -99,20 +93,18 @@ func (p Params) BytesPerPackage() units.Bytes {
 	return units.PagesToBytes(p.PagesPerPackage(), p.PageSizeBytes)
 }
 
-// InterfaceBytesPerSec reports the raw bandwidth of the package's I/O
-// interface: pins/8 bytes per transfer at BusMHz (doubled under DDR).
-func (p Params) InterfaceBytesPerSec() units.BytesPerSec {
-	return units.BusBandwidth(p.IOPins, p.BusMHz, p.DDR)
-}
-
-// TransferTime reports the time to move n bytes across the package
-// interface, rounded up to whole nanoseconds.
-func (p Params) TransferTime(n units.Bytes) simx.Time {
-	return units.TransferTime(n, p.InterfaceBytesPerSec())
-}
-
-// PageTransferTime is TransferTime for one full page — the per-page tDMA
-// term of Equations 1–3 when evaluated at package granularity.
-func (p Params) PageTransferTime() simx.Time {
-	return p.TransferTime(p.PageSizeBytes)
+// NominalTime reports the queue-free cell time of op: the embedded
+// controller's command overhead, the array access, and the ECC pass of
+// the data-carrying ops. A cache-register hit is faster (Package charges
+// it the command overhead alone).
+func (p *Params) NominalTime(op Op) simx.Time {
+	switch op {
+	case OpRead:
+		return p.TCmdOverhead + p.TRead + p.TECCPerPage
+	case OpProgram:
+		return p.TCmdOverhead + p.TProg + p.TECCPerPage
+	case OpErase:
+		return p.TCmdOverhead + p.TErase
+	}
+	panic("nand: unknown op")
 }

@@ -76,9 +76,9 @@ func TestGen3PagePayloadRegression(t *testing.T) {
 	if got := l.TransferTime(4 * units.KiB); got != 1030*simx.Nanosecond {
 		t.Errorf("x4 page transfer = %v, want 1030ns", got)
 	}
-	// The same page handed to the ONFI side (800 MB/s NV-DDR2) takes
-	// 5120 ns — the value nand.Params.PageTransferTime produces; a
-	// bytes/pages confusion on either leg breaks one of the two pins.
+	// The same page across an x8 ONFI NV-DDR2 interface (800 MB/s)
+	// takes 5120 ns; a bytes/pages confusion on either leg breaks one
+	// of the two pins.
 	if got := units.TransferTime(4*units.KiB, 800_000_000); got != 5120*simx.Nanosecond {
 		t.Errorf("ONFI page transfer = %v, want 5120ns", got)
 	}

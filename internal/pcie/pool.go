@@ -12,8 +12,7 @@ package pcie
 // packet's timing accumulators. Under `-tags simcheck` the embedded
 // lifecycle guard panics on double-Put and use-after-Put.
 type Pool struct {
-	free    *Packet
-	freeLen int
+	free *Packet
 }
 
 // Get pops a recycled packet (zeroed) or allocates a fresh one.
@@ -25,7 +24,6 @@ func (p *Pool) Get() *Packet {
 		return pkt
 	}
 	p.free = pkt.next
-	p.freeLen--
 	pkt.ck.Checkout("pcie.Packet")
 	*pkt = Packet{}
 	return pkt
@@ -41,8 +39,4 @@ func (p *Pool) Put(pkt *Packet) {
 	pkt.Meta = nil
 	pkt.next = p.free
 	p.free = pkt
-	p.freeLen++
 }
-
-// Free reports how many recycled packets are idle in the pool.
-func (p *Pool) Free() int { return p.freeLen }

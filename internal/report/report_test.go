@@ -31,14 +31,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	tbl := NewTable("", "a", "b", "c")
-	tbl.AddRowf("%d|%s|%.1f", 1, "x", 2.5)
-	if len(tbl.Rows) != 1 || tbl.Rows[0][1] != "x" || tbl.Rows[0][2] != "2.5" {
-		t.Errorf("rows = %v", tbl.Rows)
-	}
-}
-
 func TestUntitledTable(t *testing.T) {
 	tbl := NewTable("", "x")
 	tbl.AddRow("1")

@@ -22,8 +22,6 @@ type Resource struct {
 	// busy-time integral bookkeeping
 	busyNS     Time // accumulated nanoseconds with at least one slot held
 	lastChange Time
-
-	maxQueue int // deepest wait queue observed
 }
 
 // Grantee receives a resource slot. Pooled per-operation states
@@ -132,9 +130,6 @@ func (r *Resource) enqueue(w *waiter) {
 	}
 	r.waitTail = w
 	r.waitLen++
-	if r.waitLen > r.maxQueue {
-		r.maxQueue = r.waitLen
-	}
 }
 
 // Release frees one slot, handing it to the oldest waiter if any.
@@ -168,9 +163,6 @@ func (r *Resource) BusyNS() Time {
 	r.integrate()
 	return r.busyNS
 }
-
-// MaxQueue reports the deepest wait queue observed.
-func (r *Resource) MaxQueue() int { return r.maxQueue }
 
 // UtilizationSince reports the fraction of the interval [since, now]
 // during which the resource was busy, in [0,1]. A zero-length interval

@@ -47,10 +47,3 @@ func (r *RNG) Float64() float64 {
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
-
-// Fork derives an independent generator; streams from parent and child
-// do not overlap in practice because the child is reseeded through the
-// mixer.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
-}

@@ -11,10 +11,12 @@
 //   - every worker closure captures only values (seeds, value-semantics
 //     config structs) — never a live engine, an array, a pool, or a
 //     variable another run writes;
-//   - the only values crossing the channel boundary are the immutable
-//     Spec and result types;
-//   - each run stays single-threaded: a RunFunc builds every engine,
-//     array, and recorder it needs inside the call, in its own arena.
+//   - the only values crossing the channel boundary are the Spec and
+//     the run's result, a plain value (a metric snapshot, a table row)
+//     that holds no recorder, array or engine;
+//   - each run stays single-threaded: the run function builds every
+//     engine, array, and recorder it needs inside the call, in its own
+//     arena.
 //
 // Because each run is then a pure function of its spec, the assembled
 // output is byte-identical for any worker count. Two run-time gates
@@ -36,29 +38,20 @@ type Spec struct {
 	Seed  uint64
 }
 
-// RunFunc executes one spec and returns the run's rendered bytes
-// (a report.Table rendering, encoded row cells, a metric snapshot).
-// Implementations must be self-contained: build the array, engine, and
-// recorders inside the call, return only bytes, and capture nothing
-// mutable: a closure that shares a pointer, map, slice, counter or live
-// engine with another run is a data race.
-type RunFunc func(Spec) ([]byte, error)
-
 // result is the only type worker goroutines send back across the
-// channel boundary: the spec's index, the rendered bytes, and the
-// run's error. Ownership of the
-// byte slice transfers with the send; the worker never touches it
-// again.
-type result struct {
+// channel boundary: the spec's index, the run's value, and its error.
+// Ownership of the value transfers with the send; the worker never
+// touches it again.
+type result[T any] struct {
 	index int
-	bytes []byte
+	value T
 	err   error
 }
 
 // Indexed builds the dense spec list [0, n): spec i carries index i
 // and the shared seed (runs that need distinct seeds derive them from
-// Seed and Index inside the RunFunc, keeping the derivation explicit
-// and reproducible).
+// Seed and Index inside the run function, keeping the derivation
+// explicit and reproducible).
 func Indexed(n int, seed uint64) []Spec {
 	specs := make([]Spec, n)
 	for i := range specs {
@@ -73,11 +66,16 @@ func Indexed(n int, seed uint64) []Spec {
 // deterministic too: the error of the lowest-index failing spec is
 // returned, whichever worker hit it first.
 //
+// fn must be self-contained: build the array, engine, and recorders
+// inside the call, return a plain value, and capture nothing mutable.
+// A closure that shares a pointer, map, slice, counter or live engine
+// with another run is a data race.
+//
 // workers <= 1 runs serially on the calling goroutine with no
 // concurrency at all — the default path for tests and for builds where
 // parallelism is disabled — and is byte-equivalent to every parallel
 // schedule by construction.
-func Map(workers int, specs []Spec, fn RunFunc) ([][]byte, error) {
+func Map[T any](workers int, specs []Spec, fn func(Spec) (T, error)) ([]T, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
@@ -90,28 +88,28 @@ func Map(workers int, specs []Spec, fn RunFunc) ([][]byte, error) {
 		workers = len(specs)
 	}
 	if workers <= 1 {
-		out := make([][]byte, len(specs))
+		out := make([]T, len(specs))
 		for i, sp := range specs {
-			b, err := fn(sp)
+			v, err := fn(sp)
 			if err != nil {
 				return nil, fmt.Errorf("sweep: spec %d: %w", sp.Index, err)
 			}
-			out[i] = b
+			out[i] = v
 		}
 		return out, nil
 	}
 
 	feed := make(chan Spec, len(specs))
-	results := make(chan result, len(specs))
+	results := make(chan result[T], len(specs))
 	for w := 0; w < workers; w++ {
 		go func() {
 			for sp := range feed {
-				b, err := fn(sp)
-				results <- result{index: sp.Index, bytes: b, err: err}
+				v, err := fn(sp)
+				results <- result[T]{index: sp.Index, value: v, err: err}
 			}
 		}()
 	}
-	// Fed last spec first, the reverse of the serial loop: a RunFunc
+	// Fed last spec first, the reverse of the serial loop: a run
 	// whose result depends on call order (a captured counter, say)
 	// then renders differently at any width above 1, every run, rather
 	// than only when the scheduler reorders the workers.
@@ -120,7 +118,7 @@ func Map(workers int, specs []Spec, fn RunFunc) ([][]byte, error) {
 	}
 	close(feed)
 
-	out := make([][]byte, len(specs))
+	out := make([]T, len(specs))
 	errIndex := -1
 	var firstErr error
 	for range specs {
@@ -131,7 +129,7 @@ func Map(workers int, specs []Spec, fn RunFunc) ([][]byte, error) {
 			}
 			continue
 		}
-		out[r.index] = r.bytes
+		out[r.index] = r.value
 	}
 	if firstErr != nil {
 		return nil, fmt.Errorf("sweep: spec %d: %w", errIndex, firstErr)

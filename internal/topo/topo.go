@@ -94,6 +94,17 @@ func ClusterFromFlat(g Geometry, flat int) ClusterID {
 	return ClusterID{Switch: flat / g.ClustersPerSwitch, Cluster: flat % g.ClustersPerSwitch}
 }
 
+// Addr reports the cluster's fabric address: the switch index in the
+// high 32 bits and the cluster index under it in the low 32. Requests
+// carry it downstream and completions upstream, so the root complex and
+// the switches can route on it.
+func (c ClusterID) Addr() uint64 { return uint64(c.Switch)<<32 | uint64(c.Cluster) }
+
+// ClusterAt is the inverse of ClusterID.Addr.
+func ClusterAt(addr uint64) ClusterID {
+	return ClusterID{Switch: int(addr >> 32), Cluster: int(addr & 0xffffffff)}
+}
+
 // FIMMID names one FIMM in the array.
 type FIMMID struct {
 	ClusterID

@@ -71,6 +71,13 @@ func TestClusterFIMMFlatRoundTrip(t *testing.T) {
 	}
 }
 
+func TestRouteAddrRoundTrip(t *testing.T) {
+	id := ClusterID{Switch: 3, Cluster: 15}
+	if got := ClusterAt(id.Addr()); got != id {
+		t.Errorf("ClusterAt(%v.Addr() = %#x) = %v", id, id.Addr(), got)
+	}
+}
+
 func TestPPNPackUnpack(t *testing.T) {
 	p := PackPPN(3, 15, 3, 7, 1, 4095, 255)
 	if p.Switch() != 3 || p.Cluster() != 15 || p.FIMMSlot() != 3 ||

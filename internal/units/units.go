@@ -97,13 +97,6 @@ func BytesToPages(b Bytes, pageSize Bytes) Pages {
 	return Pages(int64(b) / int64(pageSize))
 }
 
-// BytesToPagesCeil reports how many pages of pageSize bytes are needed
-// to hold b bytes (ceiling). pageSize must be positive.
-func BytesToPagesCeil(b Bytes, pageSize Bytes) Pages {
-	ps := int64(pageSize)
-	return Pages((int64(b) + ps - 1) / ps)
-}
-
 // BlocksToPages reports the page count of n blocks of pagesPerBlock
 // pages each.
 func BlocksToPages(n Blocks, pagesPerBlock Pages) Pages {

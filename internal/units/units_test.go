@@ -24,17 +24,11 @@ func TestPagesBytesRoundTrip(t *testing.T) {
 		if got := units.BytesToPages(b, pageSize); got != n {
 			t.Errorf("BytesToPages(PagesToBytes(%d)) = %d", n, got)
 		}
-		if got := units.BytesToPagesCeil(b, pageSize); got != n {
-			t.Errorf("BytesToPagesCeil(PagesToBytes(%d)) = %d", n, got)
-		}
 	}
-	// A partial page floors down but ceils up.
+	// A partial page floors down.
 	b := units.PagesToBytes(3, pageSize) + 1*units.Byte
 	if got := units.BytesToPages(b, pageSize); got != 3 {
 		t.Errorf("BytesToPages(3 pages + 1 byte) = %d, want 3", got)
-	}
-	if got := units.BytesToPagesCeil(b, pageSize); got != 4 {
-		t.Errorf("BytesToPagesCeil(3 pages + 1 byte) = %d, want 4", got)
 	}
 }
 
