@@ -23,6 +23,7 @@ type allocScenario struct {
 	manager  bool    // attach core.Manager (Triple-A)
 	faults   bool    // arm fault.ReferencePlan with recovery
 	measured float64 // allocations per request, default build, seed 42
+	events   uint64  // events the whole run fires, seed 42
 }
 
 const (
@@ -56,11 +57,11 @@ func allocScenarios() []allocScenario {
 	mixed.WriteRandomness = 1
 
 	return []allocScenario{
-		{name: "baseline-read", cfg: small, profile: workload.MicroRead(0, 0, 150_000), measured: 0.02},
-		{name: "baseline-write", cfg: small, profile: workload.MicroWrite(0, 0, 150_000), measured: 0.03},
-		{name: "triplea-read", cfg: small, profile: hotRead, manager: true, measured: 0.34},
-		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 0.51},
-		{name: "fault-recovery", cfg: small, profile: mixed, manager: true, faults: true, measured: 0.34},
+		{name: "baseline-read", cfg: small, profile: workload.MicroRead(0, 0, 150_000), measured: 0.02, events: 680_000},
+		{name: "baseline-write", cfg: small, profile: workload.MicroWrite(0, 0, 150_000), measured: 0.03, events: 640_000},
+		{name: "triplea-read", cfg: small, profile: hotRead, manager: true, measured: 0.34, events: 739_272},
+		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 0.51, events: 734_456},
+		{name: "fault-recovery", cfg: small, profile: mixed, manager: true, faults: true, measured: 0.34, events: 716_220},
 	}
 }
 
@@ -90,14 +91,22 @@ func gcOverwriteShape() (array.Config, workload.Profile) {
 // one new allocation per request on any layer a scenario crosses fails
 // it. A pin moves only with a measured, explained change; never widen
 // one to make a test pass.
+//
+// The same run pins the schedule: the number of events it fires is
+// exact, so a change that adds or removes an event anywhere fails here
+// until the pin moves with a stated reason.
 func TestSteadyStateAllocs(t *testing.T) {
 	for _, sc := range allocScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			got, pin := steadyStateAllocs(t, sc), sc.measured+allocHeadroom
-			t.Logf("%.2f allocs/request (measured %.2f, pin %.2f)", got, sc.measured, pin)
+			got, fired := steadyStateAllocs(t, sc)
+			pin := sc.measured + allocHeadroom
+			t.Logf("%.2f allocs/request (measured %.2f, pin %.2f), %d events", got, sc.measured, pin, fired)
 			if got > pin {
 				t.Errorf("%.2f allocations per request, pinned at %.2f: "+
 					"a hot-path object stopped being pooled or a per-call allocation was added", got, pin)
+			}
+			if fired != sc.events {
+				t.Errorf("the run fired %d events, pinned at %d: the schedule changed", fired, sc.events)
 			}
 		})
 	}
@@ -105,10 +114,11 @@ func TestSteadyStateAllocs(t *testing.T) {
 
 // steadyStateAllocs serves the scenario's first allocWarmup requests,
 // then reports the mean heap allocations per request over the next
-// allocMeasured. The trace is one continuous run, fed the way
-// Array.Run feeds it, so arrivals, fault events and background work
-// keep their natural timing across the measuring boundary.
-func steadyStateAllocs(t *testing.T, sc allocScenario) float64 {
+// allocMeasured, and the events the whole run fired. The trace is one
+// continuous run, fed the way Array.Run feeds it, so arrivals, fault
+// events and background work keep their natural timing across the
+// measuring boundary.
+func steadyStateAllocs(t *testing.T, sc allocScenario) (float64, uint64) {
 	t.Helper()
 	p := sc.profile
 	p.Requests = allocWarmup + allocMeasured
@@ -143,7 +153,7 @@ func steadyStateAllocs(t *testing.T, sc allocScenario) float64 {
 	if n := a.Recorder().Count() + a.Recorder().FailedCount(); n != len(reqs) {
 		t.Fatalf("%d of %d requests finished", n, len(reqs))
 	}
-	return float64(after.Mallocs-before.Mallocs) / allocMeasured
+	return float64(after.Mallocs-before.Mallocs) / allocMeasured, eng.Fired()
 }
 
 // feeder submits trace requests at their arrival times, one pooled

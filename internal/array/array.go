@@ -87,9 +87,7 @@ type Array struct {
 
 	// Per-cluster shared-bus utilisation samplers for contention-cause
 	// attribution (rolled every utilWindow).
-	busUtilAt   []simx.Time
-	busUtilSnap []simx.Time
-	busUtilLast []float64
+	busUtil []cluster.BusSampler
 
 	// RC admission (the RC stall of Figure 15): rcFree counts free RC
 	// queue entries, one per admitted page command. Pages that find none
@@ -120,20 +118,18 @@ func New(cfg Config) (*Array, error) {
 		dec = decision.NewRecorder(cfg.Geometry.TotalClusters())
 	}
 	a := &Array{
-		eng:         eng,
-		cfg:         cfg,
-		decisions:   dec,
-		ftl:         ftl.New(cfg.Geometry, ftl.WithLayout(cfg.Layout), ftl.WithGCThreshold(cfg.GCThreshold)),
-		recorder:    recorder,
-		faultCtrs:   newFaultCounters(recorder.Registry()),
-		rcFree:      cfg.RCQueueEntries,
-		gc:          make([]gcWorker, cfg.Geometry.TotalFIMMs()),
-		bufs:        make(map[topo.PPN]*blockBuf),
-		busUtilAt:   make([]simx.Time, cfg.Geometry.TotalClusters()),
-		busUtilSnap: make([]simx.Time, cfg.Geometry.TotalClusters()),
-		busUtilLast: make([]float64, cfg.Geometry.TotalClusters()),
-		cache:       newDRAMCache(units.BytesToPages(cfg.HostDRAMBytes, cfg.Geometry.Nand.PageSizeBytes)),
-		health:      topo.NewHealth(cfg.Geometry),
+		eng:       eng,
+		cfg:       cfg,
+		decisions: dec,
+		ftl:       ftl.New(cfg.Geometry, ftl.WithLayout(cfg.Layout), ftl.WithGCThreshold(cfg.GCThreshold)),
+		recorder:  recorder,
+		faultCtrs: newFaultCounters(recorder.Registry()),
+		rcFree:    cfg.RCQueueEntries,
+		gc:        make([]gcWorker, cfg.Geometry.TotalFIMMs()),
+		bufs:      make(map[topo.PPN]*blockBuf),
+		busUtil:   make([]cluster.BusSampler, cfg.Geometry.TotalClusters()),
+		cache:     newDRAMCache(units.BytesToPages(cfg.HostDRAMBytes, cfg.Geometry.Nand.PageSizeBytes)),
+		health:    topo.NewHealth(cfg.Geometry),
 	}
 	for i := range a.gc {
 		a.gc[i] = gcWorker{arr: a, id: topo.FIMMFromFlat(cfg.Geometry, i)}
@@ -152,17 +148,7 @@ const utilWindow = 200 * simx.Microsecond
 // clusterBusUtil samples a cluster's shared-bus utilisation over a
 // rolling window.
 func (a *Array) clusterBusUtil(id topo.ClusterID) float64 {
-	flat := id.Flat(&a.cfg.Geometry)
-	now := a.eng.Now()
-	if now-a.busUtilAt[flat] < utilWindow {
-		return a.busUtilLast[flat]
-	}
-	ep := a.Endpoint(id)
-	u := ep.BusUtilizationSince(a.busUtilAt[flat], a.busUtilSnap[flat])
-	a.busUtilAt[flat] = now
-	a.busUtilSnap[flat] = ep.BusBusyNS()
-	a.busUtilLast[flat] = u
-	return u
+	return a.busUtil[id.Flat(&a.cfg.Geometry)].Sample(a.Endpoint(id), utilWindow)
 }
 
 // build wires the fabric: RC -> switches -> endpoints, both directions.

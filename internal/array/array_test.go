@@ -59,6 +59,10 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.RCRouteLatency = -1 },
 		func(c *Config) { c.Geometry.Nand.TCmdOverhead = -1 },
 		func(c *Config) { c.Geometry.Nand.TECCPerPage = -1 },
+		// Degradation factors that are NaN or overflow a cell timing.
+		func(c *Config) { c.DegradedFIMMs = map[topo.FIMMID]float64{{}: math.NaN()} },
+		func(c *Config) { c.DegradedFIMMs = map[topo.FIMMID]float64{{}: math.Inf(1)} },
+		func(c *Config) { c.DegradedFIMMs = map[topo.FIMMID]float64{{}: 1e300} },
 	} {
 		cfg := DefaultConfig()
 		mod(&cfg)

@@ -84,7 +84,9 @@ type Config struct {
 
 	// DegradedFIMMs slows individual modules' cell timings by the given
 	// factor (wear-degraded hardware — intrinsic laggards). Healthy
-	// modules are simply absent from the map.
+	// modules are simply absent from the map, or have a factor of at
+	// most 1; see cluster.CheckLatencyScale for the factors Validate
+	// rejects.
 	DegradedFIMMs map[topo.FIMMID]float64
 }
 
@@ -151,6 +153,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("array: SLA %v must be positive", c.SLA)
 	case c.LinkPropagation < 0 || c.SwitchRouteLatency < 0 || c.RCRouteLatency < 0:
 		return fmt.Errorf("array: fabric latencies must not be negative")
+	}
+	for i := 0; i < c.Geometry.TotalFIMMs(); i++ {
+		id := topo.FIMMFromFlat(c.Geometry, i)
+		if err := cluster.CheckLatencyScale(c.Geometry.Nand, c.DegradedFIMMs[id]); err != nil {
+			return fmt.Errorf("array: DegradedFIMMs[%v]: %w", id, err)
+		}
 	}
 	return c.clusterParams().Validate()
 }

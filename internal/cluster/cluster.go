@@ -16,6 +16,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"triplea/internal/fimm"
 	"triplea/internal/nand"
@@ -385,7 +386,8 @@ func New(eng *simx.Engine, id topo.ClusterID, params Params) *Endpoint {
 	return ep
 }
 
-// scaleFIMMLatency slows a module's cell timings by factor (>= 1).
+// scaleFIMMLatency slows a module's cell timings by factor. A factor of
+// at most 1 is a healthy module. CheckLatencyScale must accept factor.
 func scaleFIMMLatency(p fimm.Params, factor float64) fimm.Params {
 	if factor <= 1 {
 		return p
@@ -394,6 +396,19 @@ func scaleFIMMLatency(p fimm.Params, factor float64) fimm.Params {
 	p.Nand.TProg = simx.Time(float64(p.Nand.TProg) * factor)
 	p.Nand.TErase = simx.Time(float64(p.Nand.TErase) * factor)
 	return p
+}
+
+// CheckLatencyScale reports whether a module with cell timings n can be
+// slowed by factor: NaN is rejected, and so is a factor that scales tR,
+// tPROG or tBERS past the range of simx.Time.
+func CheckLatencyScale(n nand.Params, factor float64) error {
+	switch {
+	case math.IsNaN(factor):
+		return fmt.Errorf("cluster: latency scale %v is not a number", factor)
+	case factor > 1 && float64(max(n.TRead, n.TProg, n.TErase))*factor >= math.MaxInt64:
+		return fmt.Errorf("cluster: latency scale %v takes a cell timing past the range of simx.Time", factor)
+	}
+	return nil
 }
 
 // ID reports the cluster's position in the array.
@@ -445,13 +460,39 @@ func (ep *Endpoint) StalledPerFIMM() []int {
 	return out
 }
 
-// BusBusyNS reports the shared bus busy integral, for Equation 2's
-// utilisation sampling.
+// BusBusyNS reports the shared bus busy integral.
 func (ep *Endpoint) BusBusyNS() simx.Time { return ep.bus.BusyNS() }
 
-// BusUtilizationSince reports shared-bus utilisation over a window.
-func (ep *Endpoint) BusUtilizationSince(since simx.Time, busyAtSince simx.Time) float64 {
-	return ep.bus.UtilizationSince(since, busyAtSince)
+// BusSampler measures the share of time a cluster's shared bus was busy
+// over a rolling window (Equation 2's utilisation). It rolls the window
+// at most once per window length and returns the cached share between
+// rolls. The zero value's first window starts at time zero.
+type BusSampler struct {
+	at   simx.Time // start of the current window
+	busy simx.Time // the bus's busy integral at `at`
+	last float64   // busy share over the last completed window
+}
+
+// Sample reports ep's bus utilisation: once window has elapsed since
+// the last roll, the share over that span, rolling the window to now;
+// before that, the cached share.
+func (s *BusSampler) Sample(ep *Endpoint, window simx.Time) float64 {
+	now := ep.eng.Now()
+	if now-s.at < window {
+		return s.last
+	}
+	s.last = ep.bus.UtilizationSince(s.at, s.busy)
+	s.at, s.busy = now, ep.bus.BusyNS()
+	return s.last
+}
+
+// Peek reports what Sample would, without rolling the window, so a
+// reader outside the policy leaves the sampled values unchanged.
+func (s *BusSampler) Peek(ep *Endpoint, window simx.Time) float64 {
+	if ep.eng.Now()-s.at < window {
+		return s.last
+	}
+	return ep.bus.UtilizationSince(s.at, s.busy)
 }
 
 // Forward sends a fabric packet upstream toward the switch — the

@@ -400,12 +400,21 @@ func TestBusUtilizationSampling(t *testing.T) {
 	p := testParams()
 	ep := New(eng, id0(), p)
 	populate(t, ep, 0, 0, nand.Addr{})
-	base, busy0 := eng.Now(), ep.BusBusyNS()
+	var s BusSampler
+	s.Sample(ep, 0) // start a window now
 	ep.Submit(&Command{Op: OpRead, FIMM: 0, Pkg: 0, Addrs: []nand.Addr{{}}})
 	eng.Run()
-	u := ep.BusUtilizationSince(base, busy0)
+	peek := s.Peek(ep, 0)
+	u := s.Sample(ep, 0)
 	if u <= 0 || u >= 1 {
 		t.Errorf("bus utilization = %v, want in (0,1)", u)
+	}
+	if peek != u {
+		t.Errorf("Peek = %v, but the Sample after it = %v", peek, u)
+	}
+	// Inside the window the share of the last roll is returned.
+	if got := s.Sample(ep, simx.Second); got != u {
+		t.Errorf("Sample inside the window = %v, want the cached %v", got, u)
 	}
 }
 

@@ -115,9 +115,7 @@ type Manager struct {
 	sla      simx.Time
 
 	// Equation 2 sampling state, per flat cluster index.
-	utilAt   []simx.Time
-	utilBusy []simx.Time
-	utilLast []float64
+	util []cluster.BusSampler
 
 	inflight  int
 	migrating map[int64]bool // LPNs currently moving
@@ -195,9 +193,7 @@ func Attach(a *array.Array, opt Options) *Manager {
 		texeRead:  cfg.Geometry.Nand.NominalTime(nand.OpRead),
 		nFIMM:     cfg.Geometry.FIMMsPerCluster,
 		sla:       cfg.SLA,
-		utilAt:    make([]simx.Time, cfg.Geometry.TotalClusters()),
-		utilBusy:  make([]simx.Time, cfg.Geometry.TotalClusters()),
-		utilLast:  make([]float64, cfg.Geometry.TotalClusters()),
+		util:      make([]cluster.BusSampler, cfg.Geometry.TotalClusters()),
 		migrating: make(map[int64]bool),
 		recent:    make([]*lpnRing, cfg.Geometry.TotalFIMMs()),
 
@@ -553,29 +549,13 @@ func (m *Manager) coldClusterNear(hot topo.ClusterID, fam decision.Family) (topo
 // utilization() for those would roll their windows and diverge the
 // cached values from a recording-off run.
 func (m *Manager) utilizationPeek(id topo.ClusterID) float64 {
-	flat := id.Flat(m.geom)
-	now := m.arr.Engine().Now()
-	if now-m.utilAt[flat] < m.opt.UtilWindow {
-		return m.utilLast[flat]
-	}
-	return m.arr.Endpoint(id).BusUtilizationSince(m.utilAt[flat], m.utilBusy[flat])
+	return m.util[id.Flat(m.geom)].Peek(m.arr.Endpoint(id), m.opt.UtilWindow)
 }
 
 // utilization samples a cluster's shared-bus utilisation over the
 // sliding window, caching between window rolls.
 func (m *Manager) utilization(id topo.ClusterID) float64 {
-	flat := id.Flat(m.geom)
-	now := m.arr.Engine().Now()
-	elapsed := now - m.utilAt[flat]
-	if elapsed < m.opt.UtilWindow {
-		return m.utilLast[flat]
-	}
-	ep := m.arr.Endpoint(id)
-	u := ep.BusUtilizationSince(m.utilAt[flat], m.utilBusy[flat])
-	m.utilAt[flat] = now
-	m.utilBusy[flat] = ep.BusBusyNS()
-	m.utilLast[flat] = u
-	return u
+	return m.util[id.Flat(m.geom)].Sample(m.arr.Endpoint(id), m.opt.UtilWindow)
 }
 
 // startMove launches one page move, deduplicating in-flight LPNs and

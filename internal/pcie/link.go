@@ -32,8 +32,9 @@ type Receiver interface {
 // Accepted is notified when a packet wins a credit and leaves the
 // sender's buffer — the moment an upstream device can free its own
 // ingress entry. It is an interface rather than a func so hot callers
-// (switches, the RC, the endpoints) can hand in pooled per-packet state
-// without allocating a closure per hop.
+// (switches, the RC, the endpoints) can hand in an object that already
+// exists, such as the packet's own hold, without allocating a closure
+// per hop.
 type Accepted interface {
 	OnLinkAccepted(pkt *Packet)
 }
@@ -55,11 +56,10 @@ type Link struct {
 	maxCred int
 	dst     Receiver
 
-	// Credit-stalled sends, FIFO, linked through pendingSend.next.
-	sendHead *pendingSend
-	sendTail *pendingSend
+	// Credit-stalled sends, FIFO, linked through Packet.next.
+	sendHead *Packet
+	sendTail *Packet
 	sendLen  int
-	freePS   *pendingSend // recycled pendingSend nodes
 
 	// rateScale > 0 stretches serialisation time — an injected link
 	// degradation, e.g. lanes trained down after an error (fault.go).
@@ -71,72 +71,40 @@ type Link struct {
 	creditStall simx.Time
 }
 
-// pendingSend is the pooled per-packet transmission state: it queues
-// for a credit, acquires the wire (simx.Grantee), and carries the
-// packet through the serialisation and propagation events
-// (simx.Handler) before returning to the link's free-list.
-type pendingSend struct {
-	l        *Link
-	pkt      *Packet
-	queued   simx.Time
-	accepted Accepted
-	xfer     simx.Time
-	next     *pendingSend // credit-wait queue or free-list link
-	ck       simx.PoolCheck
-}
+// linkHop is a packet crossing a link: it acquires the wire
+// (simx.Grantee), then rides the serialisation and propagation events
+// (simx.Handler) to the receiver. Its state is the packet's link fields.
+type linkHop Packet
 
-// pendingSend event phases.
+// linkHop event phases.
 const (
-	psXferDone uint64 = iota // wire serialisation finished
-	psDeliver                // propagation finished; hand to receiver
+	hopXferDone uint64 = iota // wire serialisation finished
+	hopDeliver                // propagation finished; hand to receiver
 )
 
 // OnGrant implements simx.Grantee: the local wire is ours.
-func (ps *pendingSend) OnGrant(arg uint64, waited simx.Time) {
-	ps.pkt.WireWait += waited
-	ps.xfer = ps.l.TransferTime(ps.pkt.Payload)
-	ps.l.eng.ScheduleEvent(ps.xfer, ps, psXferDone)
+func (h *linkHop) OnGrant(_ uint64, waited simx.Time) {
+	l := h.link
+	xfer := l.TransferTime(h.Payload)
+	h.WireWait += waited
+	h.WireTime += xfer
+	l.eng.ScheduleEvent(xfer, h, hopXferDone)
 }
 
 // OnEvent implements simx.Handler for the transmission phases.
-func (ps *pendingSend) OnEvent(arg uint64) {
-	l := ps.l
+func (h *linkHop) OnEvent(arg uint64) {
+	l := h.link
 	switch arg {
-	case psXferDone:
+	case hopXferDone:
 		l.wire.Release()
-		ps.pkt.WireTime += ps.xfer
 		l.packets++
-		l.bytes += ps.pkt.Payload + TLPOverheadBytes
-		l.eng.ScheduleEvent(l.propagation, ps, psDeliver)
-	case psDeliver:
-		pkt := ps.pkt
-		l.recyclePS(ps)
-		l.dst.Receive(pkt, l)
+		l.bytes += h.Payload + TLPOverheadBytes
+		l.eng.ScheduleEvent(l.propagation, h, hopDeliver)
+	case hopDeliver:
+		l.dst.Receive((*Packet)(h), l)
 	default:
-		panic("pcie: unknown pendingSend phase")
+		panic("pcie: unknown linkHop phase")
 	}
-}
-
-// newPS pops a recycled node or allocates a fresh one.
-func (l *Link) newPS(pkt *Packet, accepted Accepted) *pendingSend {
-	ps := l.freePS
-	if ps != nil {
-		l.freePS = ps.next
-		ps.ck.Checkout("pcie.pendingSend")
-		ps.next = nil
-	} else {
-		ps = &pendingSend{l: l}
-		ps.ck.Fresh("pcie.pendingSend")
-	}
-	ps.pkt, ps.queued, ps.accepted = pkt, l.eng.Now(), accepted
-	return ps
-}
-
-func (l *Link) recyclePS(ps *pendingSend) {
-	ps.pkt, ps.accepted = nil, nil
-	ps.ck.Release("pcie.pendingSend")
-	ps.next = l.freePS
-	l.freePS = ps
 }
 
 // NewLink builds a link delivering to dst with the given raw bandwidth,
@@ -185,33 +153,34 @@ func (l *Link) Send(pkt *Packet, accepted Accepted) {
 		panic("pcie: Send of nil packet")
 	}
 	pkt.ck.InUse("pcie.Packet")
-	ps := l.newPS(pkt, accepted)
+	pkt.link, pkt.queued, pkt.accepted = l, l.eng.Now(), accepted
 	if l.credits > 0 {
 		l.credits--
-		l.transmit(ps)
+		l.transmit(pkt)
 		return
 	}
+	pkt.next = nil
 	if l.sendTail == nil {
-		l.sendHead = ps
+		l.sendHead = pkt
 	} else {
-		l.sendTail.next = ps
+		l.sendTail.next = pkt
 	}
-	l.sendTail = ps
+	l.sendTail = pkt
 	l.sendLen++
 }
 
 // ReturnCredit hands one VC buffer entry back to the sender, releasing
 // the oldest stalled packet if any.
 func (l *Link) ReturnCredit() {
-	if ps := l.sendHead; ps != nil {
-		if l.sendHead = ps.next; l.sendHead == nil {
+	if pkt := l.sendHead; pkt != nil {
+		if l.sendHead = pkt.next; l.sendHead == nil {
 			l.sendTail = nil
 		}
 		l.sendLen--
-		stalled := l.eng.Now() - ps.queued
-		ps.pkt.CreditWait += stalled
+		stalled := l.eng.Now() - pkt.queued
+		pkt.CreditWait += stalled
 		l.creditStall += stalled
-		l.transmit(ps)
+		l.transmit(pkt)
 		return
 	}
 	l.credits++
@@ -220,13 +189,11 @@ func (l *Link) ReturnCredit() {
 	}
 }
 
-func (l *Link) transmit(ps *pendingSend) {
-	if ps.accepted != nil {
-		a := ps.accepted
-		ps.accepted = nil
-		a.OnLinkAccepted(ps.pkt)
+func (l *Link) transmit(pkt *Packet) {
+	if pkt.accepted != nil {
+		pkt.accepted.OnLinkAccepted(pkt)
 	}
-	l.wire.AcquireG(ps, 0)
+	l.wire.AcquireG((*linkHop)(pkt), 0)
 }
 
 // CreditsAvailable reports the sender-visible free credit count.

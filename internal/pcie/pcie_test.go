@@ -356,6 +356,52 @@ func TestRootComplexInjectAndReceive(t *testing.T) {
 	}
 }
 
+// TestRootComplexHoldsUntilPortAccepts backs the RC up: two packets
+// injected through a one-credit port whose receiver keeps the credit.
+// The second is held until the credit returns. The RC sends it to the
+// port the instant its hold starts, so the whole hold is the port's
+// credit wait: the link charges it to CreditWait, and the RC's own
+// stall (QueueWait, QueueStallNS) is the rest of the hold, none.
+func TestRootComplexHoldsUntilPortAccepts(t *testing.T) {
+	eng := simx.NewEngine()
+	rc := NewRootComplex(eng, 200, func(*Packet) int { return 0 }, func(*Packet) {})
+	blocked := &sink{}
+	rc.AddPort(NewLink(eng, "p0", 16_000_000_000, 100, 1, blocked))
+
+	p1, p2 := &Packet{ID: 1}, &Packet{ID: 2}
+	accepted2 := simx.Time(-1)
+	rc.Inject(p1, nil)
+	rc.Inject(p2, acceptedFunc(func(*Packet) { accepted2 = eng.Now() }))
+	eng.RunFor(10_000)
+	if len(blocked.pkts) != 1 || accepted2 >= 0 {
+		t.Fatalf("delivered %d, second accepted at %v; want 1 delivered and the second held", len(blocked.pkts), accepted2)
+	}
+	if rc.Injected() != 1 {
+		t.Errorf("Injected while one is held = %d, want 1", rc.Injected())
+	}
+
+	release := eng.Now()
+	blocked.ackAll()
+	eng.Run()
+	if accepted2 != release {
+		t.Errorf("second packet accepted at %v, want when the credit returned (%v)", accepted2, release)
+	}
+	if len(blocked.pkts) != 2 {
+		t.Fatalf("delivered %d, want 2", len(blocked.pkts))
+	}
+	hold := release - 200 // the hold starts once the routing latency elapsed
+	if p2.CreditWait != hold {
+		t.Errorf("CreditWait = %v, want the hold %v", p2.CreditWait, hold)
+	}
+	if p2.QueueWait != hold-p2.CreditWait || rc.QueueStallNS() != p2.QueueWait {
+		t.Errorf("QueueWait = %v, QueueStallNS = %v; want the hold less its credit wait, %v",
+			p2.QueueWait, rc.QueueStallNS(), hold-p2.CreditWait)
+	}
+	if rc.Injected() != 2 {
+		t.Errorf("Injected = %d, want 2", rc.Injected())
+	}
+}
+
 func TestRootComplexBadPortPanics(t *testing.T) {
 	eng := simx.NewEngine()
 	rc := NewRootComplex(eng, 0, func(*Packet) int { return 7 }, func(*Packet) {})

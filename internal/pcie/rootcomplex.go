@@ -1,10 +1,6 @@
 package pcie
 
-import (
-	"fmt"
-
-	"triplea/internal/simx"
-)
+import "triplea/internal/simx"
 
 // RootComplex generates transactions on behalf of the host and routes
 // packets between its ports. Downstream it forwards host requests to
@@ -13,102 +9,31 @@ import (
 type RootComplex struct {
 	eng          *simx.Engine
 	routeLatency simx.Time
-	route        RouteFunc // selects the switch port for a downstream packet
-	ports        []*Link   // downstream links to switches
 	deliver      func(pkt *Packet)
 
-	freeOp *rcOp // recycled routing nodes
+	// down is the downstream half: it routes and holds injected packets
+	// exactly as a switch does, with one downstream port per switch and
+	// no upstream link. It is a named field, not an embedded one, so
+	// Receive stays the upstream path.
+	down *Switch
 
-	injected   uint64
-	delivered  uint64
-	queueStall simx.Time
+	delivered uint64
 }
 
-// rcOp is the pooled per-packet routing state for both directions: an
-// injected packet rides the route-latency event (simx.Handler), then
-// waits for its port to accept it (Accepted); an upstream packet rides
-// the same event type with a different phase argument.
-type rcOp struct {
-	rc         *RootComplex
-	pkt        *Packet
-	from       *Link
-	done       Accepted
-	held       simx.Time
-	credBefore simx.Time
-	next       *rcOp
-	ck         simx.PoolCheck
-}
+// rcDeliver is a packet on its way through the RC to the host: it rides
+// the route-latency event (simx.Handler), then frees its ingress credit
+// and reaches the host sink. Its state is the packet's rc and from.
+type rcDeliver Packet
 
-// rcOp event phases.
-const (
-	rcInjectRoute  uint64 = iota // downstream: route then Send
-	rcReceiveRoute               // upstream: route then deliver to host
-)
-
-// OnEvent implements simx.Handler for the two routing directions.
-func (n *rcOp) OnEvent(arg uint64) {
-	rc := n.rc
-	switch arg {
-	case rcInjectRoute:
-		pkt := n.pkt
-		pkt.RouteTime += rc.routeLatency
-		port := rc.route(pkt)
-		if port < 0 || port >= len(rc.ports) {
-			panic(fmt.Sprintf("pcie: RC route for %v returned bad port %d", pkt, port))
-		}
-		n.held = rc.eng.Now()
-		n.credBefore = pkt.CreditWait
-		rc.ports[port].Send(pkt, n)
-	case rcReceiveRoute:
-		pkt, from := n.pkt, n.from
-		rc.recycleOp(n)
-		pkt.RouteTime += rc.routeLatency
-		if from != nil {
-			from.ReturnCredit()
-		}
-		rc.delivered++
-		rc.deliver(pkt)
-	default:
-		panic("pcie: unknown rcOp phase")
+// OnEvent implements simx.Handler: routing latency elapsed; deliver.
+func (d *rcDeliver) OnEvent(uint64) {
+	rc, from := d.rc, d.from
+	d.RouteTime += rc.routeLatency
+	if from != nil {
+		from.ReturnCredit()
 	}
-}
-
-// OnLinkAccepted implements Accepted: the selected port took the
-// injected packet; charge the RC queue stall and chain to the caller.
-func (n *rcOp) OnLinkAccepted(pkt *Packet) {
-	rc := n.rc
-	// Holding time excluding the port's credit wait, which the link
-	// accounts separately.
-	stall := (rc.eng.Now() - n.held) - (pkt.CreditWait - n.credBefore)
-	pkt.QueueWait += stall
-	rc.queueStall += stall
-	rc.injected++
-	done := n.done
-	rc.recycleOp(n)
-	if done != nil {
-		done.OnLinkAccepted(pkt)
-	}
-}
-
-func (rc *RootComplex) newOp(pkt *Packet) *rcOp {
-	n := rc.freeOp
-	if n != nil {
-		rc.freeOp = n.next
-		n.ck.Checkout("pcie.rcOp")
-		n.next = nil
-	} else {
-		n = &rcOp{rc: rc}
-		n.ck.Fresh("pcie.rcOp")
-	}
-	n.pkt = pkt
-	return n
-}
-
-func (rc *RootComplex) recycleOp(n *rcOp) {
-	n.pkt, n.from, n.done = nil, nil, nil
-	n.ck.Release("pcie.rcOp")
-	n.next = rc.freeOp
-	rc.freeOp = n
+	rc.delivered++
+	rc.deliver((*Packet)(d))
 }
 
 // NewRootComplex builds a root complex. route selects the downstream
@@ -118,44 +43,43 @@ func NewRootComplex(eng *simx.Engine, routeLatency simx.Time, route RouteFunc, d
 	if route == nil || deliver == nil {
 		panic("pcie: root complex needs route and deliver functions")
 	}
-	return &RootComplex{eng: eng, routeLatency: routeLatency, route: route, deliver: deliver}
+	return &RootComplex{
+		eng:          eng,
+		routeLatency: routeLatency,
+		deliver:      deliver,
+		down:         NewSwitch(eng, "rc", routeLatency, route),
+	}
 }
 
 // AddPort attaches a downstream link to a switch, returning its index.
-func (rc *RootComplex) AddPort(l *Link) int {
-	rc.ports = append(rc.ports, l)
-	return len(rc.ports) - 1
-}
+func (rc *RootComplex) AddPort(l *Link) int { return rc.down.AddDownstream(l) }
 
 // NumPorts reports the downstream port count.
-func (rc *RootComplex) NumPorts() int { return len(rc.ports) }
+func (rc *RootComplex) NumPorts() int { return len(rc.down.down) }
 
 // Inject sends a host-originated packet downstream. done (optional)
 // fires when the packet is accepted onto the selected port — until then
 // it occupies the RC's internal queue, and the caller charges RC stall.
 func (rc *RootComplex) Inject(pkt *Packet, done Accepted) {
 	pkt.ck.InUse("pcie.Packet")
-	n := rc.newOp(pkt)
-	n.done = done
-	rc.eng.ScheduleEvent(rc.routeLatency, n, rcInjectRoute)
+	rc.down.hold(pkt, nil, done)
 }
 
 // Receive implements Receiver for upstream packets arriving from
 // switches: the packet is consumed into host memory after the routing
 // latency and its VC credit returns immediately thereafter.
 func (rc *RootComplex) Receive(pkt *Packet, from *Link) {
-	n := rc.newOp(pkt)
-	n.from = from
-	rc.eng.ScheduleEvent(rc.routeLatency, n, rcReceiveRoute)
+	pkt.rc, pkt.from = rc, from
+	rc.eng.ScheduleEvent(rc.routeLatency, (*rcDeliver)(pkt), 0)
 }
 
 // Injected reports packets sent downstream.
-func (rc *RootComplex) Injected() uint64 { return rc.injected }
+func (rc *RootComplex) Injected() uint64 { return rc.down.Forwarded() }
 
 // Delivered reports packets handed to the host sink.
 func (rc *RootComplex) Delivered() uint64 { return rc.delivered }
 
 // QueueStallNS reports time injected packets waited for port acceptance.
-func (rc *RootComplex) QueueStallNS() simx.Time { return rc.queueStall }
+func (rc *RootComplex) QueueStallNS() simx.Time { return rc.down.QueueStallNS() }
 
 var _ Receiver = (*RootComplex)(nil)

@@ -27,30 +27,21 @@ type Switch struct {
 	up   *Link
 	down []*Link
 
-	freeF *fwd // recycled forwarding nodes
-
 	// Statistics.
 	forwarded  uint64
 	queueStall simx.Time
 }
 
-// fwd is the pooled per-packet forwarding state: it rides the
-// route-latency event (simx.Handler), then holds the ingress credit
-// until the egress link accepts the packet (Accepted).
-type fwd struct {
-	s          *Switch
-	pkt        *Packet
-	from       *Link
-	held       simx.Time
-	credBefore simx.Time
-	next       *fwd
-	ck         simx.PoolCheck
-}
+// fwd is a packet held in a switch or in the RC's downstream half: it
+// rides the route-latency event (simx.Handler), then holds its ingress
+// credit until the egress link accepts it (Accepted). Its state is the
+// packet's hold fields.
+type fwd Packet
 
 // OnEvent implements simx.Handler: routing latency elapsed; forward.
-func (f *fwd) OnEvent(arg uint64) {
-	s := f.s
-	pkt := f.pkt
+func (f *fwd) OnEvent(uint64) {
+	s := f.sw
+	pkt := (*Packet)(f)
 	pkt.RouteTime += s.routeLatency
 	port := s.route(pkt)
 	var egress *Link
@@ -62,47 +53,27 @@ func (f *fwd) OnEvent(arg uint64) {
 	if egress == nil {
 		panic(fmt.Sprintf("pcie: %s has no egress for %v (port %d)", s.name, pkt, port))
 	}
-	f.held = s.eng.Now()
-	f.credBefore = pkt.CreditWait
+	pkt.held = s.eng.Now()
+	pkt.credBefore = pkt.CreditWait
 	egress.Send(pkt, f)
 }
 
 // OnLinkAccepted implements Accepted: the egress took the packet, so
 // the ingress VC entry frees up.
 func (f *fwd) OnLinkAccepted(pkt *Packet) {
-	s := f.s
+	s, from, done := pkt.sw, pkt.from, pkt.done
 	// Holding time excluding the egress credit wait (the link already
 	// accounts that in CreditWait).
-	stall := (s.eng.Now() - f.held) - (pkt.CreditWait - f.credBefore)
+	stall := (s.eng.Now() - pkt.held) - (pkt.CreditWait - pkt.credBefore)
 	pkt.QueueWait += stall
 	s.queueStall += stall
 	s.forwarded++
-	from := f.from
-	s.recycleFwd(f)
 	if from != nil {
 		from.ReturnCredit()
 	}
-}
-
-func (s *Switch) newFwd(pkt *Packet, from *Link) *fwd {
-	f := s.freeF
-	if f != nil {
-		s.freeF = f.next
-		f.ck.Checkout("pcie.fwd")
-		f.next = nil
-	} else {
-		f = &fwd{s: s}
-		f.ck.Fresh("pcie.fwd")
+	if done != nil {
+		done.OnLinkAccepted(pkt)
 	}
-	f.pkt, f.from = pkt, from
-	return f
-}
-
-func (s *Switch) recycleFwd(f *fwd) {
-	f.pkt, f.from = nil, nil
-	f.ck.Release("pcie.fwd")
-	f.next = s.freeF
-	s.freeF = f
 }
 
 // NewSwitch builds a switch. Links are attached afterwards with
@@ -136,8 +107,14 @@ func (s *Switch) QueueStallNS() simx.Time { return s.queueStall }
 
 // Receive implements Receiver: route after the switching latency, then
 // forward; the ingress credit is returned when the egress accepts.
-func (s *Switch) Receive(pkt *Packet, from *Link) {
-	s.eng.ScheduleEvent(s.routeLatency, s.newFwd(pkt, from), 0)
+func (s *Switch) Receive(pkt *Packet, from *Link) { s.hold(pkt, from, nil) }
+
+// hold takes pkt in: after the routing latency it is sent to its egress
+// link, and when that link accepts it, from (if any) gets its credit
+// back and done (if any) is notified.
+func (s *Switch) hold(pkt *Packet, from *Link, done Accepted) {
+	pkt.sw, pkt.from, pkt.done = s, from, done
+	s.eng.ScheduleEvent(s.routeLatency, (*fwd)(pkt), 0)
 }
 
 var _ Receiver = (*Switch)(nil)

@@ -81,14 +81,13 @@ const heapArity = 2
 // Engine is a single-threaded discrete-event simulator.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
-	now     Time
-	events  []*Event // min-heap on (when, seq); see push and Step
-	hole    bool     // events[0] is a fired event's recycled node; see Step
-	seq     uint64
-	fired   uint64
-	free    *Event // recycled event nodes (intrusive free-list)
-	freeLen int
-	ck      ckState // empty unless built with -tags simcheck
+	now    Time
+	events []*Event // min-heap on (when, seq); see push and Step
+	hole   bool     // events[0] is a fired event's recycled node; see Step
+	seq    uint64
+	fired  uint64
+	free   *Event  // recycled event nodes (intrusive free-list)
+	ck     ckState // empty unless built with -tags simcheck
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -145,7 +144,6 @@ func (e *Engine) newEvent() *Event {
 	ev := e.free
 	if ev != nil {
 		e.free = ev.next
-		e.freeLen--
 		if simcheckEnabled {
 			ev.ck.Checkout("simx.Event")
 		}
@@ -167,12 +165,7 @@ func (e *Engine) recycle(ev *Event) {
 	ev.h = nil
 	ev.next = e.free
 	e.free = ev
-	e.freeLen++
 }
-
-// EventPoolFree reports how many recycled event nodes are idle — the
-// steady-state footprint of the event queue (tests and diagnostics).
-func (e *Engine) EventPoolFree() int { return e.freeLen }
 
 // push adds ev to the pending heap. While the root slot is empty (a
 // handler's first schedule; see Step), ev takes that slot and sifts
