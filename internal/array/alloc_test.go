@@ -56,12 +56,15 @@ func allocScenarios() []allocScenario {
 	mixed.ReadRatio = 0.6
 	mixed.WriteRandomness = 1
 
+	// The event pins count one event per fabric hop: a packet's
+	// delivery, which also waits out a switch's or the RC's routing
+	// latency.
 	return []allocScenario{
-		{name: "baseline-read", cfg: small, profile: workload.MicroRead(0, 0, 150_000), measured: 0.02, events: 680_000},
-		{name: "baseline-write", cfg: small, profile: workload.MicroWrite(0, 0, 150_000), measured: 0.03, events: 640_000},
-		{name: "triplea-read", cfg: small, profile: hotRead, manager: true, measured: 0.34, events: 739_272},
-		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 0.51, events: 734_456},
-		{name: "fault-recovery", cfg: small, profile: mixed, manager: true, faults: true, measured: 0.34, events: 716_220},
+		{name: "baseline-read", cfg: small, profile: workload.MicroRead(0, 0, 150_000), measured: 0.02, events: 360_000},
+		{name: "baseline-write", cfg: small, profile: workload.MicroWrite(0, 0, 150_000), measured: 0.03, events: 320_000},
+		{name: "triplea-read", cfg: small, profile: hotRead, manager: true, measured: 0.34, events: 410_878},
+		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 0.51, events: 414_456},
+		{name: "fault-recovery", cfg: small, profile: mixed, manager: true, faults: true, measured: 0.34, events: 388_759},
 	}
 }
 

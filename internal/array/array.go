@@ -421,30 +421,22 @@ func (req *request) OnEvent(arg uint64) {
 
 // pageRef links an admitted page command back to its request and
 // downstream packet. Refs are pooled per-page continuations: one is
-// drawn when its page takes an RC queue entry, launches through the
-// per-block program gate (launcher), and observes its packet's RC
-// acceptance (pcie.Accepted).
+// drawn when its page takes an RC queue entry and launches through the
+// per-block program gate (launcher).
 type pageRef struct {
-	arr          *Array
-	req          *request
-	lpn          int64
-	down         *pcie.Packet
-	rcInjectWait simx.Time
-	admitWait    simx.Time
-	retries      int
-	next         *pageRef // free-list link
-	ck           simx.PoolCheck
+	arr       *Array
+	req       *request
+	lpn       int64
+	down      *pcie.Packet
+	admitWait simx.Time
+	retries   int
+	next      *pageRef // free-list link
+	ck        simx.PoolCheck
 }
 
 // launch implements launcher: inject the page's packet at the RC.
 func (ref *pageRef) launch() {
-	ref.arr.rc.Inject(ref.down, ref)
-}
-
-// OnLinkAccepted implements pcie.Accepted: the packet left the RC's
-// internal queue; snapshot the RC-side queueing it accumulated.
-func (ref *pageRef) OnLinkAccepted(pkt *pcie.Packet) {
-	ref.rcInjectWait = pkt.QueueWait
+	ref.arr.rc.Inject(ref.down)
 }
 
 // waitRun is a run of consecutive pages of one host request waiting
@@ -579,7 +571,7 @@ func (a *Array) retryRead(ref *pageRef) {
 	pkt.ID, pkt.Kind, pkt.Addr = ref.req.id, pcie.MemRead, ppn.ClusterID().Addr()
 	pkt.Meta = cmd
 	ref.down = pkt
-	a.rc.Inject(pkt, nil)
+	a.rc.Inject(pkt)
 }
 
 // Submit enters one host request at the current simulated time. Each
@@ -870,7 +862,7 @@ func (a *Array) staleDeviceNow(ppn topo.PPN) {
 func (a *Array) deliver(pkt *pcie.Packet) {
 	if pkt.Kind != pcie.Completion {
 		// Cross-switch background transfer: send back downstream.
-		a.rc.Inject(pkt, nil)
+		a.rc.Inject(pkt)
 		return
 	}
 	cmd, ok := pkt.Meta.(*cluster.Command)
@@ -912,9 +904,8 @@ func (a *Array) deliver(pkt *pcie.Packet) {
 	// waiting page, which draws a ref of its own.
 	lpn, down, up := ref.lpn, ref.down, pkt
 	var b metrics.Breakdown
-	b.RCStall = ref.admitWait + ref.rcInjectWait
-	b.SwitchStall = (down.QueueWait - ref.rcInjectWait) + down.CreditWait + down.WireWait +
-		up.QueueWait + up.CreditWait + up.WireWait
+	b.RCStall = ref.admitWait
+	b.SwitchStall = down.CreditWait + down.WireWait + up.CreditWait + up.WireWait
 	a.recycleRef(ref)
 	a.releaseRC()
 

@@ -2,6 +2,7 @@ package pcie
 
 import (
 	"fmt"
+	"math"
 
 	"triplea/internal/simx"
 	"triplea/internal/units"
@@ -29,12 +30,18 @@ type Receiver interface {
 	Receive(pkt *Packet, from *Link)
 }
 
+// Router is a receiver that routes what it receives: a Switch or the
+// RootComplex. A link into a Router waits out its routing latency
+// before delivery, so the router's Receive routes at once.
+type Router interface {
+	RouteLatency() simx.Time
+}
+
 // Accepted is notified when a packet wins a credit and leaves the
 // sender's buffer — the moment an upstream device can free its own
 // ingress entry. It is an interface rather than a func so hot callers
 // (switches, the RC, the endpoints) can hand in an object that already
-// exists, such as the packet's own hold, without allocating a closure
-// per hop.
+// exists without allocating a closure per hop.
 type Accepted interface {
 	OnLinkAccepted(pkt *Packet)
 }
@@ -44,17 +51,24 @@ type Accepted interface {
 // number of virtual-channel buffer credits. With no credit available,
 // packets wait at the sender — that waiting is the link-level stall the
 // paper's flow-control discussion describes.
+//
+// The wire is a FIFO server booked ahead. A packet that wins a credit
+// takes the wire at the first instant it is free (busyUntil), and its
+// one event is its delivery, once serialisation, propagation and the
+// receiver's routing latency have elapsed.
 type Link struct {
 	eng  *simx.Engine
 	name string
 
 	bytesPerSec units.BytesPerSec
 	propagation simx.Time
+	route       simx.Time // the receiver's routing latency (Router), else 0
 
-	wire    *simx.Resource
-	credits int
-	maxCred int
-	dst     Receiver
+	busyUntil simx.Time // end of the last transfer or retrain window booked
+	busy      simx.Time // wire time booked so far
+	credits   int
+	maxCred   int
+	dst       Receiver
 
 	// Credit-stalled sends, FIFO, linked through Packet.next.
 	sendHead *Packet
@@ -71,40 +85,16 @@ type Link struct {
 	creditStall simx.Time
 }
 
-// linkHop is a packet crossing a link: it acquires the wire
-// (simx.Grantee), then rides the serialisation and propagation events
-// (simx.Handler) to the receiver. Its state is the packet's link fields.
+// linkHop is a packet crossing a link: its one event is its delivery to
+// the receiver (simx.Handler). Its state is the packet's link fields.
 type linkHop Packet
 
-// linkHop event phases.
-const (
-	hopXferDone uint64 = iota // wire serialisation finished
-	hopDeliver                // propagation finished; hand to receiver
-)
-
-// OnGrant implements simx.Grantee: the local wire is ours.
-func (h *linkHop) OnGrant(_ uint64, waited simx.Time) {
+// OnEvent implements simx.Handler: the packet reaches the receiver.
+func (h *linkHop) OnEvent(uint64) {
 	l := h.link
-	xfer := l.TransferTime(h.Payload)
-	h.WireWait += waited
-	h.WireTime += xfer
-	l.eng.ScheduleEvent(xfer, h, hopXferDone)
-}
-
-// OnEvent implements simx.Handler for the transmission phases.
-func (h *linkHop) OnEvent(arg uint64) {
-	l := h.link
-	switch arg {
-	case hopXferDone:
-		l.wire.Release()
-		l.packets++
-		l.bytes += h.Payload + TLPOverheadBytes
-		l.eng.ScheduleEvent(l.propagation, h, hopDeliver)
-	case hopDeliver:
-		l.dst.Receive((*Packet)(h), l)
-	default:
-		panic("pcie: unknown linkHop phase")
-	}
+	l.packets++
+	l.bytes += h.Payload + TLPOverheadBytes
+	l.dst.Receive((*Packet)(h), l)
 }
 
 // NewLink builds a link delivering to dst with the given raw bandwidth,
@@ -119,27 +109,35 @@ func NewLink(eng *simx.Engine, name string, bytesPerSec units.BytesPerSec, propa
 	if dst == nil {
 		panic(fmt.Sprintf("pcie: link %s has no receiver", name))
 	}
-	return &Link{
+	l := &Link{
 		eng:         eng,
 		name:        name,
 		bytesPerSec: bytesPerSec,
 		propagation: propagation,
-		wire:        simx.NewResource(eng, name+".wire", 1),
 		credits:     credits,
 		maxCred:     credits,
 		dst:         dst,
 	}
+	if r, ok := dst.(Router); ok {
+		l.route = r.RouteLatency()
+	}
+	return l
 }
 
 // Name reports the link's diagnostic name.
 func (l *Link) Name() string { return l.name }
 
 // TransferTime reports serialisation time for a packet with n payload
-// bytes (TLP overhead included), rounded up to whole nanoseconds.
+// bytes (TLP overhead included), rounded up to whole nanoseconds. A
+// rate factor that stretches it past simx.Time's range panics.
 func (l *Link) TransferTime(n units.Bytes) simx.Time {
 	t := units.TransferTime(n+TLPOverheadBytes, l.bytesPerSec)
 	if l.rateScale > 0 {
-		t = simx.Time(float64(t) * l.rateScale)
+		s := float64(t) * l.rateScale
+		if s >= math.MaxInt64 {
+			panic(fmt.Sprintf("pcie: link %s: transfer time overflows at rate factor %g", l.name, l.rateScale))
+		}
+		t = simx.Time(s)
 	}
 	return t
 }
@@ -147,13 +145,18 @@ func (l *Link) TransferTime(n units.Bytes) simx.Time {
 // Send transmits pkt toward the receiver. accepted (optional) fires when
 // the packet wins a credit and leaves the sender's buffer — the moment a
 // switch can free its own ingress entry. Delivery to the receiver
-// happens after wire serialisation plus propagation.
-func (l *Link) Send(pkt *Packet, accepted Accepted) {
+// happens after wire serialisation, propagation and the receiver's
+// routing latency.
+func (l *Link) Send(pkt *Packet, accepted Accepted) { l.sendAt(pkt, accepted, l.eng.Now()) }
+
+// sendAt is Send for a packet that may not take the wire before ready
+// (>= now): its credit wait and wire wait both count from ready.
+func (l *Link) sendAt(pkt *Packet, accepted Accepted, ready simx.Time) {
 	if pkt == nil {
 		panic("pcie: Send of nil packet")
 	}
 	pkt.ck.InUse("pcie.Packet")
-	pkt.link, pkt.queued, pkt.accepted = l, l.eng.Now(), accepted
+	pkt.link, pkt.ready, pkt.accepted = l, ready, accepted
 	if l.credits > 0 {
 		l.credits--
 		l.transmit(pkt)
@@ -177,9 +180,12 @@ func (l *Link) ReturnCredit() {
 			l.sendTail = nil
 		}
 		l.sendLen--
-		stalled := l.eng.Now() - pkt.queued
-		pkt.CreditWait += stalled
-		l.creditStall += stalled
+		if now := l.eng.Now(); now > pkt.ready {
+			stalled := now - pkt.ready
+			pkt.CreditWait += stalled
+			l.creditStall += stalled
+			pkt.ready = now
+		}
 		l.transmit(pkt)
 		return
 	}
@@ -189,11 +195,32 @@ func (l *Link) ReturnCredit() {
 	}
 }
 
+// transmit puts a packet that won its credit on the wire: it books the
+// wire from the packet's ready time and schedules the delivery.
 func (l *Link) transmit(pkt *Packet) {
 	if pkt.accepted != nil {
 		pkt.accepted.OnLinkAccepted(pkt)
 	}
-	l.wire.AcquireG((*linkHop)(pkt), 0)
+	xfer := l.TransferTime(pkt.Payload)
+	start := l.book(pkt.ready, xfer)
+	pkt.WireWait += start - pkt.ready
+	pkt.WireTime += xfer
+	pkt.RouteTime += l.route
+	l.eng.AtEvent(start+xfer+l.propagation+l.route, (*linkHop)(pkt), 0)
+}
+
+// book reserves the wire for d from the first instant at or after ready
+// that it is free, behind everything booked before, and reports that
+// start. A booking that would run backwards or overflow panics, so
+// busyUntil never moves back.
+func (l *Link) book(ready, d simx.Time) simx.Time {
+	start := max(ready, l.busyUntil)
+	if d < 0 || start+d < start {
+		panic(fmt.Sprintf("pcie: link %s: cannot book %v of wire time from %v", l.name, d, start))
+	}
+	l.busyUntil = start + d
+	l.busy += d
+	return start
 }
 
 // CreditsAvailable reports the sender-visible free credit count.
@@ -202,20 +229,18 @@ func (l *Link) CreditsAvailable() int { return l.credits }
 // PendingSends reports packets stalled for credits.
 func (l *Link) PendingSends() int { return l.sendLen }
 
-// Packets reports how many packets completed wire serialisation.
+// Packets reports how many packets the link has delivered.
 func (l *Link) Packets() uint64 { return l.packets }
 
-// Bytes reports total bytes serialised (overhead included).
+// Bytes reports total bytes delivered (overhead included).
 func (l *Link) Bytes() units.Bytes { return l.bytes }
 
 // CreditStallNS reports accumulated credit-stall time.
 func (l *Link) CreditStallNS() simx.Time { return l.creditStall }
 
-// BusyNS reports the wire's accumulated busy time.
-func (l *Link) BusyNS() simx.Time { return l.wire.BusyNS() }
-
-// UtilizationSince reports wire utilisation over a window (see
-// simx.Resource.UtilizationSince).
-func (l *Link) UtilizationSince(since simx.Time, busyAtSince simx.Time) float64 {
-	return l.wire.UtilizationSince(since, busyAtSince)
+// BusyNS reports the wire time booked so far less what lies ahead of
+// now: exact once the wire is idle, and never above the busy time
+// elapsed (an idle gap booked ahead of now makes it read low).
+func (l *Link) BusyNS() simx.Time {
+	return max(l.busy-max(l.busyUntil-l.eng.Now(), 0), 0)
 }

@@ -51,23 +51,16 @@ type Packet struct {
 	WireWait   simx.Time // stalled waiting for the local wire
 	WireTime   simx.Time // serialisation time on wires
 	RouteTime  simx.Time // switch/RC routing latencies
-	QueueWait  simx.Time // time parked in device buffers (switch ingress, EP downstream)
 
-	// Hop state. A packet is on at most one link and in at most one
-	// switch or root complex at a time, so one set of fields serves
-	// every hop, and the packet itself is the continuation of each
-	// (linkHop, fwd, rcDeliver). A hop reads what it needs before it
-	// hands the packet on: the next hop overwrites these fields.
+	// Hop state. A packet is on at most one link and held by at most
+	// one switch at a time, so one set of fields serves every hop, and
+	// the packet itself is its link's delivery event (linkHop). A hop
+	// reads what it needs before it hands the packet on: the next hop
+	// overwrites these fields.
 	link     *Link     // the link carrying the packet
-	queued   simx.Time // when it was sent on link: its credit wait starts here
+	ready    simx.Time // when it may take link's wire: its credit and wire waits count from here
 	accepted Accepted  // notified when link takes the packet
-
-	sw         *Switch      // the switch (or RC downstream half) holding it
-	rc         *RootComplex // the RC delivering it to the host
-	from       *Link        // ingress link whose credit the holder returns
-	done       Accepted     // notified when sw's egress link takes it
-	held       simx.Time    // when sw sent it to its egress link
-	credBefore simx.Time    // CreditWait at that moment
+	from     *Link     // ingress link whose credit the holding switch returns
 
 	next *Packet        // credit-wait queue on link, or free-list link in a Pool
 	ck   simx.PoolCheck // pooled-lifecycle guard; empty unless -tags simcheck
@@ -75,7 +68,7 @@ type Packet struct {
 
 // StallTotal reports all time the packet spent not moving.
 func (p *Packet) StallTotal() simx.Time {
-	return p.CreditWait + p.WireWait + p.QueueWait
+	return p.CreditWait + p.WireWait
 }
 
 func (p *Packet) String() string {

@@ -330,8 +330,8 @@ func TestRootComplexInjectAndReceive(t *testing.T) {
 		t.Fatalf("NumPorts = %d", rc.NumPorts())
 	}
 
-	rc.Inject(&Packet{Addr: 0, Kind: MemRead}, nil)
-	rc.Inject(&Packet{Addr: 1, Kind: MemRead}, nil)
+	rc.Inject(&Packet{Addr: 0, Kind: MemRead})
+	rc.Inject(&Packet{Addr: 1, Kind: MemRead})
 	eng.Run()
 	if len(s0.pkts) != 1 || len(s1.pkts) != 1 {
 		t.Errorf("port deliveries: %d, %d; want 1,1", len(s0.pkts), len(s1.pkts))
@@ -358,10 +358,11 @@ func TestRootComplexInjectAndReceive(t *testing.T) {
 
 // TestRootComplexHoldsUntilPortAccepts backs the RC up: two packets
 // injected through a one-credit port whose receiver keeps the credit.
-// The second is held until the credit returns. The RC sends it to the
-// port the instant its hold starts, so the whole hold is the port's
-// credit wait: the link charges it to CreditWait, and the RC's own
-// stall (QueueWait, QueueStallNS) is the rest of the hold, none.
+// The second is held until the credit returns. The RC hands it to the
+// port at once, not before its routing latency, so the whole hold after
+// that latency is the port's credit wait: the link charges it to
+// CreditWait, and the RC counts the packet as injected only once the
+// port takes it.
 func TestRootComplexHoldsUntilPortAccepts(t *testing.T) {
 	eng := simx.NewEngine()
 	rc := NewRootComplex(eng, 200, func(*Packet) int { return 0 }, func(*Packet) {})
@@ -369,12 +370,11 @@ func TestRootComplexHoldsUntilPortAccepts(t *testing.T) {
 	rc.AddPort(NewLink(eng, "p0", 16_000_000_000, 100, 1, blocked))
 
 	p1, p2 := &Packet{ID: 1}, &Packet{ID: 2}
-	accepted2 := simx.Time(-1)
-	rc.Inject(p1, nil)
-	rc.Inject(p2, acceptedFunc(func(*Packet) { accepted2 = eng.Now() }))
+	rc.Inject(p1)
+	rc.Inject(p2)
 	eng.RunFor(10_000)
-	if len(blocked.pkts) != 1 || accepted2 >= 0 {
-		t.Fatalf("delivered %d, second accepted at %v; want 1 delivered and the second held", len(blocked.pkts), accepted2)
+	if len(blocked.pkts) != 1 {
+		t.Fatalf("delivered %d; want 1 delivered and the second held", len(blocked.pkts))
 	}
 	if rc.Injected() != 1 {
 		t.Errorf("Injected while one is held = %d, want 1", rc.Injected())
@@ -382,23 +382,20 @@ func TestRootComplexHoldsUntilPortAccepts(t *testing.T) {
 
 	release := eng.Now()
 	blocked.ackAll()
-	eng.Run()
-	if accepted2 != release {
-		t.Errorf("second packet accepted at %v, want when the credit returned (%v)", accepted2, release)
+	if rc.Injected() != 2 {
+		t.Errorf("Injected once the credit returned = %d, want 2", rc.Injected())
 	}
+	eng.Run()
 	if len(blocked.pkts) != 2 {
 		t.Fatalf("delivered %d, want 2", len(blocked.pkts))
 	}
 	hold := release - 200 // the hold starts once the routing latency elapsed
-	if p2.CreditWait != hold {
-		t.Errorf("CreditWait = %v, want the hold %v", p2.CreditWait, hold)
+	if p2.CreditWait != hold || p2.WireWait != 0 {
+		t.Errorf("CreditWait/WireWait = %v/%v, want the hold %v and 0", p2.CreditWait, p2.WireWait, hold)
 	}
-	if p2.QueueWait != hold-p2.CreditWait || rc.QueueStallNS() != p2.QueueWait {
-		t.Errorf("QueueWait = %v, QueueStallNS = %v; want the hold less its credit wait, %v",
-			p2.QueueWait, rc.QueueStallNS(), hold-p2.CreditWait)
-	}
-	if rc.Injected() != 2 {
-		t.Errorf("Injected = %d, want 2", rc.Injected())
+	if p2.StallTotal() != hold || rc.QueueStallNS() != 0 {
+		t.Errorf("StallTotal = %v, QueueStallNS = %v; want the hold %v and 0",
+			p2.StallTotal(), rc.QueueStallNS(), hold)
 	}
 }
 
@@ -410,8 +407,7 @@ func TestRootComplexBadPortPanics(t *testing.T) {
 			t.Error("bad RC port did not panic")
 		}
 	}()
-	rc.Inject(&Packet{}, nil)
-	eng.Run()
+	rc.Inject(&Packet{})
 }
 
 // Property: over any sequence of sends on a single-credit link with a

@@ -24,17 +24,20 @@ const (
 
 // String renders a Time using the most natural unit, e.g. "3.30us".
 func (t Time) String() string {
+	// The magnitude as a uint64, since -t overflows at math.MinInt64.
+	sign, n := "", uint64(t)
+	if t < 0 {
+		sign, n = "-", -n
+	}
 	switch {
-	case t < 0:
-		return "-" + (-t).String()
-	case t >= Second:
-		return fmt.Sprintf("%.3fs", float64(t)/float64(Second))
-	case t >= Millisecond:
-		return fmt.Sprintf("%.3fms", float64(t)/float64(Millisecond))
-	case t >= Microsecond:
-		return fmt.Sprintf("%.2fus", float64(t)/float64(Microsecond))
+	case n >= uint64(Second):
+		return fmt.Sprintf("%s%.3fs", sign, float64(n)/float64(Second))
+	case n >= uint64(Millisecond):
+		return fmt.Sprintf("%s%.3fms", sign, float64(n)/float64(Millisecond))
+	case n >= uint64(Microsecond):
+		return fmt.Sprintf("%s%.2fus", sign, float64(n)/float64(Microsecond))
 	default:
-		return fmt.Sprintf("%dns", int64(t))
+		return fmt.Sprintf("%s%dns", sign, n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package simx
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -18,6 +19,8 @@ func TestTimeString(t *testing.T) {
 		{Millisecond, "1.000ms"},
 		{2 * Second, "2.000s"},
 		{-Microsecond, "-1.00us"},
+		{math.MinInt64, "-9223372036.855s"}, // -t overflows: no recursion
+		{math.MaxInt64, "9223372036.855s"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
