@@ -41,6 +41,10 @@ simcheck:
 # page) order, and no RC stall is negative. FuzzConfig (internal/array)
 # checks that a config Validate rejects fails New, and that one it
 # accepts builds and serves a few reads without an error or a panic.
+# FuzzRecorder (internal/metrics) feeds random Record/RecordFailure
+# sequences to an Exact and a Streaming recorder: every summary agrees,
+# every percentile is within the histogram bound of the sorted log's
+# nearest rank, and sustained IOPS equals a map scan of the log.
 # Plain `go test` runs their seed corpora; this mutates beyond them. A failing input is written to the package's
 # testdata/fuzz/ — commit it, and it joins the corpus every `go test`
 # replays.
@@ -51,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzAdmission$$' -fuzztime $(FUZZTIME) ./internal/array
 	$(GO) test -run '^$$' -fuzz '^FuzzConfig$$' -fuzztime $(FUZZTIME) ./internal/array
+	$(GO) test -run '^$$' -fuzz '^FuzzRecorder$$' -fuzztime $(FUZZTIME) ./internal/metrics
 
 $(SIMLINT): $(shell find cmd/simlint internal/lint -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o $(SIMLINT) ./cmd/simlint

@@ -5,15 +5,14 @@
 //
 //	triplea-bench [-experiment all|table1|table2|fig1|fig9|...|wear|regret]
 //	              [-requests N] [-seed S] [-switches N] [-clusters N]
-//	              [-parallel N] [-sweep-points N] [-metrics exact|streaming]
-//	              [-decisions FILE]
+//	              [-parallel N] [-sweep-points N] [-decisions FILE]
 //
 // The default reproduces the full 4x16 (16 TB) configuration. Reducing
 // -requests shortens runs proportionally. -parallel widens the sweep
 // pool for the multi-point experiments (Fig12, Fig13-15, fault); any
-// width prints byte-identical tables (see docs/performance.md).
-// -metrics streaming switches every recorder to the bounded-memory
-// backend (see docs/metrics.md) for large -requests scaling runs.
+// width prints byte-identical tables (see docs/performance.md). Every
+// recorder runs without the per-request log (docs/metrics.md), since
+// no table reads it, so memory stays bounded at any -requests.
 // -decisions FILE captures the reference decision-trace scenarios with
 // the flight recorder on (see docs/decision-traces.md), writes the
 // TraceSet JSON to FILE and prints the per-family regret summaries
@@ -43,16 +42,9 @@ func main() {
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"sweep-pool width for multi-point experiments (1 = serial; output is identical either way)")
 		points    = flag.Int("sweep-points", 0, "override the Fig12 hot-cluster point count (0 = paper default 6)")
-		backend   = flag.String("metrics", "exact", "recorder backend: exact (paper-exact samples) or streaming (bounded memory)")
 		decisions = flag.String("decisions", "", "capture the reference decision-trace scenarios and write TraceSet JSON to this file")
 	)
 	flag.Parse()
-
-	mb, err := metrics.ParseBackend(*backend)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "triplea-bench:", err)
-		os.Exit(2)
-	}
 
 	if *decisions != "" {
 		if err := captureDecisions(*decisions, *seed); err != nil {
@@ -67,7 +59,7 @@ func main() {
 	s.Requests = *requests
 	s.Parallel = *parallel
 	s.Fig12Points = *points
-	s.Config.Metrics = mb
+	s.Config.Metrics = metrics.Streaming
 	if *switches > 0 {
 		s.Config.Geometry.Switches = *switches
 	}
@@ -76,6 +68,7 @@ func main() {
 	}
 
 	start := time.Now()
+	var err error
 	if *exp == "all" {
 		err = s.RunAll(os.Stdout)
 	} else {

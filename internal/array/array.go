@@ -86,7 +86,7 @@ type Array struct {
 	freeBuf *blockBuf
 
 	// Per-cluster shared-bus utilisation samplers for contention-cause
-	// attribution (rolled every utilWindow).
+	// attribution (rolled every cluster.BusSampleWindow).
 	busUtil []cluster.BusSampler
 
 	// RC admission (the RC stall of Figure 15): rcFree counts free RC
@@ -142,13 +142,10 @@ func New(cfg Config) (*Array, error) {
 // CacheStats reports host DRAM cache activity (Section 6.6).
 func (a *Array) CacheStats() CacheStats { return a.cache.stats() }
 
-// utilWindow is the sampling window for contention-cause attribution.
-const utilWindow = 200 * simx.Microsecond
-
 // clusterBusUtil samples a cluster's shared-bus utilisation over a
 // rolling window.
 func (a *Array) clusterBusUtil(id topo.ClusterID) float64 {
-	return a.busUtil[id.Flat(&a.cfg.Geometry)].Sample(a.Endpoint(id), utilWindow)
+	return a.busUtil[id.Flat(&a.cfg.Geometry)].Sample(a.Endpoint(id))
 }
 
 // build wires the fabric: RC -> switches -> endpoints, both directions.

@@ -210,3 +210,7 @@ func (c Config) clusterParams() cluster.Params {
 // tDMA term of the paper's Equations 1-3, which the autonomic manager
 // needs for its detection thresholds.
 func (c Config) BusPageTime() simx.Time { return c.clusterParams().BusPageTime() }
+
+// ChannelPageTime reports a FIMM channel's time for one page, the time a
+// channel-degrade fault scales.
+func (c Config) ChannelPageTime() simx.Time { return c.clusterParams().FIMM.PageTransferTime() }

@@ -52,7 +52,7 @@ func (w *gcWorker) step() {
 	if a.cfg.OpportunisticGC && a.ftl.MinFreeBlocks(w.id) > 1 &&
 		a.clusterBusUtil(w.id.ClusterID) > 0.5 {
 		a.gcDeferrals++
-		a.eng.ScheduleEvent(utilWindow, w, 0)
+		a.eng.ScheduleEvent(cluster.BusSampleWindow, w, 0)
 		return
 	}
 	if !a.ftl.PlanGCInto(&w.plan, w.id, a.gcVeto) {

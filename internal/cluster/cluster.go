@@ -463,22 +463,28 @@ func (ep *Endpoint) StalledPerFIMM() []int {
 // BusBusyNS reports the shared bus busy integral.
 func (ep *Endpoint) BusBusyNS() simx.Time { return ep.bus.BusyNS() }
 
+// BusSampleWindow is Equation 2's bus-utilisation sampling window. The
+// autonomic manager scores clusters over it, and the array uses it for
+// contention-cause attribution and to defer opportunistic GC.
+const BusSampleWindow = 200 * simx.Microsecond
+
 // BusSampler measures the share of time a cluster's shared bus was busy
-// over a rolling window (Equation 2's utilisation). It rolls the window
-// at most once per window length and returns the cached share between
-// rolls. The zero value's first window starts at time zero.
+// over a rolling BusSampleWindow (Equation 2's utilisation). It rolls
+// the window at most once per window length and returns the cached
+// share between rolls. The zero value's first window starts at time
+// zero.
 type BusSampler struct {
 	at   simx.Time // start of the current window
 	busy simx.Time // the bus's busy integral at `at`
 	last float64   // busy share over the last completed window
 }
 
-// Sample reports ep's bus utilisation: once window has elapsed since
-// the last roll, the share over that span, rolling the window to now;
-// before that, the cached share.
-func (s *BusSampler) Sample(ep *Endpoint, window simx.Time) float64 {
+// Sample reports ep's bus utilisation: once BusSampleWindow has
+// elapsed since the last roll, the share over that span, rolling the
+// window to now; before that, the cached share.
+func (s *BusSampler) Sample(ep *Endpoint) float64 {
 	now := ep.eng.Now()
-	if now-s.at < window {
+	if now-s.at < BusSampleWindow {
 		return s.last
 	}
 	s.last = ep.bus.UtilizationSince(s.at, s.busy)
@@ -488,8 +494,8 @@ func (s *BusSampler) Sample(ep *Endpoint, window simx.Time) float64 {
 
 // Peek reports what Sample would, without rolling the window, so a
 // reader outside the policy leaves the sampled values unchanged.
-func (s *BusSampler) Peek(ep *Endpoint, window simx.Time) float64 {
-	if ep.eng.Now()-s.at < window {
+func (s *BusSampler) Peek(ep *Endpoint) float64 {
+	if ep.eng.Now()-s.at < BusSampleWindow {
 		return s.last
 	}
 	return ep.bus.UtilizationSince(s.at, s.busy)

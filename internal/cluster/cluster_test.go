@@ -400,20 +400,27 @@ func TestBusUtilizationSampling(t *testing.T) {
 	p := testParams()
 	ep := New(eng, id0(), p)
 	populate(t, ep, 0, 0, nand.Addr{})
-	var s BusSampler
-	s.Sample(ep, 0) // start a window now
+	var s BusSampler // its first window starts at time zero
 	ep.Submit(&Command{Op: OpRead, FIMM: 0, Pkg: 0, Addrs: []nand.Addr{{}}})
 	eng.Run()
-	peek := s.Peek(ep, 0)
-	u := s.Sample(ep, 0)
+	if eng.Now() >= BusSampleWindow {
+		t.Fatalf("the read ran until %v, past the first window", eng.Now())
+	}
+	// Before the window elapses the zero share is cached.
+	if got := s.Sample(ep); got != 0 {
+		t.Errorf("Sample inside the first window = %v, want 0", got)
+	}
+	eng.RunUntil(BusSampleWindow)
+	peek := s.Peek(ep)
+	u := s.Sample(ep)
 	if u <= 0 || u >= 1 {
 		t.Errorf("bus utilization = %v, want in (0,1)", u)
 	}
 	if peek != u {
 		t.Errorf("Peek = %v, but the Sample after it = %v", peek, u)
 	}
-	// Inside the window the share of the last roll is returned.
-	if got := s.Sample(ep, simx.Second); got != u {
+	// Inside the next window the share of the last roll is returned.
+	if got := s.Sample(ep); got != u {
 		t.Errorf("Sample inside the window = %v, want the cached %v", got, u)
 	}
 }

@@ -58,9 +58,6 @@ type Options struct {
 	ShadowCloning     bool // overlap migration reads with host transfers
 	Strategy          LaggardStrategy
 
-	// UtilWindow is the sliding window for Equation 2's bus-utilisation
-	// sampling.
-	UtilWindow simx.Time
 	// MaxInflightMigrations bounds concurrent background moves so the
 	// repair traffic cannot swamp the fabric.
 	MaxInflightMigrations int
@@ -83,7 +80,6 @@ func DefaultOptions() Options {
 		StorageManagement:     true,
 		ShadowCloning:         true,
 		Strategy:              LatencyMonitoring,
-		UtilWindow:            200 * simx.Microsecond,
 		MaxInflightMigrations: 256,
 		WearAware:             true,
 	}
@@ -179,9 +175,6 @@ func (r *lpnRing) snapshot(dst []int64) []int64 {
 // becomes a Triple-A; call before Run.
 func Attach(a *array.Array, opt Options) *Manager {
 	cfg := a.Config()
-	if opt.UtilWindow <= 0 {
-		opt.UtilWindow = DefaultOptions().UtilWindow
-	}
 	if opt.MaxInflightMigrations <= 0 {
 		opt.MaxInflightMigrations = DefaultOptions().MaxInflightMigrations
 	}
@@ -549,13 +542,13 @@ func (m *Manager) coldClusterNear(hot topo.ClusterID, fam decision.Family) (topo
 // utilization() for those would roll their windows and diverge the
 // cached values from a recording-off run.
 func (m *Manager) utilizationPeek(id topo.ClusterID) float64 {
-	return m.util[id.Flat(m.geom)].Peek(m.arr.Endpoint(id), m.opt.UtilWindow)
+	return m.util[id.Flat(m.geom)].Peek(m.arr.Endpoint(id))
 }
 
 // utilization samples a cluster's shared-bus utilisation over the
 // sliding window, caching between window rolls.
 func (m *Manager) utilization(id topo.ClusterID) float64 {
-	return m.util[id.Flat(m.geom)].Sample(m.arr.Endpoint(id), m.opt.UtilWindow)
+	return m.util[id.Flat(m.geom)].Sample(m.arr.Endpoint(id))
 }
 
 // startMove launches one page move, deduplicating in-flight LPNs and

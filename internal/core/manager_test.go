@@ -61,7 +61,7 @@ func TestHotThresholdEquation1(t *testing.T) {
 func TestAttachDefaultsZeroOptions(t *testing.T) {
 	a, _ := array.New(smallConfig())
 	m := Attach(a, Options{})
-	if m.opt.UtilWindow <= 0 || m.opt.MaxInflightMigrations <= 0 {
+	if m.opt.MaxInflightMigrations <= 0 {
 		t.Error("Attach left zero limits in place")
 	}
 }
@@ -192,12 +192,10 @@ func TestColdClusterSelectionStaysOnSwitch(t *testing.T) {
 
 func TestUtilizationSampling(t *testing.T) {
 	a, _ := array.New(smallConfig())
-	opt := DefaultOptions()
-	opt.UtilWindow = 100 * simx.Microsecond
-	m := Attach(a, opt)
+	m := Attach(a, DefaultOptions())
 	id := topo.ClusterID{Switch: 0, Cluster: 0}
 	// Idle cluster: utilization 0 once a window has elapsed.
-	a.Engine().RunUntil(200 * simx.Microsecond)
+	a.Engine().RunUntil(cluster.BusSampleWindow)
 	if u := m.utilization(id); u != 0 {
 		t.Errorf("idle utilization = %v", u)
 	}

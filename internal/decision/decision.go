@@ -52,20 +52,6 @@ func (b Backend) String() string {
 	}
 }
 
-// ParseBackend maps a CLI/config string onto a Backend. The empty
-// string selects the default (Off); "on" is accepted as an alias for
-// the ring backend.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "", "off":
-		return Off, nil
-	case "ring", "on":
-		return Ring, nil
-	default:
-		return Off, fmt.Errorf("decision: unknown backend %q (want off or ring)", s)
-	}
-}
-
 // Family identifies which autonomic policy made a decision.
 type Family uint8
 

@@ -7,27 +7,6 @@ import (
 	"triplea/internal/simx"
 )
 
-func TestParseBackend(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Backend
-		err  bool
-	}{
-		{"", Off, false},
-		{"off", Off, false},
-		{"ring", Ring, false},
-		{"on", Ring, false},
-		{"bogus", Off, true},
-	}
-	for _, c := range cases {
-		got, err := ParseBackend(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Errorf("ParseBackend(%q) = %v, %v; want %v, err=%v",
-				c.in, got, err, c.want, c.err)
-		}
-	}
-}
-
 func TestEnumRoundTrip(t *testing.T) {
 	for f := Family(0); f < Family(NumFamilies); f++ {
 		got, err := ParseFamily(f.String())

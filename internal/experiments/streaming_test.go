@@ -3,10 +3,12 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"triplea/internal/array"
 	"triplea/internal/metrics"
+	"triplea/internal/simx"
 	"triplea/internal/workload"
 )
 
@@ -49,36 +51,68 @@ func TestStreamingRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamingBackendParity runs the same seeded workload through both
-// backends on the real array and checks the streaming summary against
-// the exact one: counts and averages identical, tail percentiles within
-// the 1% histogram-accuracy contract (see docs/metrics.md).
-func TestStreamingBackendParity(t *testing.T) {
-	exact := runBackend(t, metrics.Exact, 42)
-	stream := runBackend(t, metrics.Streaming, 42)
+// TestRecorderMatchesSortedReference runs one seeded workload on the
+// real array and checks the recorder's summaries against a reference
+// the test computes from the per-request log: counts, mean, IOPS and
+// sustained IOPS exactly, P50/P95/P99 within the 1% accuracy contract
+// of the sorted latencies' nearest-rank values (see docs/metrics.md),
+// and the maximum exactly. A run without the log must report the same
+// summaries, byte for byte.
+func TestRecorderMatchesSortedReference(t *testing.T) {
+	rec := runBackend(t, metrics.Exact, 42)
+	records := rec.Records()
+	if len(records) == 0 || len(records) != rec.Count() {
+		t.Fatalf("logged %d records of %d", len(records), rec.Count())
+	}
 
-	if exact.Count() != stream.Count() || exact.Reads() != stream.Reads() || exact.Writes() != stream.Writes() {
-		t.Errorf("counts diverged: exact %d/%d/%d, streaming %d/%d/%d",
-			exact.Count(), exact.Reads(), exact.Writes(),
-			stream.Count(), stream.Reads(), stream.Writes())
+	var reads, writes uint64
+	var sum simx.Time
+	first, last := records[0].Submit, records[0].Complete
+	lats := make([]simx.Time, len(records))
+	windows := make(map[int64]int)
+	busiest := 0
+	for i, r := range records {
+		if r.Kind == metrics.Read {
+			reads++
+		} else {
+			writes++
+		}
+		lats[i] = r.Latency()
+		sum += lats[i]
+		first, last = min(first, r.Submit), max(last, r.Complete)
+		w := int64(r.Complete / SustainedWindow)
+		windows[w]++
+		busiest = max(busiest, windows[w])
 	}
-	if exact.AvgLatency() != stream.AvgLatency() {
-		t.Errorf("AvgLatency: exact=%v streaming=%v", exact.AvgLatency(), stream.AvgLatency())
+	slices.Sort(lats)
+	n := len(records)
+
+	if rec.Reads() != reads || rec.Writes() != writes {
+		t.Errorf("reads/writes %d/%d, reference %d/%d", rec.Reads(), rec.Writes(), reads, writes)
 	}
-	if exact.IOPS() != stream.IOPS() {
-		t.Errorf("IOPS: exact=%v streaming=%v", exact.IOPS(), stream.IOPS())
+	if want := sum / simx.Time(n); rec.AvgLatency() != want {
+		t.Errorf("AvgLatency = %v, reference %v", rec.AvgLatency(), want)
 	}
-	if got, want := stream.SustainedIOPS(SustainedWindow), exact.SustainedIOPS(SustainedWindow); got != want {
-		t.Errorf("SustainedIOPS: exact=%v streaming=%v", want, got)
+	if want := float64(n) / (float64(last-first) / float64(simx.Second)); rec.IOPS() != want {
+		t.Errorf("IOPS = %v, reference %v", rec.IOPS(), want)
+	}
+	if want := float64(busiest) / (float64(SustainedWindow) / float64(simx.Second)); rec.SustainedIOPS(SustainedWindow) != want {
+		t.Errorf("SustainedIOPS = %v, reference map scan %v", rec.SustainedIOPS(SustainedWindow), want)
 	}
 	for _, p := range []float64{50, 95, 99} {
-		want, got := exact.Percentile(p), stream.Percentile(p)
+		rank := min(max(int(math.Ceil(p/100*float64(n))), 1), n)
+		want, got := lats[rank-1], rec.Percentile(p)
 		relErr := math.Abs(float64(got)-float64(want)) / float64(want)
 		if relErr > 0.01 {
-			t.Errorf("P%v: exact=%v streaming=%v relative error %.4f > 1%%", p, want, got, relErr)
+			t.Errorf("P%v = %v, reference %v: relative error %.4f > 1%%", p, got, want, relErr)
 		}
 	}
-	if exact.MaxLatency() != stream.MaxLatency() {
-		t.Errorf("MaxLatency: exact=%v streaming=%v", exact.MaxLatency(), stream.MaxLatency())
+	if want := lats[n-1]; rec.MaxLatency() != want {
+		t.Errorf("MaxLatency = %v, reference %v", rec.MaxLatency(), want)
+	}
+
+	stream := runBackend(t, metrics.Streaming, 42)
+	if a, b := rec.ExportJSON(), stream.ExportJSON(); !bytes.Equal(a, b) {
+		t.Errorf("the run without the log exports other summaries:\nexact     %s\nstreaming %s", a, b)
 	}
 }

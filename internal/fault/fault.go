@@ -16,10 +16,17 @@ package fault
 
 import (
 	"cmp"
+	"errors"
+	"fmt"
+	"math"
 	"slices"
 
+	"triplea/internal/array"
+	"triplea/internal/cluster"
+	"triplea/internal/pcie"
 	"triplea/internal/simx"
 	"triplea/internal/topo"
+	"triplea/internal/units"
 )
 
 // Kind identifies one injectable hardware fault.
@@ -184,6 +191,73 @@ func (p Plan) Materialize(g topo.Geometry) []Event {
 		return cmp.Compare(a.Block, b.Block)
 	})
 	return out
+}
+
+// Validate reports the first event of the materialized plan that an
+// array built from cfg cannot take: a negative time or Duration, or a
+// Duration that ends past the range of simx.Time; a Factor that is
+// NaN, infinite or negative, or that scales its time past that range
+// (cell times for a FIMM stall, one page's transfer for a channel or
+// link degrade); an unknown kind; or a cluster, FIMM or block outside
+// the geometry.
+func (p Plan) Validate(cfg array.Config) error {
+	for _, ev := range p.Materialize(cfg.Geometry) {
+		if err := ev.check(cfg); err != nil {
+			return fmt.Errorf("fault: event %v: %w", ev, err)
+		}
+	}
+	return nil
+}
+
+// check applies Validate's rules to one event.
+func (ev Event) check(cfg array.Config) error {
+	g := cfg.Geometry
+	switch {
+	case ev.At < 0:
+		return errors.New("negative time")
+	case ev.Duration < 0:
+		return fmt.Errorf("negative duration %v", ev.Duration)
+	case ev.Duration > math.MaxInt64-ev.At:
+		return fmt.Errorf("duration %v ends past the range of simx.Time", ev.Duration)
+	case math.IsNaN(ev.Factor) || math.IsInf(ev.Factor, 0) || ev.Factor < 0:
+		return fmt.Errorf("factor %v is not a finite nonnegative number", ev.Factor)
+	case ev.Kind > KindClusterReplug:
+		return fmt.Errorf("unknown kind %d", ev.Kind)
+	case ev.Cluster.Switch < 0 || ev.Cluster.Switch >= g.Switches ||
+		ev.Cluster.Cluster < 0 || ev.Cluster.Cluster >= g.ClustersPerSwitch:
+		return fmt.Errorf("cluster %v outside the %dx%d array", ev.Cluster, g.Switches, g.ClustersPerSwitch)
+	}
+	moduleKind := ev.Kind == KindFIMMStall || ev.Kind == KindFIMMDeath || ev.Kind == KindChannelDegrade
+	if moduleKind && (ev.FIMM < 0 || ev.FIMM >= g.FIMMsPerCluster) {
+		return fmt.Errorf("FIMM %d outside a %d-FIMM cluster", ev.FIMM, g.FIMMsPerCluster)
+	}
+	switch ev.Kind {
+	case KindFIMMStall:
+		return cluster.CheckLatencyScale(g.Nand, ev.Factor)
+	case KindChannelDegrade:
+		return checkScale(cfg.ChannelPageTime(), ev.Factor, "a page's channel transfer")
+	case KindLinkDegrade:
+		page := units.TransferTime(g.Nand.PageSizeBytes+pcie.TLPOverheadBytes, cfg.EPLinkBytesPerSec)
+		return checkScale(page, ev.Factor, "a page's link transfer")
+	case KindBlockReadFail, KindBlockWearOut, KindDieReadFail:
+		b := ev.Block
+		if b.ClusterID() != ev.Cluster || b.FIMMSlot() >= g.FIMMsPerCluster || b.Pkg() >= g.PackagesPerFIMM ||
+			b.Die() >= g.Nand.DiesPerPackage || b.Block() >= g.Nand.BlocksPerPlane.Int()*g.Nand.PlanesPerDie {
+			return fmt.Errorf("block %v outside cluster %v of the geometry", b, ev.Cluster)
+		}
+	case KindFIMMDeath, KindLinkRetrain, KindClusterUnplug, KindClusterReplug:
+		// The checks above cover them.
+	}
+	return nil
+}
+
+// checkScale rejects a factor that stretches the time t of what past
+// the range of simx.Time.
+func checkScale(t simx.Time, factor float64, what string) error {
+	if float64(t)*factor >= math.MaxInt64 {
+		return fmt.Errorf("factor %v takes %s past the range of simx.Time", factor, what)
+	}
+	return nil
 }
 
 // ReferencePlan is the acceptance scenario used by the degraded-array

@@ -59,8 +59,12 @@ type Injector struct {
 
 // Attach arms the array's fault paths, materializes the plan and
 // schedules every event on the array's engine. Call before Run, at
-// simulated time zero.
+// simulated time zero. A plan that Validate rejects panics here, with
+// the error naming the event, before anything is scheduled.
 func Attach(a *array.Array, p Plan, opt Options) *Injector {
+	if err := p.Validate(a.Config()); err != nil {
+		panic(err)
+	}
 	if opt.EvacConcurrency <= 0 {
 		opt.EvacConcurrency = 4
 	}

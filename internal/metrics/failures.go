@@ -6,9 +6,9 @@ import (
 )
 
 // Failure is one host request terminated by an injected fault rather
-// than completed. Failures are kept apart from the completed records so
-// every latency statistic keeps its meaning; availability accounting
-// (internal/experiments' degraded-array study) reads both populations.
+// than completed. Failures are kept apart from the completed requests
+// so every latency statistic keeps its meaning; availability accounting
+// (internal/experiments' degraded-array study) reads both timelines.
 type Failure struct {
 	ID     uint64
 	Kind   RequestKind
@@ -17,64 +17,45 @@ type Failure struct {
 	At     simx.Time // when the array gave up on the request
 }
 
-// RecordFailure adds one fault-terminated request. The exact backend
-// keeps the full log; the streaming backend keeps the count, the
-// failure timeline, and a capped ring of exemplars, so fault-heavy
-// million-request runs stay bounded.
+// RecordFailure adds one fault-terminated request: it counts it, folds
+// it into the failure timeline and the ring of recent exemplars, and
+// under Exact also appends it to the per-request log, so fault-heavy
+// million-request runs stay bounded on Streaming.
 func (rc *Recorder) RecordFailure(f Failure) {
 	rc.failedCtr.Inc()
-	if rc.backend == Streaming {
-		rc.stream.failedAt.Observe(f.At)
-		rc.stream.exemplars.add(f)
-		return
+	rc.failedAt.Observe(f.At)
+	rc.exemplars.add(f)
+	if rc.backend == Exact {
+		rc.failures = append(rc.failures, f)
 	}
-	rc.failures = append(rc.failures, f)
 }
 
 // Failures exposes the fault-terminated requests (callers must not
-// mutate). Under streaming this is the retained exemplar window
-// (oldest-first, at most failureExemplarCap entries), not the full
-// population — FailedCount has the true total.
+// mutate): the full log under Exact; under Streaming the retained
+// exemplar window (oldest-first, at most failureExemplarCap entries),
+// not the full population — FailedCount has the true total.
 func (rc *Recorder) Failures() []Failure {
-	if rc.backend == Streaming {
-		return rc.stream.exemplars.ordered()
+	if rc.backend == Exact {
+		return rc.failures
 	}
-	return rc.failures
+	return rc.exemplars.ordered()
 }
 
 // FailedCount reports how many requests a fault terminated.
 func (rc *Recorder) FailedCount() int { return int(rc.failedCtr.Value()) }
 
 // CompletedBetween counts requests that completed in [lo, hi) — the
-// per-phase availability numerator. Exact backend: precise scan.
-// Streaming backend: estimated from the completion timeline's
-// range-doubling buckets (exact when [lo,hi) is bucket-aligned).
+// per-phase availability numerator — estimated from the completion
+// timeline's range-doubling buckets (exact when [lo,hi) is
+// bucket-aligned).
 func (rc *Recorder) CompletedBetween(lo, hi simx.Time) int {
-	if rc.backend == Streaming {
-		return int(rc.stream.completed.CountBetween(lo, hi) + 0.5)
-	}
-	n := 0
-	for _, r := range rc.records {
-		if r.Complete >= lo && r.Complete < hi {
-			n++
-		}
-	}
-	return n
+	return int(rc.completed.CountBetween(lo, hi) + 0.5)
 }
 
-// FailedBetween counts requests that failed in [lo, hi), with the same
-// backend split as CompletedBetween.
+// FailedBetween counts requests that failed in [lo, hi), estimated the
+// same way from the failure timeline.
 func (rc *Recorder) FailedBetween(lo, hi simx.Time) int {
-	if rc.backend == Streaming {
-		return int(rc.stream.failedAt.CountBetween(lo, hi) + 0.5)
-	}
-	n := 0
-	for _, f := range rc.failures {
-		if f.At >= lo && f.At < hi {
-			n++
-		}
-	}
-	return n
+	return int(rc.failedAt.CountBetween(lo, hi) + 0.5)
 }
 
 // Availability reports the completed fraction of all requests settled

@@ -7,9 +7,7 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 	"unsafe"
 
 	"triplea/internal/simx"
@@ -148,28 +146,27 @@ type CDFPoint struct {
 }
 
 // SeriesPoint is one downsampled (submit-time, latency) pair — the
-// paper's Figure 16 time-series view. Both backends report series as
-// values, so consumers never hold raw records.
+// paper's Figure 16 time-series view, reported as values so consumers
+// never hold raw records.
 type SeriesPoint struct {
 	ID      uint64
 	Submit  simx.Time
 	Latency simx.Time
 }
 
-// Backend selects the Recorder's storage strategy.
+// Backend selects whether the Recorder keeps the per-request log. Every
+// summary statistic comes from the same fixed-footprint state on either
+// backend, so the choice changes no number the recorder reports.
 type Backend uint8
 
 const (
-	// Exact keeps every sample: byte-identical to the historical
-	// recorder (the seed-42 golden replays pin it) and the reference
-	// the streaming accuracy tests compare against. Memory grows
-	// linearly with run length. The zero value, so it is the default.
+	// Exact also appends every Record and Failure to the per-request
+	// log behind Records and Failures, which the golden serializers and
+	// per-request consumers read. Its memory grows linearly with run
+	// length. The zero value, so it is the default.
 	Exact Backend = iota
-	// Streaming keeps O(1) state per metric: log-bucketed latency
-	// histogram, incremental windowed sustained-IOPS tracker,
-	// range-doubling completion/failure timelines, stride-reservoir
-	// series. Percentiles and CDFs carry ≤0.39% bucket error;
-	// recorder memory is flat regardless of run length.
+	// Streaming keeps no log: recorder memory is flat regardless of run
+	// length, and Failures reports a capped ring of recent exemplars.
 	Streaming
 )
 
@@ -183,72 +180,73 @@ func (b Backend) String() string {
 	return "unknown"
 }
 
-// ParseBackend maps the -metrics flag spellings to a Backend.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "exact", "":
-		return Exact, nil
-	case "streaming":
-		return Streaming, nil
-	}
-	return Exact, fmt.Errorf("metrics: unknown backend %q (want exact or streaming)", s)
-}
-
-// DefaultSustainedWindow is the aligned-window width the streaming
-// backend's sustained-IOPS tracker is built with — the same 5ms window
-// the paper's sustained-throughput comparison uses
-// (experiments.SustainedWindow aliases it).
+// DefaultSustainedWindow is the aligned-window width the sustained-IOPS
+// tracker is built with — the same 5ms window the paper's
+// sustained-throughput comparison uses (experiments.SustainedWindow
+// aliases it).
 const DefaultSustainedWindow = 5 * simx.Millisecond
 
 // Recorder accumulates per-request measurements for one run. All
-// statistics live in a Registry of named metrics (uniform JSON export);
-// the backend decides whether the raw samples are also retained (Exact)
-// or folded into fixed-footprint streaming state (Streaming).
+// statistics live in a Registry of named metrics (uniform JSON export)
+// and are answered from fixed-footprint state: a log-bucketed latency
+// histogram, a windowed sustained-IOPS tracker, completion and failure
+// timelines, and a stride-reservoir series (streaming.go). The backend
+// decides only whether the per-request log is kept as well.
 type Recorder struct {
 	backend Backend
 	reg     *Registry
 
-	// Registry-backed accumulators shared by both backends.
 	reads, writes *Counter
 	failedCtr     *Counter
 	dist          *Distribution
+	lat           *Histogram
+	sustained     *Windowed
+	completed     *TimeBuckets
+	failedAt      *TimeBuckets
+	series        *strideReservoir
+	exemplars     *failureRing
 
 	firstSubmit  simx.Time
 	lastComplete simx.Time
-	latSum       simx.Time
-	count        uint64
 
-	// Exact-backend sample buffers.
+	// The per-request log, appended under Exact only.
 	records  []Record
-	failures []Failure   // fault-terminated requests (failures.go)
-	sorted   []simx.Time // cached sorted latencies
-
-	// Streaming-backend fixed-footprint state (nil under Exact).
-	stream *streamState
+	failures []Failure // fault-terminated requests (failures.go)
 }
 
-// NewRecorder returns an empty exact-backend recorder.
+// NewRecorder returns an empty recorder that keeps the per-request log.
 func NewRecorder() *Recorder {
 	return NewRecorderWith(Exact, DefaultSustainedWindow)
 }
 
 // NewRecorderWith returns an empty recorder on the given backend. The
-// window sizes the streaming sustained-IOPS tracker (ignored under
-// Exact); zero or negative selects DefaultSustainedWindow.
+// window sizes the sustained-IOPS tracker; zero or negative selects
+// DefaultSustainedWindow.
 func NewRecorderWith(b Backend, window simx.Time) *Recorder {
 	if window <= 0 {
 		window = DefaultSustainedWindow
 	}
 	reg := NewRegistry()
-	rc := &Recorder{backend: b, reg: reg, firstSubmit: -1}
-	rc.reads = reg.NewCounter("requests.reads")
-	rc.writes = reg.NewCounter("requests.writes")
-	rc.failedCtr = reg.NewCounter("requests.failed")
-	rc.dist = &Distribution{}
-	reg.Register("latency.breakdown", rc.dist)
-	if b == Streaming {
-		rc.stream = newStreamState(reg, window)
+	rc := &Recorder{
+		backend:     b,
+		reg:         reg,
+		reads:       reg.NewCounter("requests.reads"),
+		writes:      reg.NewCounter("requests.writes"),
+		failedCtr:   reg.NewCounter("requests.failed"),
+		dist:        &Distribution{},
+		lat:         NewHistogram(),
+		sustained:   NewWindowed(window),
+		completed:   NewTimeBuckets(timeBucketInitWidth),
+		failedAt:    NewTimeBuckets(timeBucketInitWidth),
+		series:      newStrideReservoir(),
+		exemplars:   newFailureRing(),
+		firstSubmit: -1,
 	}
+	reg.Register("latency.breakdown", rc.dist)
+	reg.Register("latency", rc.lat)
+	reg.Register("iops.sustained", rc.sustained)
+	reg.Register("completions.timeline", rc.completed)
+	reg.Register("failures.timeline", rc.failedAt)
 	return rc
 }
 
@@ -269,8 +267,10 @@ func (rc *Recorder) Record(r Record) {
 	}
 	lat := r.Latency()
 	rc.dist.Observe(r.Breakdown)
-	rc.latSum += lat
-	rc.count++
+	rc.lat.Observe(lat)
+	rc.sustained.Observe(r.Complete)
+	rc.completed.Observe(r.Complete)
+	rc.series.observe(SeriesPoint{ID: r.ID, Submit: r.Submit, Latency: lat})
 	if r.Kind == Read {
 		rc.reads.Inc()
 	} else {
@@ -282,56 +282,47 @@ func (rc *Recorder) Record(r Record) {
 	if r.Complete > rc.lastComplete {
 		rc.lastComplete = r.Complete
 	}
-	if rc.backend == Streaming {
-		rc.stream.observe(r, lat)
-		return
+	if rc.backend == Exact {
+		rc.records = append(rc.records, r)
 	}
-	rc.records = append(rc.records, r)
-	rc.sorted = nil
 }
 
 // Reserve makes room for n more records, so a run that knows its
-// request count grows the Exact sample buffer once instead of
-// regrowing it as records arrive. Streaming keeps no samples and
-// ignores it.
+// request count grows the Exact log once instead of regrowing it as
+// records arrive. Streaming keeps no log and ignores it.
 func (rc *Recorder) Reserve(n int) {
-	if rc.backend == Streaming {
-		return
+	if rc.backend == Exact {
+		rc.records = slices.Grow(rc.records, n)
 	}
-	rc.records = slices.Grow(rc.records, n)
 }
 
 // Count reports completed requests.
-func (rc *Recorder) Count() int { return int(rc.count) }
+func (rc *Recorder) Count() int { return int(rc.lat.Count()) }
 
 // Reads and Writes report per-kind counts.
 func (rc *Recorder) Reads() uint64  { return rc.reads.Value() }
 func (rc *Recorder) Writes() uint64 { return rc.writes.Value() }
 
-// Records exposes the raw records (callers must not mutate). The
-// streaming backend retains no records and reports nil — consumers that
-// need per-request samples must run Exact.
+// Records exposes the per-request log (callers must not mutate). The
+// streaming backend keeps no log and reports nil.
 func (rc *Recorder) Records() []Record { return rc.records }
 
 // AvgLatency reports the mean end-to-end latency.
 func (rc *Recorder) AvgLatency() simx.Time {
-	if rc.count == 0 {
+	if rc.lat.Count() == 0 {
 		return 0
 	}
-	return rc.latSum / simx.Time(rc.count)
+	return rc.lat.Sum() / simx.Time(rc.lat.Count())
 }
 
 // IOPS reports completed requests per second of simulated wall time
 // between the first submission and the last completion.
 func (rc *Recorder) IOPS() float64 {
-	if rc.count == 0 {
-		return 0
-	}
 	span := rc.lastComplete - rc.firstSubmit
-	if span <= 0 {
+	if rc.lat.Count() == 0 || span <= 0 {
 		return 0
 	}
-	return float64(rc.count) / (float64(span) / float64(simx.Second))
+	return float64(rc.lat.Count()) / (float64(span) / float64(simx.Second))
 }
 
 // SustainedIOPS reports the array's sustained throughput: the highest
@@ -339,26 +330,16 @@ func (rc *Recorder) IOPS() float64 {
 // bursty offered load a congested array's sustained rate pins at its
 // bottleneck capacity while an uncongested one tracks the burst rate —
 // the "sustained throughput" the paper's abstract compares. The
-// streaming backend answers from its incremental tracker, which is
-// built for one window width (DefaultSustainedWindow unless configured
-// otherwise) — the rate it reports is for that width.
+// incremental tracker is built for one width (NewRecorderWith's
+// window), so window must be that width; zero or negative reports 0.
 func (rc *Recorder) SustainedIOPS(window simx.Time) float64 {
-	if rc.count == 0 || window <= 0 {
+	if window <= 0 {
 		return 0
 	}
-	if rc.backend == Streaming {
-		return rc.stream.sustainedIOPS(window)
+	if window != rc.sustained.Window() {
+		panic(fmt.Sprintf("metrics: sustained IOPS over %v from a recorder built for %v", window, rc.sustained.Window()))
 	}
-	buckets := make(map[int64]int)
-	best := 0
-	for _, r := range rc.records {
-		b := int64(r.Complete / window)
-		buckets[b]++
-		if buckets[b] > best {
-			best = buckets[b]
-		}
-	}
-	return float64(best) / (float64(window) / float64(simx.Second))
+	return rc.sustained.BestRate()
 }
 
 // SumBreakdown reports the summed component times.
@@ -367,149 +348,56 @@ func (rc *Recorder) SumBreakdown() Breakdown { return rc.dist.Sum() }
 // MeanBreakdown reports the per-request mean of each component.
 func (rc *Recorder) MeanBreakdown() Breakdown { return rc.dist.Mean() }
 
-func (rc *Recorder) ensureSorted() {
-	if rc.sorted != nil {
-		return
-	}
-	rc.sorted = make([]simx.Time, len(rc.records))
-	for i, r := range rc.records {
-		rc.sorted[i] = r.Latency()
-	}
-	sort.Slice(rc.sorted, func(i, j int) bool { return rc.sorted[i] < rc.sorted[j] })
-}
-
-// nearestRank maps percentile p in [0,100] over n samples to a 1-based
-// rank by the nearest-rank rule: ceil(p/100 · n), clamped to [1, n].
-// (The historical int(p/100·(n-1)) floored, so P50 of [1..100] landed
-// on 50 only by luck of the truncation.)
-func nearestRank(p float64, n int) int {
-	r := int(math.Ceil(p / 100 * float64(n)))
-	if r < 1 {
-		r = 1
-	}
-	if r > n {
-		r = n
-	}
-	return r
-}
-
 // Percentile reports the p-th latency percentile, p in [0,100], by the
-// nearest-rank rule. Exact backend: precise sample rank. Streaming
-// backend: the histogram bucket holding that rank (≤0.39% relative
-// error).
-func (rc *Recorder) Percentile(p float64) simx.Time {
-	if rc.count == 0 {
-		return 0
-	}
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("metrics: percentile %v out of [0,100]", p))
-	}
-	if rc.backend == Streaming {
-		return rc.stream.lat.Quantile(p)
-	}
-	rc.ensureSorted()
-	return rc.sorted[nearestRank(p, len(rc.sorted))-1]
-}
+// nearest-rank rule: the histogram bucket holding that rank (at most
+// 0.39% relative error, exact below histSubCount nanoseconds).
+func (rc *Recorder) Percentile(p float64) simx.Time { return rc.lat.Quantile(p) }
 
-// MaxLatency reports the slowest request (exact on both backends).
-func (rc *Recorder) MaxLatency() simx.Time { return rc.Percentile(100) }
+// MaxLatency reports the slowest request (tracked exactly).
+func (rc *Recorder) MaxLatency() simx.Time { return rc.lat.Max() }
 
 // CDF samples the latency CDF at n evenly spaced fractions, suitable
-// for plotting against the paper's Figures 1 and 11.
+// for plotting against the paper's Figures 1 and 11. The point at
+// fraction f is the value at rank floor(f·count), at least 1.
 func (rc *Recorder) CDF(n int) []CDFPoint {
-	if rc.count == 0 || n <= 0 {
+	count := rc.lat.Count()
+	if count == 0 || n <= 0 {
 		return nil
 	}
-	if rc.backend == Streaming {
-		pts := make([]CDFPoint, 0, n)
-		for i := 1; i <= n; i++ {
-			frac := float64(i) / float64(n)
-			rank := uint64(frac * float64(rc.count))
-			if rank < 1 {
-				rank = 1
-			}
-			pts = append(pts, CDFPoint{
-				LatencyUS: rc.stream.lat.ValueAtRank(rank).Micros(),
-				Fraction:  frac,
-			})
-		}
-		return pts
-	}
-	rc.ensureSorted()
 	pts := make([]CDFPoint, 0, n)
 	for i := 1; i <= n; i++ {
 		frac := float64(i) / float64(n)
-		idx := int(frac*float64(len(rc.sorted))) - 1
-		if idx < 0 {
-			idx = 0
-		}
 		pts = append(pts, CDFPoint{
-			LatencyUS: rc.sorted[idx].Micros(),
+			LatencyUS: rc.lat.ValueAtRank(uint64(frac * float64(count))).Micros(),
 			Fraction:  frac,
 		})
 	}
 	return pts
 }
 
-// downsampleSeries thins ordered to at most n points with the even
-// stride both backends share.
-func downsampleSeries(ordered []SeriesPoint, n int) []SeriesPoint {
-	if len(ordered) <= n {
-		return ordered
-	}
-	out := make([]SeriesPoint, 0, n)
-	step := float64(len(ordered)) / float64(n)
-	for i := 0; i < n; i++ {
-		out = append(out, ordered[int(float64(i)*step)])
-	}
-	return out
-}
-
 // Series reports (submit-time, latency) points downsampled to at most n,
-// in (submit, ID) order — the paper's Figure 16 time-series view. The
-// streaming backend samples from its stride reservoir, so long runs
-// return an evenly spaced subset instead of every record.
-func (rc *Recorder) Series(n int) []SeriesPoint {
-	if n <= 0 || rc.count == 0 {
-		return nil
-	}
-	if rc.backend == Streaming {
-		return rc.stream.series.sample(n)
-	}
-	ordered := make([]SeriesPoint, len(rc.records))
-	for i, r := range rc.records {
-		ordered[i] = SeriesPoint{ID: r.ID, Submit: r.Submit, Latency: r.Latency()}
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].Submit != ordered[j].Submit {
-			return ordered[i].Submit < ordered[j].Submit
-		}
-		return ordered[i].ID < ordered[j].ID
-	})
-	return downsampleSeries(ordered, n)
-}
+// in (submit, ID) order — the paper's Figure 16 time-series view. It
+// samples the stride reservoir, so long runs return an evenly spaced
+// subset of the requests rather than every one.
+func (rc *Recorder) Series(n int) []SeriesPoint { return rc.series.sample(n) }
 
 // FootprintBytes estimates the recorder's live metric-state memory: the
-// sample and index buffers under Exact, the fixed streaming structures
-// under Streaming. Exact buffers count at their capacity, so records
-// made room for by Reserve count before they arrive. It is what
-// TestStreamingFootprintFlat pins flat across run lengths, not an
-// exact heap accounting.
+// fixed structures every recorder keeps, plus the per-request log under
+// Exact. The log counts at its capacity, so records made room for by
+// Reserve count before they arrive. It is what
+// TestStreamingFootprintFlat pins flat across run lengths, not an exact
+// heap accounting.
 func (rc *Recorder) FootprintBytes() int {
 	const (
 		recordSize  = int(unsafe.Sizeof(Record{}))
 		failureSize = int(unsafe.Sizeof(Failure{}))
 		pointSize   = int(unsafe.Sizeof(SeriesPoint{}))
-		timeSize    = int(unsafe.Sizeof(simx.Time(0)))
 	)
-	n := cap(rc.records)*recordSize + cap(rc.failures)*failureSize + cap(rc.sorted)*timeSize
-	if rc.stream != nil {
-		st := rc.stream
-		n += len(st.lat.counts) * 8
-		n += len(st.completed.counts) * 8
-		n += len(st.failedAt.counts) * 8
-		n += len(st.series.buf) * pointSize
-		n += len(st.exemplars.buf) * failureSize
-	}
-	return n
+	return len(rc.lat.counts)*8 +
+		len(rc.completed.counts)*8 +
+		len(rc.failedAt.counts)*8 +
+		len(rc.series.buf)*pointSize +
+		len(rc.exemplars.buf)*failureSize +
+		cap(rc.records)*recordSize +
+		cap(rc.failures)*failureSize
 }

@@ -283,7 +283,7 @@ func TestReserve(t *testing.T) {
 }
 
 func TestSustainedIOPS(t *testing.T) {
-	rc := NewRecorder()
+	rc := NewRecorderWith(Exact, simx.Millisecond)
 	if rc.SustainedIOPS(simx.Millisecond) != 0 {
 		t.Error("empty sustained not 0")
 	}
@@ -300,4 +300,11 @@ func TestSustainedIOPS(t *testing.T) {
 	if rc.SustainedIOPS(0) != 0 {
 		t.Error("zero window not 0")
 	}
+	// The tracker answers only for the width it was built with.
+	defer func() {
+		if recover() == nil {
+			t.Error("SustainedIOPS over another window did not panic")
+		}
+	}()
+	rc.SustainedIOPS(2 * simx.Millisecond)
 }

@@ -173,9 +173,6 @@ func (w *Windowed) Observe(at simx.Time) {
 // Window reports the configured window width.
 func (w *Windowed) Window() simx.Time { return w.window }
 
-// Total reports all observations.
-func (w *Windowed) Total() uint64 { return w.total }
-
 // BestCount reports the highest count in any single window, including
 // the still-open one.
 func (w *Windowed) BestCount() uint64 {
@@ -212,9 +209,9 @@ func (w *Windowed) exportJSON() []byte {
 // below histSubCount are exact. A bucket's relative width is at most
 // 2^-histSubBits (0.78%), so reporting the bucket midpoint bounds the
 // relative error of any quantile at 2^-(histSubBits+1) ≈ 0.39% — well
-// inside the 1% streaming-accuracy contract (docs/metrics.md). The
+// inside the recorder's 1% accuracy contract (docs/metrics.md). The
 // layout is fixed at compile time: indexing is pure bit arithmetic,
-// independent of the data, which is what makes streaming runs
+// independent of the data, which is what makes the exported histogram
 // byte-deterministic.
 const (
 	histSubBits  = 7
@@ -281,8 +278,7 @@ func (h *Histogram) Observe(v simx.Time) {
 // Count reports observations.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Min and Max report the exact extremes.
-func (h *Histogram) Min() simx.Time { return h.min }
+// Max reports the exact maximum.
 func (h *Histogram) Max() simx.Time { return h.max }
 
 // Sum reports the exact total.
@@ -319,9 +315,8 @@ func (h *Histogram) ValueAtRank(rank uint64) simx.Time {
 	return h.max
 }
 
-// Quantile reports the p-th percentile, p in [0,100], by nearest rank —
-// the same rank rule the exact backend uses, so the two backends differ
-// only by bucket width.
+// Quantile reports the p-th percentile, p in [0,100], by nearest rank:
+// the value at rank ceil(p/100 · count), at least 1.
 func (h *Histogram) Quantile(p float64) simx.Time {
 	if h.count == 0 {
 		return 0
@@ -370,9 +365,6 @@ func (d *Distribution) Observe(b Breakdown) {
 	d.sum.Add(b)
 	d.count++
 }
-
-// Count reports observations.
-func (d *Distribution) Count() uint64 { return d.count }
 
 // Sum reports the summed components.
 func (d *Distribution) Sum() Breakdown { return d.sum }

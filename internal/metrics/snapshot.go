@@ -10,8 +10,6 @@ import (
 // hand back across the worker boundary, so nothing a worker still
 // holds crosses it.
 type Snapshot struct {
-	Backend string
-
 	Count  uint64
 	Reads  uint64
 	Writes uint64
@@ -34,8 +32,7 @@ type Snapshot struct {
 // sustained throughput over the given window.
 func (rc *Recorder) Snapshot(window simx.Time) Snapshot {
 	return Snapshot{
-		Backend:         rc.backend.String(),
-		Count:           rc.count,
+		Count:           uint64(rc.Count()),
 		Reads:           rc.Reads(),
 		Writes:          rc.Writes(),
 		Failed:          uint64(rc.FailedCount()),

@@ -6,10 +6,11 @@ import (
 	"triplea/internal/simx"
 )
 
-// Streaming-backend state: everything here is sized at construction and
-// mutated in place, so the per-request record path performs zero
-// allocations (pinned by TestStreamingRecordPathDoesNotAllocate) and
-// total memory is independent of run length.
+// The recorder's fixed-footprint state: everything here is sized at
+// construction and mutated in place, so the per-request record path
+// performs zero allocations without the log (pinned by
+// TestStreamingRecordPathDoesNotAllocate) and the state's memory is
+// independent of run length.
 
 const (
 	// timeBucketCount is the fixed resolution of the completion /
@@ -34,9 +35,9 @@ const (
 // TimeBuckets is a fixed-size histogram over simulated time with
 // range-doubling: counts of events per aligned bucket, merging pairs
 // whenever an event lands beyond the covered range. Interval queries
-// treat each bucket's mass as uniform, so CompletedBetween /
-// FailedBetween become approximations under streaming (exact when the
-// query bounds are bucket-aligned).
+// treat each bucket's mass as uniform, so CompletedBetween and
+// FailedBetween are estimates (exact when the query bounds are
+// bucket-aligned).
 type TimeBuckets struct {
 	width  simx.Time
 	counts []uint64 // len timeBucketCount, allocated once
@@ -81,12 +82,6 @@ func (tb *TimeBuckets) halve() {
 	tb.width += tb.width // double: a dimensionless scale, not a new literal duration
 	tb.used = (tb.used + 1) / 2
 }
-
-// Width reports the current bucket width.
-func (tb *TimeBuckets) Width() simx.Time { return tb.width }
-
-// Total reports all observations.
-func (tb *TimeBuckets) Total() uint64 { return tb.total }
 
 // CountBetween estimates how many events fell in [lo, hi), allocating
 // each bucket's mass uniformly across its span.
@@ -168,7 +163,8 @@ func (sr *strideReservoir) observe(p SeriesPoint) {
 	sr.n++
 }
 
-// sample reports at most n retained points in (Submit, ID) order.
+// sample reports at most n retained points in (Submit, ID) order,
+// thinned with an even stride when more are retained.
 func (sr *strideReservoir) sample(n int) []SeriesPoint {
 	if n <= 0 || sr.n == 0 {
 		return nil
@@ -181,7 +177,15 @@ func (sr *strideReservoir) sample(n int) []SeriesPoint {
 		}
 		return out[i].ID < out[j].ID
 	})
-	return downsampleSeries(out, n)
+	if len(out) <= n {
+		return out
+	}
+	thinned := make([]SeriesPoint, 0, n)
+	step := float64(len(out)) / float64(n)
+	for i := 0; i < n; i++ {
+		thinned = append(thinned, out[int(float64(i)*step)])
+	}
+	return thinned
 }
 
 // failureRing retains the most recent failureExemplarCap failures in a
@@ -216,54 +220,4 @@ func (fr *failureRing) ordered() []Failure {
 	n := copy(out, fr.buf[fr.next:])
 	copy(out[n:], fr.buf[:fr.next])
 	return out
-}
-
-func (fr *failureRing) len() int {
-	if fr.full {
-		return len(fr.buf)
-	}
-	return fr.next
-}
-
-// streamState is the Recorder's streaming backend: fixed-footprint
-// registry metrics replacing the exact sample buffers.
-type streamState struct {
-	lat       *Histogram
-	sustained *Windowed
-	completed *TimeBuckets
-	failedAt  *TimeBuckets
-	series    *strideReservoir
-	exemplars *failureRing
-}
-
-func newStreamState(reg *Registry, window simx.Time) *streamState {
-	st := &streamState{
-		lat:       NewHistogram(),
-		sustained: NewWindowed(window),
-		completed: NewTimeBuckets(timeBucketInitWidth),
-		failedAt:  NewTimeBuckets(timeBucketInitWidth),
-		series:    newStrideReservoir(),
-		exemplars: newFailureRing(),
-	}
-	reg.Register("latency", st.lat)
-	reg.Register("iops.sustained", st.sustained)
-	reg.Register("completions.timeline", st.completed)
-	reg.Register("failures.timeline", st.failedAt)
-	return st
-}
-
-// observe folds one completed request into the streaming state.
-func (st *streamState) observe(r Record, lat simx.Time) {
-	st.lat.Observe(lat)
-	st.sustained.Observe(r.Complete)
-	st.completed.Observe(r.Complete)
-	st.series.observe(SeriesPoint{ID: r.ID, Submit: r.Submit, Latency: lat})
-}
-
-// sustainedIOPS answers the sustained-throughput query. The incremental
-// tracker is exact for the window fixed at construction; for any other
-// width the best-known rate is returned as the estimate (every caller
-// in this repository uses the configured window).
-func (st *streamState) sustainedIOPS(_ simx.Time) float64 {
-	return st.sustained.BestRate()
 }
