@@ -34,7 +34,10 @@ simcheck:
 # (internal/simx) checks random schedules, full of same-instant ties,
 # against an O(n^2) (when, seq) reference. FuzzFTLOps (internal/ftl)
 # checks random sequences of FTL calls against a plain map model of the
-# translation. FuzzDecode (internal/trace) checks that trace decoding
+# translation. FuzzNANDOps (internal/nand) checks random sequences of
+# program, read, erase, stale-mark, populate and force-erase calls on
+# one package against plain maps of page states, program pointers and
+# erase counts, on blocks at its chunk and radix boundaries. FuzzDecode (internal/trace) checks that trace decoding
 # never panics and that an accepted trace survives Encode then Decode.
 # FuzzAdmission (internal/array) checks RC admission on a 1x1 array:
 # every request finishes exactly once, writes are admitted in (request,
@@ -52,6 +55,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/simx
 	$(GO) test -run '^$$' -fuzz '^FuzzFTLOps$$' -fuzztime $(FUZZTIME) ./internal/ftl
+	$(GO) test -run '^$$' -fuzz '^FuzzNANDOps$$' -fuzztime $(FUZZTIME) ./internal/nand
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzAdmission$$' -fuzztime $(FUZZTIME) ./internal/array
 	$(GO) test -run '^$$' -fuzz '^FuzzConfig$$' -fuzztime $(FUZZTIME) ./internal/array

@@ -63,7 +63,7 @@ func allocScenarios() []allocScenario {
 		{name: "baseline-read", cfg: small, profile: workload.MicroRead(0, 0, 150_000), measured: 0.02, events: 360_000},
 		{name: "baseline-write", cfg: small, profile: workload.MicroWrite(0, 0, 150_000), measured: 0.03, events: 320_000},
 		{name: "triplea-read", cfg: small, profile: hotRead, manager: true, measured: 0.34, events: 410_878},
-		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 0.51, events: 414_456},
+		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 0.22, events: 414_456},
 		{name: "fault-recovery", cfg: small, profile: mixed, manager: true, faults: true, measured: 0.34, events: 388_759},
 	}
 }
@@ -199,8 +199,8 @@ func setupScenarios() []setupScenario {
 	paper := array.DefaultConfig()
 	paper.Metrics = metrics.Exact
 	return []setupScenario{
-		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 0.77},
-		{name: "paper-cfs", cfg: paper, profile: cfs, measured: 2.30},
+		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 0.21},
+		{name: "paper-cfs", cfg: paper, profile: cfs, measured: 0.61},
 	}
 }
 
@@ -236,5 +236,89 @@ func TestSetupAllocs(t *testing.T) {
 					"trace generation, array construction or Prepare allocates more per request", got, pin)
 			}
 		})
+	}
+}
+
+// newScenario is one row of the construction allocation pin table.
+type newScenario struct {
+	name     string
+	cfg      array.Config
+	measured uint64 // allocations of one array.New, default build
+}
+
+// newScenarios are the arrays the benchmark builds most often: the
+// default 4x16 array every paper-suite run constructs.
+func newScenarios() []newScenario {
+	return []newScenario{
+		{name: "4x16", cfg: array.DefaultConfig(), measured: 2_098},
+	}
+}
+
+// TestNewAllocs pins the heap allocations of array.New. Device state
+// lives in slabs (dies, resources and packages by value, block state
+// allocated on first touch), so construction costs a few objects per
+// FIMM and cluster, not one per die or resource. The pin is the
+// measured figure plus a tenth of it for build jitter; one more object
+// per die, package or FIMM fails it.
+func TestNewAllocs(t *testing.T) {
+	for _, sc := range newScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			a, err := array.New(sc.cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(a)
+			got := after.Mallocs - before.Mallocs
+			pin := sc.measured + sc.measured/10
+			t.Logf("%d allocations (measured %d, pin %d)", got, sc.measured, pin)
+			if got > pin {
+				t.Errorf("array.New made %d allocations, pinned at %d: "+
+					"construction allocates per die, package or resource again", got, pin)
+			}
+		})
+	}
+}
+
+// sparseHeapLimit bounds the live heap the sparse-footprint probe may
+// hold after its run.
+const sparseHeapLimit = 124 << 20
+
+// TestSparseFootprintHeap runs 15,000 random single-page reads with no
+// footprint bound (Footprint 0) on the default 4x16 array: every read
+// lands on an isolated page of a block of its own. Device and FTL
+// block state must cost memory per touched chunk, not per block up to
+// the highest block touched, so the live heap after the run stays
+// under sparseHeapLimit.
+func TestSparseFootprintHeap(t *testing.T) {
+	cfg := array.DefaultConfig()
+	cfg.Metrics = metrics.Streaming
+	p := workload.MicroRead(0, 15_000, 150_000)
+	p.Footprint = 0
+	reqs, _, err := workload.Generate(cfg.Geometry, p, allocSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := array.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Prepare(reqs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Run(reqs); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(a)
+	t.Logf("live heap after the run: %.1f MiB (limit %d MiB)", float64(ms.HeapAlloc)/(1<<20), sparseHeapLimit>>20)
+	if ms.HeapAlloc > sparseHeapLimit {
+		t.Errorf("live heap %.1f MiB exceeds %d MiB: block state grows with the highest block touched",
+			float64(ms.HeapAlloc)/(1<<20), sparseHeapLimit>>20)
 	}
 }

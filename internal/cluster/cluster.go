@@ -333,11 +333,11 @@ type Endpoint struct {
 	busPageTime simx.Time
 
 	fimms   []*fimm.FIMM
-	bus     *simx.Resource // shared local bus
-	staging *simx.Resource // upstream read staging
-	hal     *simx.Resource // command construction logic
+	bus     simx.Resource // shared local bus
+	staging simx.Resource // upstream read staging
+	hal     simx.Resource // command construction logic
 
-	writeBuf *simx.Resource
+	writeBuf simx.Resource
 
 	pending     []([]*Command) // per-FIMM FIFO of queued commands
 	pendingLen  int
@@ -368,20 +368,22 @@ func New(eng *simx.Engine, id topo.ClusterID, params Params) *Endpoint {
 		id:             id,
 		params:         params,
 		busPageTime:    params.BusPageTime(),
-		bus:            simx.NewResource(eng, id.String()+".bus", 1),
-		staging:        simx.NewResource(eng, id.String()+".staging", params.StagingEntries),
-		hal:            simx.NewResource(eng, id.String()+".hal", 1),
-		writeBuf:       simx.NewResource(eng, id.String()+".wbuf", params.WriteBufEntries),
 		pending:        make([][]*Command, params.NumFIMMs),
 		outstanding:    make([]int, params.NumFIMMs),
 		stalledScratch: make([]int, params.NumFIMMs),
+		fimms:          make([]*fimm.FIMM, params.NumFIMMs),
 	}
-	for i := 0; i < params.NumFIMMs; i++ {
+	name := id.String()
+	ep.bus.Init(eng, name+".bus", 1)
+	ep.staging.Init(eng, name+".staging", params.StagingEntries)
+	ep.hal.Init(eng, name+".hal", 1)
+	ep.writeBuf.Init(eng, name+".wbuf", params.WriteBufEntries)
+	for i := range ep.fimms {
 		fp := params.FIMM
 		if i < len(params.SlotLatencyScale) {
 			fp = scaleFIMMLatency(fp, params.SlotLatencyScale[i])
 		}
-		ep.fimms = append(ep.fimms, fimm.New(eng, fp))
+		ep.fimms[i] = fimm.New(eng, fp)
 	}
 	return ep
 }

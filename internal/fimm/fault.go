@@ -29,8 +29,8 @@ func (f *FIMM) SetChannelScale(s float64) { f.channelScale = s }
 // SetCellTimeScale stretches every package's cell operation time by s
 // (>1 models a stalled module). Zero restores nominal timing.
 func (f *FIMM) SetCellTimeScale(s float64) {
-	for _, pk := range f.packages {
-		pk.SetTimingScale(s)
+	for i := range f.packages {
+		f.packages[i].SetTimingScale(s)
 	}
 }
 

@@ -104,8 +104,10 @@ type FIMM struct {
 	// pageXfer is params.PageTransferTime(), computed once: every read
 	// and program needs it, and the call copies Params.
 	pageXfer simx.Time
-	packages []*nand.Package
-	channel  *simx.Resource
+	// packages is one slab, and every package reads params.Nand. It
+	// never grows: operations in flight hold pointers into it.
+	packages []nand.Package
+	channel  simx.Resource
 	freeOp   *fop // recycled operation nodes
 
 	// Fault-injection state (fault.go): dead rejects new operations;
@@ -237,11 +239,9 @@ func New(eng *simx.Engine, params Params) *FIMM {
 		eng:      eng,
 		params:   params,
 		pageXfer: params.PageTransferTime(),
-		channel:  simx.NewResource(eng, "fimm-channel", 1),
 	}
-	for i := 0; i < params.NumPackages; i++ {
-		f.packages = append(f.packages, nand.NewPackage(eng, params.Nand))
-	}
+	f.channel.Init(eng, "fimm-channel", 1)
+	f.packages = nand.NewPackages(eng, &f.params.Nand, params.NumPackages)
 	return f
 }
 
@@ -252,7 +252,7 @@ func (f *FIMM) Params() Params { return f.params }
 func (f *FIMM) NumPackages() int { return len(f.packages) }
 
 // Package exposes one NAND package (for the FTL and tests).
-func (f *FIMM) Package(i int) *nand.Package { return f.packages[i] }
+func (f *FIMM) Package(i int) *nand.Package { return &f.packages[i] }
 
 // Busy reports the module's single ready/busy wire: asserted while any
 // package executes or the channel is moving data.
@@ -260,8 +260,8 @@ func (f *FIMM) Busy() bool {
 	if f.channel.InUse() > 0 {
 		return true
 	}
-	for _, pk := range f.packages {
-		if pk.Busy() {
+	for i := range f.packages {
+		if f.packages[i].Busy() {
 			return true
 		}
 	}

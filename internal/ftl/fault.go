@@ -98,8 +98,8 @@ func (f *FTL) MappedOnCluster(id topo.ClusterID) []int64 {
 // injector) drops the mappings separately.
 func (f *FTL) SetFIMMDead(id topo.FIMMID) {
 	fa := f.fimmAllocFor(id.Flat(&f.geom))
-	for _, u := range fa.units {
-		u.retired = true
+	for i := range fa.units {
+		fa.units[i].retired = true
 	}
 }
 
@@ -118,13 +118,12 @@ func (f *FTL) RetireDie(id topo.FIMMID, pkg, die int) {
 func (f *FTL) RetireBlock(ppn topo.PPN) {
 	fa := f.fimmAllocFor(ppn.FIMMID().Flat(&f.geom))
 	g := &f.geom
-	u := fa.unitOf(g, ppn)
-	b := planeLocalBlock(g, ppn)
-	bi := u.block(b)
+	unit, b := unitOf(g, ppn), planeLocalBlock(g, ppn)
+	u := &fa.units[unit]
+	bi := fa.block(unit, b)
 	if bi == nil {
-		// Virgin block: give it a touched entry so takeFreeBlock skips it.
-		bi = &blockInfo{}
-		u.touch(b, bi)
+		// Virgin block: touch it so takeFreeBlock skips it.
+		bi = fa.touch(unit, b, g.Nand.PagesPerBlock.Int())
 		if b >= u.nextFresh {
 			u.aheadTouched++
 		}
@@ -157,13 +156,13 @@ func (f *FTL) RetireBlock(ppn topo.PPN) {
 // victim — the eventual erase resynchronises both cursors.
 func (f *FTL) AbortBlock(ppn topo.PPN) {
 	fa := f.fimmAllocFor(ppn.FIMMID().Flat(&f.geom))
-	u := fa.unitOf(&f.geom, ppn)
-	bi := u.block(planeLocalBlock(&f.geom, ppn))
+	unit := unitOf(&f.geom, ppn)
+	bi := fa.block(unit, planeLocalBlock(&f.geom, ppn))
 	if bi == nil || bi.state != blockActive {
 		return
 	}
 	bi.state = blockFull
-	u.active = -1
+	fa.units[unit].active = -1
 }
 
 // BlockLPNs lists, in ascending page order, the logical pages currently

@@ -354,11 +354,11 @@ func scanWear(f *FTL, id topo.FIMMID) (erases uint64, maxBlock int) {
 	if fa == nil {
 		return 0, 0
 	}
-	for _, u := range fa.units {
+	for unit := range fa.units {
 		for b := 0; b < f.geom.Nand.BlocksPerPlane.Int(); b++ {
-			if bi := u.block(b); bi != nil {
+			if bi := fa.block(unit, b); bi != nil {
 				erases += uint64(bi.erase)
-				maxBlock = max(maxBlock, bi.erase)
+				maxBlock = max(maxBlock, int(bi.erase))
 			}
 		}
 	}

@@ -5,15 +5,16 @@ import (
 	"slices"
 	"testing"
 
+	"triplea/internal/radix"
 	"triplea/internal/topo"
 )
 
 // fuzzMaxOps caps the operations one input decodes to.
 const fuzzMaxOps = 400
 
-// fuzzLPNs is how many logical pages a fuzz run touches, few enough
-// that the byte alphabet repeats them often enough for overwrites and
-// GC.
+// fuzzLPNs is how many logical pages a fuzz run on the tiny geometry
+// touches, few enough that the byte alphabet repeats them often enough
+// for overwrites and GC.
 const fuzzLPNs = 64
 
 // fuzzGeometry is one array FuzzFTLOps runs every input on, with the
@@ -21,14 +22,17 @@ const fuzzLPNs = 64
 type fuzzGeometry struct {
 	name string
 	g    topo.Geometry
-	lpns []int64 // fuzzLPNs of them
+	lpns []int64
 }
 
 // fuzzGeometries are the tiny geometry, its 512 pages strided so every
 // FIMM holds some LPNs and GC runs often, and wideGeometry, whose LPNs
-// hug the page table's node boundaries: the first two and last two
+// hug the page table's node boundaries (the first two and last two
 // pages, and two on each side of 15 leaf, inner-node and root-slot
-// boundaries.
+// boundaries) and the block-record chunks: LPNs whose dense homes lie
+// on the first and the last block of a chunk, for every unit, in the
+// first chunk row, on both sides of a radix group boundary and in the
+// last row.
 func fuzzGeometries() []fuzzGeometry {
 	tiny := tinyGeometry()
 	stride := tiny.TotalPages().Int64() / fuzzLPNs
@@ -47,6 +51,19 @@ func fuzzGeometries() []fuzzGeometry {
 	} {
 		edges = append(edges, b-2, b-1, b, b+1)
 	}
+	units := wide.ParallelUnitsPerFIMM()
+	ppb := wide.Nand.PagesPerBlock.Int()
+	rowsPerGroup := radix.Fan / units
+	for _, row := range []int{0, rowsPerGroup - 1, rowsPerGroup, wide.Nand.BlocksPerPlane.Int()/recChunkBlocks - 1} {
+		first, last := row*recChunkBlocks, (row+1)*recChunkBlocks-1
+		for u := 0; u < units; u++ {
+			// FIMM 0's dense page index (block*ppb + page)*units + unit
+			// is its LPN under the clustered layout.
+			edges = append(edges,
+				int64((first*ppb+ppb-1)*units+u),
+				int64(last*ppb*units+u))
+		}
+	}
 	return []fuzzGeometry{{"tiny", tiny, strided}, {"wide", wide, edges}}
 }
 
@@ -64,7 +81,7 @@ type ftlModel struct {
 	retired map[topo.PPN]bool // block keys retired by the run
 }
 
-func (m *ftlModel) lpn(b byte) int64 { return m.lpns[b%fuzzLPNs] }
+func (m *ftlModel) lpn(b byte) int64 { return m.lpns[int(b)%len(m.lpns)] }
 
 func (m *ftlModel) fimm(b byte) topo.FIMMID {
 	return topo.FIMMFromFlat(m.g, int(b)%m.g.TotalFIMMs())
@@ -73,8 +90,7 @@ func (m *ftlModel) fimm(b byte) topo.FIMMID {
 // owners inverts the model's translations.
 func (m *ftlModel) owners() map[topo.PPN]int64 {
 	owners := make(map[topo.PPN]int64, len(m.mapped))
-	for i := 0; i < fuzzLPNs; i++ {
-		lpn := m.lpn(byte(i))
+	for _, lpn := range m.lpns {
 		if ppn, ok := m.mapped[lpn]; ok {
 			owners[ppn] = lpn
 		}
@@ -120,8 +136,7 @@ func (m *ftlModel) inBlock(bk topo.PPN) []int64 {
 // check compares every query the FTL answers with the model.
 func (m *ftlModel) check(t *testing.T, f *FTL, step int) {
 	t.Helper()
-	for i := 0; i < fuzzLPNs; i++ {
-		lpn := m.lpn(byte(i))
+	for _, lpn := range m.lpns {
 		want, mapped := m.mapped[lpn]
 		got, ok := f.Lookup(lpn)
 		if ok != mapped || got != want {

@@ -30,7 +30,8 @@ func (f *FTL) GCPressure(id topo.FIMMID) bool {
 	if fa == nil {
 		return false
 	}
-	for _, u := range fa.units {
+	for i := range fa.units {
+		u := &fa.units[i]
 		if u.retired {
 			continue
 		}
@@ -49,7 +50,8 @@ func (f *FTL) MinFreeBlocks(id topo.FIMMID) units.Blocks {
 		return f.geom.Nand.BlocksPerPlane
 	}
 	min := f.geom.Nand.BlocksPerPlane
-	for _, u := range fa.units {
+	for i := range fa.units {
+		u := &fa.units[i]
 		if u.retired {
 			continue
 		}
@@ -85,7 +87,8 @@ func (f *FTL) PlanGCInto(plan *GCPlan, id topo.FIMMID, veto func(topo.PPN) bool)
 
 	// Most pressured unit first.
 	unitIdx, minFree := -1, int(^uint(0)>>1)
-	for i, u := range fa.units {
+	for i := range fa.units {
+		u := &fa.units[i]
 		if u.retired {
 			continue
 		}
@@ -97,7 +100,6 @@ func (f *FTL) PlanGCInto(plan *GCPlan, id topo.FIMMID, veto func(topo.PPN) bool)
 	if unitIdx < 0 {
 		return false
 	}
-	u := fa.units[unitIdx]
 
 	// Greedy victim: reclaimable (full or dense) block with fewest
 	// valid pages, skipping vetoed blocks. Candidates are scanned in
@@ -117,9 +119,9 @@ func (f *FTL) PlanGCInto(plan *GCPlan, id topo.FIMMID, veto func(topo.PPN) bool)
 	} else {
 		rec = nil
 	}
-	victimBlock, victimValid := -1, int(^uint(0)>>1)
-	for b, bi := range u.touched {
-		if bi == nil || (bi.state != blockFull && bi.state != blockDense) {
+	victimBlock, victimValid := -1, int32(^uint32(0)>>1)
+	for b, bi := range fa.unitBlocks(unitIdx) {
+		if bi.state != blockFull && bi.state != blockDense {
 			continue
 		}
 		if bi.retired {
@@ -171,7 +173,7 @@ func (f *FTL) PlanGCInto(plan *GCPlan, id topo.FIMMID, veto func(topo.PPN) bool)
 	plan.FIMM = id
 	plan.Victim = topo.PackPPN(id.Switch, id.Cluster, id.FIMM, pkg, die, dieBlock, 0)
 	plan.Moves = plan.Moves[:0]
-	bi := u.touched[victimBlock]
+	bi := fa.block(unitIdx, victimBlock)
 	for page := 0; page < g.Nand.PagesPerBlock.Int(); page++ {
 		if !bi.isValid(page) {
 			continue
@@ -203,9 +205,9 @@ func (f *FTL) CompleteGCErase(plan *GCPlan) error {
 		return fmt.Errorf("ftl: CompleteGCErase on untouched FIMM %v", plan.FIMM)
 	}
 	g := &f.geom
-	u := fa.unitOf(g, plan.Victim)
-	b := planeLocalBlock(g, plan.Victim)
-	bi := u.block(b)
+	unit, b := unitOf(g, plan.Victim), planeLocalBlock(g, plan.Victim)
+	u := &fa.units[unit]
+	bi := fa.block(unit, b)
 	if bi == nil {
 		return fmt.Errorf("ftl: victim block %v unknown", plan.Victim)
 	}

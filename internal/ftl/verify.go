@@ -43,11 +43,12 @@ func (f *FTL) VerifyBijective() error {
 		if fa == nil {
 			continue
 		}
-		for _, u := range fa.units {
-			for _, bi := range u.touched {
-				if bi != nil {
-					valid += bi.valid
-				}
+		for _, c := range fa.blocks.All() {
+			if *c == nil {
+				continue
+			}
+			for j := range *c {
+				valid += int((*c)[j].valid)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package nand
 import (
 	"fmt"
 
+	"triplea/internal/radix"
 	"triplea/internal/simx"
 )
 
@@ -43,14 +44,13 @@ func (s PageState) String() string {
 	return "unknown"
 }
 
-// blockState is allocated lazily: a 16 TB array has billions of pages
-// and only the touched blocks may cost host memory. Page states pack
-// 2 bits each, pagesPerWord to a word.
-type blockState struct {
-	eraseCount int
-	nextPage   int // sequential-program pointer
-	states     []uint64
-}
+// blockState is one block's words inside its chunk (see
+// Package.blocks): a meta word holding the sequential-program pointer
+// in its low half and the erase count in its high half, then the page
+// states, 2 bits each, pagesPerWord to a word. A block in no chunk, or
+// never touched in its chunk, reads as all zero: erased, never worn,
+// programming from page 0.
+type blockState []uint64
 
 const (
 	pageStateBits = 2
@@ -58,23 +58,36 @@ const (
 	pagesPerWord  = 64 / pageStateBits
 )
 
+// blockWords reports the words one block takes in its chunk.
+func (p *Params) blockWords() int {
+	return 1 + (p.PagesPerBlock.Int()+pagesPerWord-1)/pagesPerWord
+}
+
 // state reports the page's PageState.
-func (bs *blockState) state(page int) PageState {
-	return PageState(bs.states[page/pagesPerWord] >> (page % pagesPerWord * pageStateBits) & pageStateMask)
+func (bs blockState) state(page int) PageState {
+	return PageState(bs[1+page/pagesPerWord] >> (page % pagesPerWord * pageStateBits) & pageStateMask)
 }
 
 // setState records the page's PageState.
-func (bs *blockState) setState(page int, s PageState) {
-	w := &bs.states[page/pagesPerWord]
+func (bs blockState) setState(page int, s PageState) {
+	w := &bs[1+page/pagesPerWord]
 	shift := page % pagesPerWord * pageStateBits
 	*w = *w&^(pageStateMask<<shift) | uint64(s)<<shift
 }
 
+// nextPage reports the sequential-program pointer.
+func (bs blockState) nextPage() int { return int(uint32(bs[0])) }
+
+// setNextPage moves the sequential-program pointer.
+func (bs blockState) setNextPage(page int) { bs[0] = bs[0]>>32<<32 | uint64(uint32(page)) }
+
+// eraseCount reports the block's wear.
+func (bs blockState) eraseCount() int { return int(bs[0] >> 32) }
+
 // erase resets every page to PageErased and counts the wear.
-func (bs *blockState) erase() {
-	bs.eraseCount++
-	bs.nextPage = 0
-	clear(bs.states)
+func (bs blockState) erase() {
+	bs[0] = (bs[0]>>32 + 1) << 32
+	clear(bs[1:])
 }
 
 // Op identifies a NAND command class for statistics.
@@ -121,8 +134,18 @@ type Done interface {
 // from simulation context (inside engine events or before Run).
 type Package struct {
 	eng    *simx.Engine
-	params Params
-	dies   []*die
+	params *Params // shared: a FIMM's packages all read its copy
+	dies   []die   // this package's part of its FIMM's die slab
+
+	// blocks holds every die's block state in pointer-free chunks,
+	// allocated on first touch. A chunk holds plane-local block r of
+	// every plane of die d, blockWords per block, at index
+	// r*DiesPerPackage+d. A trace's footprint fills the low blocks of
+	// each die (its prepopulated pages stripe block 0 of every plane,
+	// and its first writes open block 1), so a die that is only read
+	// costs one chunk, and the low blocks of all dies share one radix
+	// group.
+	blocks radix.Table[[]uint64]
 
 	freeOp *opState // recycled operation nodes
 	stats  Stats
@@ -192,7 +215,7 @@ func (pk *Package) newOp(op Op, addrs []Addr, d Done) *opState {
 		st.ck.Fresh("nand.opState")
 	}
 	st.op, st.addrs, st.d, st.issued = op, addrs, d, pk.eng.Now()
-	st.die = pk.dies[addrs[0].Die]
+	st.die = &pk.dies[addrs[0].Die]
 	return st
 }
 
@@ -204,47 +227,51 @@ func (pk *Package) recycleOp(st *opState) {
 }
 
 type die struct {
-	res *simx.Resource
+	res simx.Resource
 	// cacheTag remembers the last page latched into the cache register so
 	// repeated reads of the hot page skip tR (cache-mode commands).
 	cacheTag int64
-	// blocks holds the state of every touched block, indexed by
-	// die-level block address and grown only to the highest block
-	// touched; nil entries were never touched.
-	blocks []*blockState
 }
 
-// NewPackage builds a package; invalid params panic (a construction-time
-// programming error, not a runtime condition).
-func NewPackage(eng *simx.Engine, params Params) *Package {
+// NewPackages builds n packages that all read params, in one slab, with
+// their dies in a second; invalid params panic (a construction-time
+// programming error, not a runtime condition). A FIMM keeps its
+// packages this way. The slabs never grow: operations in flight hold
+// pointers into them.
+func NewPackages(eng *simx.Engine, params *Params, n int) []Package {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
-	pk := &Package{
-		eng:    eng,
-		params: params,
-		dies:   make([]*die, params.DiesPerPackage),
+	dpp := params.DiesPerPackage
+	dies := make([]die, n*dpp)
+	for i := range dies {
+		dies[i].res.Init(eng, "nand-die", 1)
+		dies[i].cacheTag = -1
 	}
-	for i := range pk.dies {
-		pk.dies[i] = &die{
-			res:      simx.NewResource(eng, "nand-die", 1),
-			cacheTag: -1,
-		}
+	pks := make([]Package, n)
+	for i := range pks {
+		pk := &pks[i]
+		pk.eng, pk.params, pk.dies = eng, params, dies[i*dpp:(i+1)*dpp:(i+1)*dpp]
 	}
-	return pk
+	return pks
+}
+
+// NewPackage builds a standalone package with a copy of params of its
+// own; invalid params panic.
+func NewPackage(eng *simx.Engine, params Params) *Package {
+	return &NewPackages(eng, &params, 1)[0]
 }
 
 // Params returns the package geometry/timing.
-func (pk *Package) Params() Params { return pk.params }
+func (pk *Package) Params() Params { return *pk.params }
 
 // Stats returns a snapshot of package activity.
 func (pk *Package) Stats() Stats {
 	s := pk.stats
-	for _, d := range pk.dies {
-		for _, bs := range d.blocks {
-			if bs != nil && bs.eraseCount > s.MaxEraseWear {
-				s.MaxEraseWear = bs.eraseCount
-			}
+	w := pk.params.blockWords()
+	for _, c := range pk.blocks.All() {
+		for off := 0; off < len(*c); off += w {
+			s.MaxEraseWear = max(s.MaxEraseWear, blockState((*c)[off:]).eraseCount())
 		}
 	}
 	return s
@@ -258,8 +285,8 @@ func (pk *Package) DieBusy(dieIdx int) bool {
 // Busy reports whether any die is executing — the package-level
 // ready/busy pin (FIMMs wire all packages' R/B# onto one line).
 func (pk *Package) Busy() bool {
-	for _, d := range pk.dies {
-		if d.res.InUse() > 0 {
+	for i := range pk.dies {
+		if pk.dies[i].res.InUse() > 0 {
 			return true
 		}
 	}
@@ -267,7 +294,7 @@ func (pk *Package) Busy() bool {
 }
 
 func (pk *Package) checkAddr(a Addr) error {
-	p := &pk.params
+	p := pk.params
 	switch {
 	case a.Die < 0 || a.Die >= p.DiesPerPackage:
 		return fmt.Errorf("nand: die %d out of range [0,%d)", a.Die, p.DiesPerPackage)
@@ -285,7 +312,7 @@ func (pk *Package) checkAddr(a Addr) error {
 }
 
 func (pk *Package) flatBlock(a Addr) int {
-	p := &pk.params
+	p := pk.params
 	return a.Die*p.PlanesPerDie*p.BlocksPerPlane.Int() + a.Block
 }
 
@@ -293,25 +320,31 @@ func (pk *Package) flatPage(a Addr) int64 {
 	return int64(pk.flatBlock(a))*pk.params.PagesPerBlock.Int64() + int64(a.Page)
 }
 
-// block returns the addressed block's state, creating it on first touch.
-func (pk *Package) block(a Addr) *blockState {
-	d := pk.dies[a.Die]
-	if a.Block >= len(d.blocks) {
-		d.blocks = append(d.blocks, make([]*blockState, a.Block+1-len(d.blocks))...)
-	}
-	bs := d.blocks[a.Block]
-	if bs == nil {
-		bs = &blockState{states: make([]uint64, (pk.params.PagesPerBlock.Int()+pagesPerWord-1)/pagesPerWord)}
-		d.blocks[a.Block] = bs
-	}
-	return bs
+// chunkOf locates the addressed block: its chunk's index in blocks,
+// the block's first word in the chunk, and the words per block.
+func (pk *Package) chunkOf(a Addr) (idx, off, w int) {
+	p := pk.params
+	w = p.blockWords()
+	return a.Block/p.PlanesPerDie*p.DiesPerPackage + a.Die, a.Block % p.PlanesPerDie * w, w
 }
 
-// touched returns the addressed block's state, or nil if the block was
-// never touched.
-func (pk *Package) touched(a Addr) *blockState {
-	if d := pk.dies[a.Die]; a.Block < len(d.blocks) {
-		return d.blocks[a.Block]
+// block returns the addressed block's state, allocating its chunk on
+// first touch.
+func (pk *Package) block(a Addr) blockState {
+	idx, off, w := pk.chunkOf(a)
+	c := pk.blocks.Slot(idx)
+	if *c == nil {
+		*c = make([]uint64, pk.params.PlanesPerDie*w)
+	}
+	return (*c)[off : off+w]
+}
+
+// touched returns the addressed block's state, or nil if its chunk was
+// never allocated (the block reads as erased and unworn).
+func (pk *Package) touched(a Addr) blockState {
+	idx, off, w := pk.chunkOf(a)
+	if c := pk.blocks.Find(idx); c != nil && *c != nil {
+		return (*c)[off : off+w]
 	}
 	return nil
 }
@@ -328,13 +361,17 @@ func (pk *Package) PageStateAt(a Addr) PageState {
 	return bs.state(a.Page)
 }
 
-// EraseCount reports the wear of the addressed block.
+// EraseCount reports the wear of the addressed block. An address
+// outside the package panics, as in PageStateAt.
 func (pk *Package) EraseCount(a Addr) int {
+	if err := pk.checkAddr(a); err != nil {
+		panic(err)
+	}
 	bs := pk.touched(a)
 	if bs == nil {
 		return 0
 	}
-	return bs.eraseCount
+	return bs.eraseCount()
 }
 
 // ReadOp latches the addressed pages (all on one die) into the data
@@ -377,8 +414,8 @@ func (pk *Package) ForcePopulate(a Addr) error {
 		return fmt.Errorf("nand: ForcePopulate of programmed page %v", a)
 	}
 	bs.setState(a.Page, PageValid)
-	if a.Page >= bs.nextPage {
-		bs.nextPage = a.Page + 1
+	if a.Page >= bs.nextPage() {
+		bs.setNextPage(a.Page + 1)
 	}
 	return nil
 }
@@ -397,13 +434,13 @@ func (pk *Package) ForceErase(a Addr) error {
 }
 
 // MarkStale invalidates a programmed page (an FTL bookkeeping action —
-// costs no time on the device).
+// costs no time on the device). A failing call leaves no state behind.
 func (pk *Package) MarkStale(a Addr) error {
 	if err := pk.checkAddr(a); err != nil {
 		return err
 	}
-	bs := pk.block(a)
-	if bs.state(a.Page) != PageValid {
+	bs := pk.touched(a)
+	if bs == nil || bs.state(a.Page) != PageValid {
 		return fmt.Errorf("nand: MarkStale on non-valid page %v", a)
 	}
 	bs.setState(a.Page, PageStale)
@@ -476,8 +513,8 @@ func (pk *Package) checkState(op Op, addrs []Addr) error {
 			if bs.state(a.Page) != PageErased {
 				return fmt.Errorf("nand: program of non-erased page %v", a)
 			}
-			if a.Page != bs.nextPage {
-				return fmt.Errorf("nand: out-of-order program %v (next is page %d)", a, bs.nextPage)
+			if a.Page != bs.nextPage() {
+				return fmt.Errorf("nand: out-of-order program %v (next is page %d)", a, bs.nextPage())
 			}
 		}
 	case OpRead:
@@ -503,7 +540,7 @@ func (pk *Package) execTime(op Op, addrs []Addr, d *die) simx.Time {
 }
 
 func (pk *Package) baseExecTime(op Op, addrs []Addr, d *die) simx.Time {
-	p := &pk.params
+	p := pk.params
 	if op == OpRead && p.CacheOK && len(addrs) == 1 && d.cacheTag == pk.flatPage(addrs[0]) {
 		pk.stats.CacheHits++
 		return p.TCmdOverhead // data already latched in the cache register
@@ -525,7 +562,7 @@ func (pk *Package) commit(op Op, addrs []Addr, d *die) {
 		for _, a := range addrs {
 			bs := pk.block(a)
 			bs.setState(a.Page, PageValid)
-			bs.nextPage = a.Page + 1
+			bs.setNextPage(a.Page + 1)
 		}
 		d.cacheTag = -1
 	case OpErase:

@@ -271,6 +271,16 @@ func TestMarkStale(t *testing.T) {
 	if err := pk.MarkStale(a); err == nil {
 		t.Error("MarkStale of stale page succeeded")
 	}
+	// A failing stale-mark of a never-touched block leaves it untouched:
+	// no block state, no chunk.
+	virgin := Addr{Die: 1, Plane: 1, Block: 7}
+	n := chunks(pk)
+	if err := pk.MarkStale(virgin); err == nil {
+		t.Error("MarkStale of a never-programmed page succeeded")
+	}
+	if pk.touched(virgin) != nil || chunks(pk) != n {
+		t.Error("failing MarkStale created block state")
+	}
 }
 
 func TestAddrValidation(t *testing.T) {
@@ -289,7 +299,19 @@ func TestAddrValidation(t *testing.T) {
 		if got == nil {
 			t.Errorf("addr %v accepted", a)
 		}
+		// The state queries panic rather than read another block's
+		// chunk: the chunk index alone would alias an out-of-range die.
+		if !panics(func() { pk.PageStateAt(a) }) || !panics(func() { pk.EraseCount(a) }) {
+			t.Errorf("state query of addr %v did not panic", a)
+		}
 	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
 }
 
 func TestBusyReflectsDieOccupancy(t *testing.T) {

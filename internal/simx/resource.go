@@ -41,10 +41,18 @@ type waiter struct {
 
 // NewResource returns a resource with the given slot count (>=1).
 func NewResource(eng *Engine, name string, capacity int) *Resource {
+	r := new(Resource)
+	r.Init(eng, name, capacity)
+	return r
+}
+
+// Init sets up the zero Resource r in place, with the given slot count
+// (>=1), so owners can hold their resources by value.
+func (r *Resource) Init(eng *Engine, name string, capacity int) {
 	if capacity < 1 {
 		panic("simx: resource capacity must be >= 1")
 	}
-	return &Resource{eng: eng, name: name, capacity: capacity, lastChange: eng.Now()}
+	r.eng, r.name, r.capacity, r.lastChange = eng, name, capacity, eng.Now()
 }
 
 // Name reports the resource's diagnostic name.
