@@ -2,13 +2,16 @@
 # targets, so a green `make check` locally means a green build.
 
 GO ?= go
-SIMLINT := bin/simlint
 
-.PHONY: build test race simcheck fuzz lint lint-fix-list vet fmt-check check clean fault-smoke bench
+.PHONY: build test race simcheck fuzz lint-fix-list vet fmt-check check fault-smoke bench
 
 build:
 	$(GO) build ./...
 
+# Includes the repository lint: TestRepository (internal/lint/analyzers)
+# runs the units and exhaustive analyzers over every package of the
+# module, in the default build and with -tags simcheck. See
+# docs/static-analysis.md.
 test:
 	$(GO) test ./...
 
@@ -48,6 +51,10 @@ simcheck:
 # sequences to an Exact and a Streaming recorder: every summary agrees,
 # every percentile is within the histogram bound of the sorted log's
 # nearest rank, and sustained IOPS equals a map scan of the log.
+# FuzzPlan (internal/fault) builds fault plans from scripted events and a
+# random tail: Validate never panics, Materialize is deterministic and
+# sorted, random events lie inside the geometry, an accepted plan fires
+# every event on an idle array, and Attach panics on a rejected one.
 # Plain `go test` runs their seed corpora; this mutates beyond them. A failing input is written to the package's
 # testdata/fuzz/ — commit it, and it joins the corpus every `go test`
 # replays.
@@ -60,24 +67,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAdmission$$' -fuzztime $(FUZZTIME) ./internal/array
 	$(GO) test -run '^$$' -fuzz '^FuzzConfig$$' -fuzztime $(FUZZTIME) ./internal/array
 	$(GO) test -run '^$$' -fuzz '^FuzzRecorder$$' -fuzztime $(FUZZTIME) ./internal/metrics
-
-$(SIMLINT): $(shell find cmd/simlint internal/lint -name '*.go' -not -path '*/testdata/*')
-	$(GO) build -o $(SIMLINT) ./cmd/simlint
-
-# simlint: the repository's two lint rules, units (unit conversions) and
-# exhaustive (enum switches), run through go vet so analysis units and
-# caching come from the build system. Runs twice: once over the default
-# build and once with -tags simcheck, so the invariant-checking file
-# variants are linted too. See docs/static-analysis.md.
-lint: $(SIMLINT)
-	$(GO) vet -vettool=$(SIMLINT) ./...
-	$(GO) vet -tags simcheck -vettool=$(SIMLINT) ./...
+	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime $(FUZZTIME) ./internal/fault
 
 # Every active //simlint:* suppression with file:line, for periodic
 # audit (testdata fixtures excluded — their suppressions are the test).
 lint-fix-list:
 	@grep -rn '//simlint:[a-z]' --include='*.go' . \
-		| grep -v '/testdata/' | grep -v '^./internal/lint/' | grep -v '^./cmd/simlint/' \
+		| grep -v '/testdata/' | grep -v '^./internal/lint/' \
 		| sed 's|^\./||' || echo "no active suppressions"
 
 vet:
@@ -114,7 +110,4 @@ bench:
 			|| { echo "bench: $$w: not a correct run with zero failures"; exit 1; }; \
 	done
 
-check: build fmt-check vet lint test race simcheck
-
-clean:
-	rm -rf bin
+check: build fmt-check vet test race simcheck

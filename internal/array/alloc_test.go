@@ -199,8 +199,8 @@ func setupScenarios() []setupScenario {
 	paper := array.DefaultConfig()
 	paper.Metrics = metrics.Exact
 	return []setupScenario{
-		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 0.21},
-		{name: "paper-cfs", cfg: paper, profile: cfs, measured: 0.61},
+		{name: "gc-overwrite", cfg: gc, profile: overwrite, measured: 0.20},
+		{name: "paper-cfs", cfg: paper, profile: cfs, measured: 0.57},
 	}
 }
 
@@ -250,7 +250,7 @@ type newScenario struct {
 // default 4x16 array every paper-suite run constructs.
 func newScenarios() []newScenario {
 	return []newScenario{
-		{name: "4x16", cfg: array.DefaultConfig(), measured: 2_098},
+		{name: "4x16", cfg: array.DefaultConfig(), measured: 1_381},
 	}
 }
 

@@ -159,7 +159,7 @@ func (a *Array) build() {
 
 	for s := 0; s < g.Switches; s++ {
 		s := s
-		sw := pcie.NewSwitch(a.eng, fmt.Sprintf("sw%d", s), cfg.SwitchRouteLatency,
+		sw := pcie.NewSwitch(a.eng, "switch", cfg.SwitchRouteLatency,
 			func(pkt *pcie.Packet) int {
 				id := topo.ClusterAt(pkt.Addr)
 				if pkt.Kind == pcie.Completion || id.Switch != s {
@@ -170,11 +170,11 @@ func (a *Array) build() {
 		a.switches = append(a.switches, sw)
 
 		// RC <-> switch links.
-		down := pcie.NewLink(a.eng, fmt.Sprintf("rc->sw%d", s),
+		down := pcie.NewLink(a.eng, "rc->switch",
 			cfg.SwitchLinkBytesPerSec, cfg.LinkPropagation, cfg.SwitchLinkCredits, sw)
 		a.rc.AddPort(down)
 		a.swDown = append(a.swDown, down)
-		up := pcie.NewLink(a.eng, fmt.Sprintf("sw%d->rc", s),
+		up := pcie.NewLink(a.eng, "switch->rc",
 			cfg.SwitchLinkBytesPerSec, cfg.LinkPropagation, cfg.SwitchLinkCredits, a.rc)
 		sw.SetUpstream(up)
 		a.swUp = append(a.swUp, up)
@@ -185,10 +185,10 @@ func (a *Array) build() {
 		for c := 0; c < g.ClustersPerSwitch; c++ {
 			id := topo.ClusterID{Switch: s, Cluster: c}
 			ep := cluster.New(a.eng, id, cfg.clusterParamsFor(id))
-			swDown := pcie.NewLink(a.eng, fmt.Sprintf("%v.down", id),
+			swDown := pcie.NewLink(a.eng, "switch->endpoint",
 				cfg.EPLinkBytesPerSec, cfg.LinkPropagation, cfg.EPLinkCredits, ep)
 			sw.AddDownstream(swDown)
-			epUp := pcie.NewLink(a.eng, fmt.Sprintf("%v.up", id),
+			epUp := pcie.NewLink(a.eng, "endpoint->switch",
 				cfg.EPLinkBytesPerSec, cfg.LinkPropagation, cfg.EPLinkCredits, sw)
 			ep.SetUpstream(epUp)
 			ep.SetPacketPool(&a.pktPool)

@@ -373,11 +373,10 @@ func New(eng *simx.Engine, id topo.ClusterID, params Params) *Endpoint {
 		stalledScratch: make([]int, params.NumFIMMs),
 		fimms:          make([]*fimm.FIMM, params.NumFIMMs),
 	}
-	name := id.String()
-	ep.bus.Init(eng, name+".bus", 1)
-	ep.staging.Init(eng, name+".staging", params.StagingEntries)
-	ep.hal.Init(eng, name+".hal", 1)
-	ep.writeBuf.Init(eng, name+".wbuf", params.WriteBufEntries)
+	ep.bus.Init(eng, "endpoint-bus", 1)
+	ep.staging.Init(eng, "endpoint-staging", params.StagingEntries)
+	ep.hal.Init(eng, "endpoint-hal", 1)
+	ep.writeBuf.Init(eng, "endpoint-wbuf", params.WriteBufEntries)
 	for i := range ep.fimms {
 		fp := params.FIMM
 		if i < len(params.SlotLatencyScale) {

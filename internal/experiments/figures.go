@@ -36,7 +36,7 @@ func (s *Suite) Fig1() (*Fig1Result, *report.Table, error) {
 	}
 	for i, h := range hotCounts {
 		p := microProfile(h, requests, 1.5)
-		rec, _, _, err := s.runOne(p, nil)
+		rec, _, _, err := runOnePoint(s.Config, s.Seed, p, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -294,7 +294,7 @@ func (s *Suite) Fig16() (*Fig16Result, *report.Table, error) {
 	const samples = 24
 	var series [][]metrics.SeriesPoint
 	for _, r := range runs {
-		rec, err := s.replayOn(reqs, r.opts)
+		rec, _, _, err := runOn(s.Config, p.Name, reqs, r.opts)
 		if err != nil {
 			return nil, nil, err
 		}

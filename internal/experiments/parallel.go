@@ -10,6 +10,7 @@ import (
 	"triplea/internal/report"
 	"triplea/internal/simx"
 	"triplea/internal/sweep"
+	"triplea/internal/trace"
 	"triplea/internal/workload"
 )
 
@@ -75,14 +76,20 @@ func (pp pairPoint) NormIOPS() float64 {
 	return pp.Auto.SustainedIOPS / pp.Base.SustainedIOPS
 }
 
-// runOnePoint executes a profile on one array. It is the
-// self-contained form of (*Suite).runOne: everything a sweep worker
-// needs arrives as a value parameter.
+// runOnePoint generates a profile's trace and runs it on one array.
+// Everything a sweep worker needs arrives as a value parameter.
 func runOnePoint(cfg array.Config, seed uint64, p workload.Profile, opts *core.Options) (*metrics.Recorder, *array.Array, *core.Manager, error) {
 	reqs, _, err := workload.Generate(cfg.Geometry, p, seed)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	return runOn(cfg, p.Name, reqs, opts)
+}
+
+// runOn runs reqs on a fresh array, with a Triple-A manager attached
+// when opts is non-nil. Array.Run leaves reqs as it found them, so
+// several arrays may replay one trace.
+func runOn(cfg array.Config, name string, reqs []trace.Request, opts *core.Options) (*metrics.Recorder, *array.Array, *core.Manager, error) {
 	a, err := array.New(cfg)
 	if err != nil {
 		return nil, nil, nil, err
@@ -93,7 +100,7 @@ func runOnePoint(cfg array.Config, seed uint64, p workload.Profile, opts *core.O
 	}
 	rec, err := a.Run(reqs)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("experiments: %s: %w", p.Name, err)
+		return nil, nil, nil, fmt.Errorf("experiments: %s: %w", name, err)
 	}
 	return rec, a, m, nil
 }
@@ -102,15 +109,15 @@ func runOnePoint(cfg array.Config, seed uint64, p workload.Profile, opts *core.O
 // self-contained form of (*Suite).RunProfile, shared by the serial and
 // parallel paths so they cannot diverge.
 func runPair(cfg array.Config, opts core.Options, seed uint64, p workload.Profile) (*RunResult, error) {
-	_, gen, err := workload.Generate(cfg.Geometry, p, seed)
+	reqs, gen, err := workload.Generate(cfg.Geometry, p, seed)
 	if err != nil {
 		return nil, err
 	}
-	base, baseArr, _, err := runOnePoint(cfg, seed, p, nil)
+	base, baseArr, _, err := runOn(cfg, p.Name, reqs, nil)
 	if err != nil {
 		return nil, err
 	}
-	auto, autoArr, mgr, err := runOnePoint(cfg, seed, p, &opts)
+	auto, autoArr, mgr, err := runOn(cfg, p.Name, reqs, &opts)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,6 @@ import (
 	"triplea/internal/ftl"
 	"triplea/internal/metrics"
 	"triplea/internal/report"
-	"triplea/internal/trace"
 	"triplea/internal/workload"
 )
 
@@ -117,12 +116,6 @@ func (s *Suite) prepare(p workload.Profile) workload.Profile {
 	return p
 }
 
-// runOne executes a profile on one array (see runOnePoint for the
-// self-contained form sweep workers use).
-func (s *Suite) runOne(p workload.Profile, opts *core.Options) (*metrics.Recorder, *array.Array, *core.Manager, error) {
-	return runOnePoint(s.Config, s.Seed, p, opts)
-}
-
 // RunProfile executes a profile on the baseline and on Triple-A,
 // exactly as given (suite-level request overrides are applied by
 // Workload, not here, so sweeps can scale counts themselves). It
@@ -170,17 +163,4 @@ func microProfile(hot int, nominalRequests int, overload float64) workload.Profi
 		p.Requests = int(float64(nominalRequests) * p.RateIOPS / 150_000)
 	}
 	return p
-}
-
-// replayOn runs an explicit request list on a fresh array (used by the
-// migration-mode study, Figure 16).
-func (s *Suite) replayOn(reqs []trace.Request, opts *core.Options) (*metrics.Recorder, error) {
-	a, err := array.New(s.Config)
-	if err != nil {
-		return nil, err
-	}
-	if opts != nil {
-		core.Attach(a, *opts)
-	}
-	return a.Run(reqs)
 }

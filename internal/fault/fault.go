@@ -198,8 +198,9 @@ func (p Plan) Materialize(g topo.Geometry) []Event {
 // Duration that ends past the range of simx.Time; a Factor that is
 // NaN, infinite or negative, or that scales its time past that range
 // (cell times for a FIMM stall, one page's transfer for a channel or
-// link degrade); an unknown kind; or a cluster, FIMM or block outside
-// the geometry.
+// link degrade); an unknown kind; a cluster, FIMM or block outside the
+// geometry; or a block- or die-scoped event whose Block is not a page-0
+// PPN.
 func (p Plan) Validate(cfg array.Config) error {
 	for _, ev := range p.Materialize(cfg.Geometry) {
 		if err := ev.check(cfg); err != nil {
@@ -241,6 +242,9 @@ func (ev Event) check(cfg array.Config) error {
 		return checkScale(page, ev.Factor, "a page's link transfer")
 	case KindBlockReadFail, KindBlockWearOut, KindDieReadFail:
 		b := ev.Block
+		if b.Page() != 0 {
+			return fmt.Errorf("block %v carries page %d, not page 0", b, b.Page())
+		}
 		if b.ClusterID() != ev.Cluster || b.FIMMSlot() >= g.FIMMsPerCluster || b.Pkg() >= g.PackagesPerFIMM ||
 			b.Die() >= g.Nand.DiesPerPackage || b.Block() >= g.Nand.BlocksPerPlane.Int()*g.Nand.PlanesPerDie {
 			return fmt.Errorf("block %v outside cluster %v of the geometry", b, ev.Cluster)

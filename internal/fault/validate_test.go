@@ -37,6 +37,7 @@ func TestPlanValidate(t *testing.T) {
 		{"FIMM outside", Event{At: at, Kind: KindFIMMDeath, Cluster: cl, FIMM: 2}, "FIMM 2 outside"},
 		{"block outside", Event{At: at, Kind: KindBlockReadFail, Cluster: cl, Block: topo.PackPPN(1, 1, 0, 2, 0, 0, 0)}, "block"},
 		{"block on another cluster", Event{At: at, Kind: KindBlockWearOut, Cluster: cl, Block: topo.PackPPN(0, 0, 0, 0, 0, 0, 0)}, "block"},
+		{"block with a page", Event{At: at, Kind: KindBlockReadFail, Cluster: cl, Block: topo.PackPPN(1, 1, 0, 0, 0, 3, 300)}, "not page 0"},
 	}
 	cfg := testConfig()
 	for _, tc := range cases {

@@ -120,58 +120,40 @@ func (f *FTL) PlanGCInto(plan *GCPlan, id topo.FIMMID, veto func(topo.PPN) bool)
 		rec = nil
 	}
 	victimBlock, victimValid := -1, int32(^uint32(0)>>1)
+	var victim topo.PPN
 	for b, bi := range fa.unitBlocks(unitIdx) {
 		if bi.state != blockFull && bi.state != blockDense {
 			continue
 		}
-		if bi.retired {
+		ppn0 := topo.PackPPN(id.Switch, id.Cluster, id.FIMM, pkg, die, b*g.Nand.PlanesPerDie+plane, 0)
+		verdict := decision.Eligible
+		switch {
+		case bi.retired:
 			// Faulted-out block: its pages are unreadable, GC cannot
 			// relocate them and the block must never be reused.
-			if rec != nil {
-				dieBlock := b*g.Nand.PlanesPerDie + plane
-				ppn0 := topo.PackPPN(id.Switch, id.Cluster, id.FIMM, pkg, die, dieBlock, 0)
-				rec.Candidate(int64(ppn0), -float64(bi.valid), decision.ExcludedRetired)
-			}
-			continue
-		}
-		if bi.valid >= victimValid {
-			if rec != nil {
-				dieBlock := b*g.Nand.PlanesPerDie + plane
-				ppn0 := topo.PackPPN(id.Switch, id.Cluster, id.FIMM, pkg, die, dieBlock, 0)
-				rec.Candidate(int64(ppn0), -float64(bi.valid), decision.Eligible)
-			}
-			continue
-		}
-		if veto != nil {
-			dieBlock := b*g.Nand.PlanesPerDie + plane
-			if veto(topo.PackPPN(id.Switch, id.Cluster, id.FIMM, pkg, die, dieBlock, 0)) {
-				if rec != nil {
-					ppn0 := topo.PackPPN(id.Switch, id.Cluster, id.FIMM, pkg, die, dieBlock, 0)
-					rec.Candidate(int64(ppn0), -float64(bi.valid), decision.ExcludedVetoed)
-				}
-				continue
-			}
+			verdict = decision.ExcludedRetired
+		case bi.valid >= victimValid:
+			// Cannot beat the running minimum: recorded as eligible.
+		case veto != nil && veto(ppn0):
+			verdict = decision.ExcludedVetoed
+		default:
+			victimBlock, victimValid, victim = b, bi.valid, ppn0
 		}
 		if rec != nil {
-			dieBlock := b*g.Nand.PlanesPerDie + plane
-			ppn0 := topo.PackPPN(id.Switch, id.Cluster, id.FIMM, pkg, die, dieBlock, 0)
-			rec.Candidate(int64(ppn0), -float64(bi.valid), decision.Eligible)
+			rec.Candidate(int64(ppn0), -float64(bi.valid), verdict)
 		}
-		victimBlock, victimValid = b, bi.valid
 	}
 	if victimBlock < 0 {
 		rec.Cancel()
 		return false
 	}
 	if rec != nil {
-		dieBlock := victimBlock*g.Nand.PlanesPerDie + plane
-		ppn0 := topo.PackPPN(id.Switch, id.Cluster, id.FIMM, pkg, die, dieBlock, 0)
-		rec.Commit(int64(ppn0), -float64(victimValid), id.ClusterID.Flat(g))
+		rec.Commit(int64(victim), -float64(victimValid), id.ClusterID.Flat(g))
 	}
 
-	dieBlock := victimBlock*g.Nand.PlanesPerDie + plane
+	dieBlock := victim.Block()
 	plan.FIMM = id
-	plan.Victim = topo.PackPPN(id.Switch, id.Cluster, id.FIMM, pkg, die, dieBlock, 0)
+	plan.Victim = victim
 	plan.Moves = plan.Moves[:0]
 	bi := fa.block(unitIdx, victimBlock)
 	for page := 0; page < g.Nand.PagesPerBlock.Int(); page++ {

@@ -124,9 +124,6 @@ func NewLink(eng *simx.Engine, name string, bytesPerSec units.BytesPerSec, propa
 	return l
 }
 
-// Name reports the link's diagnostic name.
-func (l *Link) Name() string { return l.name }
-
 // TransferTime reports serialisation time for a packet with n payload
 // bytes (TLP overhead included), rounded up to whole nanoseconds. A
 // rate factor that stretches it past simx.Time's range panics.

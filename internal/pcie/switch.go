@@ -40,9 +40,6 @@ func NewSwitch(_ *simx.Engine, name string, routeLatency simx.Time, route RouteF
 	return &Switch{name: name, routeLatency: routeLatency, route: route}
 }
 
-// Name reports the switch's diagnostic name.
-func (s *Switch) Name() string { return s.name }
-
 // RouteLatency implements Router: the switching latency a link into the
 // switch waits out before delivery.
 func (s *Switch) RouteLatency() simx.Time { return s.routeLatency }

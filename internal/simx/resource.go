@@ -55,9 +55,6 @@ func (r *Resource) Init(eng *Engine, name string, capacity int) {
 	r.eng, r.name, r.capacity, r.lastChange = eng, name, capacity, eng.Now()
 }
 
-// Name reports the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
 // InUse reports how many slots are currently held.
 func (r *Resource) InUse() int { return r.inUse }
 

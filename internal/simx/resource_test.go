@@ -228,9 +228,6 @@ func TestRNGPanics(t *testing.T) {
 func TestResourceIntrospection(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, "intro", 2)
-	if r.Name() != "intro" {
-		t.Errorf("Name = %q", r.Name())
-	}
 	r.AcquireG(hold, 0)
 	if r.InUse() != 1 || r.QueueLen() != 0 {
 		t.Errorf("InUse/QueueLen = %d/%d after one grant", r.InUse(), r.QueueLen())
